@@ -43,7 +43,6 @@ import argparse
 import os
 import re
 import shlex
-import socket
 import subprocess
 import sys
 import tempfile
@@ -76,28 +75,7 @@ _VALUE_CAPS = {
     "--population": 120,
     "--rounds": 400,
     "--workers": 2,
-    "--service-workers": 2,
 }
-
-
-def _free_port() -> int:
-    """An OS-granted TCP port for the documented serve/submit pair."""
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
-
-
-def _docs_port(state: Dict[str, int]) -> int:
-    """One port per executed file, shared by ``serve`` and ``submit``."""
-    return state.setdefault("port", _free_port())
-
-
-def split_background(command: str) -> Tuple[str, bool]:
-    """Strip a trailing ``&``: documented background commands (serve)."""
-    stripped = command.rstrip()
-    if stripped.endswith("&"):
-        return stripped[:-1].rstrip(), True
-    return stripped, False
 
 
 def default_files() -> List[Path]:
@@ -197,22 +175,13 @@ def console_commands(body: str) -> List[str]:
     return commands
 
 
-def rewrite_command(
-    command: str, cache_dir: str, state: Optional[Dict[str, int]] = None
-) -> Optional[List[str]]:
+def rewrite_command(command: str, cache_dir: str) -> Optional[List[str]]:
     """A smoke-scale argv for one documented command, or None to skip.
-
-    ``state`` threads per-file execution context between commands: the
-    ``serve``/``submit`` pair shares one ephemeral port through it, so
-    the documented ``--port 8765`` / ``--url http://...:8765`` rewrite
-    to the same free port.
 
     Raises :class:`ValueError` on a command that cannot even be
     tokenised — that is doc rot, not a deliberate skip, and the caller
     reports it as a failure.
     """
-    if state is None:
-        state = {}
     for placeholder, value in PLACEHOLDERS.items():
         command = command.replace(
             placeholder, value.format(cache=cache_dir)
@@ -264,14 +233,6 @@ def rewrite_command(
             has_cache_dir = True
             index += 2
             continue
-        if word == "--port" and index + 1 < len(args) and args[0] == "serve":
-            rewritten += ["--port", str(_docs_port(state))]
-            index += 2
-            continue
-        if word == "--url" and index + 1 < len(args) and args[0] == "submit":
-            rewritten += ["--url", f"http://127.0.0.1:{_docs_port(state)}"]
-            index += 2
-            continue
         if word == "--csv-dir" and index + 1 < len(args):
             # Redirect artifact output next to the scratch cache so
             # executing the docs never writes into the repository.
@@ -282,17 +243,13 @@ def rewrite_command(
         index += 1
 
     cache_capable = rewritten and (
-        rewritten[0] in ("all", "run", "worker", "serve")
+        rewritten[0] in ("all", "run", "worker")
         or rewritten[0].startswith(("fig", "ablation-"))
     )
     if cache_capable and not has_cache_dir:
         rewritten += ["--cache-dir", cache_dir]
     if rewritten and rewritten[0] == "worker" and "--experiments" not in rewritten:
         rewritten += ["--experiments", "fig4"]  # bound the drain
-    if rewritten and rewritten[0] == "serve" and "--port" not in rewritten:
-        rewritten += ["--port", str(_docs_port(state))]
-    if rewritten and rewritten[0] == "submit" and "--url" not in rewritten:
-        rewritten += ["--url", f"http://127.0.0.1:{_docs_port(state)}"]
     if rewritten and rewritten[0] == "run" and "--population" not in rewritten:
         rewritten += ["--population", "120", "--rounds", "400"]
     if rewritten and rewritten[0] == "profile" and "--population" not in rewritten:
@@ -309,88 +266,39 @@ def execute_snippets(path: Path, verbose: bool = True) -> List[str]:
     )
     seen: Dict[str, bool] = {}
     python_blocks: List[str] = []
-    state: Dict[str, int] = {}
-    background: List[Tuple] = []
     with tempfile.TemporaryDirectory(prefix="check-docs-") as scratch:
         cache_dir = str(Path(scratch) / "cache")
-        try:
-            for language, line, body, skip in extract_blocks(
-                path.read_text(encoding="utf-8")
-            ):
-                if skip:
-                    continue
-                if language == "python":
-                    python_blocks.append(body)
-                elif language == "console":
-                    for raw in console_commands(body):
-                        command, in_background = split_background(raw)
-                        label = f"{path.name}:{line}: $ {raw}"
-                        try:
-                            argv = rewrite_command(command, cache_dir, state)
-                        except ValueError as error:
-                            problems.append(f"{label} is unparseable: {error}")
-                            continue
-                        if argv is None:
-                            if verbose:
-                                print(f"SKIP {label}")
-                            continue
-                        key = " ".join(argv)
-                        if key in seen:
-                            continue
-                        seen[key] = True
-                        if in_background:
-                            if verbose:
-                                print(f"RUN  {label} (background)")
-                            background.append(
-                                (label, *_spawn(argv, env, scratch))
-                            )
-                            continue
-                        problems += _run(argv, label, env, verbose)
-            if python_blocks:
-                problems += _run(
-                    [sys.executable, "-c", "\n\n".join(python_blocks)],
-                    f"{path.name}: {len(python_blocks)} python block(s)",
-                    env,
-                    verbose,
-                )
-        finally:
-            problems += _reap_background(background)
-    return problems
-
-
-def _spawn(argv, env, scratch):
-    """Launch a documented background command (``... &``)."""
-    log = open(  # noqa: SIM115 — lifetime tied to the Popen, closed in reap
-        Path(scratch) / f"bg-{len(os.listdir(scratch))}.log", "w+"
-    )
-    process = subprocess.Popen(
-        argv,
-        cwd=REPO_ROOT,
-        env=env,
-        stdout=log,
-        stderr=subprocess.STDOUT,
-        text=True,
-    )
-    return process, log
-
-
-def _reap_background(background) -> List[str]:
-    """Stop background commands; a premature death is a docs failure."""
-    problems: List[str] = []
-    for label, process, log in background:
-        died_early = process.poll() is not None and process.returncode != 0
-        process.terminate()
-        try:
-            process.wait(timeout=15)
-        except subprocess.TimeoutExpired:
-            process.kill()
-            process.wait(timeout=15)
-        log.flush()
-        log.seek(0)
-        tail = "\n  ".join(log.read().strip().splitlines()[-8:])
-        log.close()
-        if died_early:
-            problems.append(f"{label} exited {process.returncode}:\n  {tail}")
+        for language, line, body, skip in extract_blocks(
+            path.read_text(encoding="utf-8")
+        ):
+            if skip:
+                continue
+            if language == "python":
+                python_blocks.append(body)
+            elif language == "console":
+                for command in console_commands(body):
+                    label = f"{path.name}:{line}: $ {command}"
+                    try:
+                        argv = rewrite_command(command, cache_dir)
+                    except ValueError as error:
+                        problems.append(f"{label} is unparseable: {error}")
+                        continue
+                    if argv is None:
+                        if verbose:
+                            print(f"SKIP {label}")
+                        continue
+                    key = " ".join(argv)
+                    if key in seen:
+                        continue
+                    seen[key] = True
+                    problems += _run(argv, label, env, verbose)
+        if python_blocks:
+            problems += _run(
+                [sys.executable, "-c", "\n\n".join(python_blocks)],
+                f"{path.name}: {len(python_blocks)} python block(s)",
+                env,
+                verbose,
+            )
     return problems
 
 

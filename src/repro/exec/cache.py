@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import tempfile
+import warnings
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -31,7 +32,15 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: Bump whenever simulation semantics or the result schema change
 #: without a package-version bump: it invalidates every existing cache
 #: entry, so stale results can never masquerade as fresh ones.
-CACHE_SCHEMA_VERSION = 1
+#:
+#: History:
+#:
+#: 1. the result cache and its payload format.
+#: 2. the calendar event queue (one shuffle per round instead of a
+#:    per-schedule tiebreak draw) and the round-batched toggle lane
+#:    of ``abstract_soa`` both changed same-seed trajectories; entries
+#:    written before them are stale.
+CACHE_SCHEMA_VERSION = 2
 
 
 def canonical_json(payload: object) -> str:
@@ -77,47 +86,36 @@ class ResultCache:
         """
         return self.root / "leases"
 
-    @property
-    def service_root(self) -> Path:
-        """Where the sweep service keeps its job records and job leases.
-
-        Co-located with the results for the same reason as
-        :attr:`lease_root`: one filesystem, one set of atomicity
-        guarantees, and a server restarted against the same cache
-        directory recovers every job it had accepted.
-        """
-        return self.root / "service"
-
-    def contains_digest(self, digest: str) -> bool:
-        """Whether a result for ``digest`` is stored (cheap existence probe).
-
-        Unlike :meth:`load` this never reads or parses the payload, so
-        the sweep service can classify a whole job as a cache hit
-        without deserialising every cell.
-        """
-        return self.path_for(digest).is_file()
-
     def entry_count(self) -> int:
         """Number of stored result payloads."""
         return sum(1 for _ in self.root.glob("??/*.json"))
 
-    def size_bytes(self) -> int:
-        """Total bytes of stored result payloads (excludes leases)."""
-        return sum(
-            path.stat().st_size for path in self.root.glob("??/*.json")
-        )
-
     def load(self, digest: str) -> Optional[Dict[str, object]]:
-        """The cached payload for ``digest``, or ``None`` on miss/corruption."""
+        """The cached payload for ``digest``, or ``None`` on miss/corruption.
+
+        A missing entry is a silent miss.  A truncated, undecodable or
+        non-object entry (invalid UTF-8 raises UnicodeDecodeError, a
+        ValueError) emits a RuntimeWarning naming the file and the parse
+        error, then behaves like a miss: the fresh run overwrites it.
+        """
         path = self.path_for(digest)
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            # Missing, truncated or corrupted entries (including invalid
-            # UTF-8: UnicodeDecodeError is a ValueError) behave like a
-            # miss; the fresh run will overwrite them.
+        except FileNotFoundError:
             return None
-        return payload if isinstance(payload, dict) else None
+        except (OSError, ValueError) as error:
+            problem = f"{type(error).__name__}: {error}"
+        else:
+            if isinstance(payload, dict):
+                return payload
+            problem = f"expected a JSON object, got {type(payload).__name__}"
+        warnings.warn(
+            f"corrupt result-cache entry {path} ({problem}); "
+            "recomputing and overwriting it",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return None
 
     def store(self, digest: str, payload: Dict[str, object]) -> None:
         """Persist a payload atomically (safe under concurrent writers)."""

@@ -237,26 +237,6 @@ class LeaseDirectory:
         """Digests of the leases this worker believes it holds."""
         return sorted(self._held)
 
-    def scan(self) -> Dict[str, LeaseInfo]:
-        """Every readable lease in the directory, keyed by digest.
-
-        The ops surface of the sweep service (queue depth, lease ages)
-        is built on this: it is a read-only snapshot and never mutates
-        or steals anything.  Corrupt or mid-steal files are skipped,
-        exactly as :meth:`read` treats them.
-        """
-        leases: Dict[str, LeaseInfo] = {}
-        try:
-            paths = sorted(self.root.glob("*.lease"))
-        except OSError:
-            return leases
-        for path in paths:
-            digest = path.name[: -len(".lease")]
-            info = self.read(digest)
-            if info is not None:
-                leases[digest] = info
-        return leases
-
     # ------------------------------------------------------------------
     def _payload(self, digest: str) -> str:
         now = time.time()  # replint: disable=R001 (lease heartbeats are wall-clock by design)

@@ -438,115 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"lease is reclaimed (default: {DEFAULT_LEASE_TTL:g})",
     )
 
-    sub = command(
-        "serve",
-        "run the sweep service: a long-lived HTTP/JSON job API where "
-        "concurrent clients submit scenario sweeps, a standing worker "
-        "fleet drains the cells through the distributed substrate, and "
-        "results stream back from the shared cache (instant on digest "
-        "hit); ops endpoints /metrics and /queue export queue depth, "
-        "lease ages, cache hit ratio and sustained requests/s as "
-        "structured JSON events",
-        "repro-experiments serve --port 8765 --service-workers 2 "
-        "--cache-dir .repro-cache",
-    )
-    sub.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="interface to bind (default: %(default)s)",
-    )
-    sub.add_argument(
-        "--port",
-        type=int,
-        default=8765,
-        help="TCP port to bind; 0 picks an ephemeral port "
-        "(default: %(default)s)",
-    )
-    sub.add_argument(
-        "--service-workers",
-        type=_positive_int,
-        default=1,
-        help="standing worker threads draining submitted jobs "
-        "(default: %(default)s)",
-    )
-    sub.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help="shared result-cache directory; job records persist under "
-        "it, so restarting against the same directory recovers every "
-        "accepted job (default: %(default)s)",
-    )
-    sub.add_argument(
-        "--lease-ttl",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help="seconds without a heartbeat before a job or cell lease "
-        f"is stolen (default: {DEFAULT_LEASE_TTL:g})",
-    )
-    sub.add_argument(
-        "--quota-capacity",
-        type=_positive_float,
-        default=None,
-        metavar="TOKENS",
-        help="per-client token-bucket burst size; an empty bucket "
-        "yields HTTP 429 with Retry-After (default: 16)",
-    )
-    sub.add_argument(
-        "--quota-refill",
-        type=_positive_float,
-        default=None,
-        metavar="TOKENS_PER_SECOND",
-        help="per-client token refill rate (default: 4/s)",
-    )
-
-    sub = command(
-        "submit",
-        "submit one scenario sweep to a running sweep service and "
-        "(by default) wait for its results",
-        "repro-experiments submit --scenario paper --scale quick "
-        "--url http://127.0.0.1:8765",
-    )
-    _scenario_flags(sub)
-    sub.add_argument(
-        "--scale",
-        default=None,
-        help="resize the scenario to an experiment scale preset "
-        "(quick, default or full) before any --population/--rounds "
-        "override",
-    )
-    sub.add_argument(
-        "--seeds",
-        type=int,
-        nargs="+",
-        default=None,
-        help="replication seeds (default: seed 0)",
-    )
-    sub.add_argument(
-        "--url",
-        default="http://127.0.0.1:8765",
-        help="sweep service base URL (default: %(default)s)",
-    )
-    sub.add_argument(
-        "--client-id",
-        default=None,
-        help="client identity for quota accounting "
-        "(default: this host's address as seen by the server)",
-    )
-    sub.add_argument(
-        "--no-wait",
-        action="store_true",
-        help="return immediately after submission instead of polling "
-        "for the results",
-    )
-    sub.add_argument(
-        "--timeout",
-        type=_positive_float,
-        default=600.0,
-        metavar="SECONDS",
-        help="seconds to wait for completion (default: %(default)s)",
-    )
-
     return parser
 
 
@@ -880,85 +771,6 @@ def _run_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_serve(args: argparse.Namespace) -> int:
-    """The ``serve`` command: run the sweep service until interrupted."""
-    from ..service.server import (
-        DEFAULT_QUOTA_CAPACITY,
-        DEFAULT_QUOTA_REFILL,
-        serve,
-    )
-
-    return serve(
-        cache_dir=args.cache_dir,
-        host=args.host,
-        port=args.port,
-        workers=args.service_workers,
-        lease_ttl=args.lease_ttl,
-        quota_capacity=args.quota_capacity or DEFAULT_QUOTA_CAPACITY,
-        quota_refill=args.quota_refill or DEFAULT_QUOTA_REFILL,
-    )
-
-
-def _run_submit(args: argparse.Namespace) -> int:
-    """The ``submit`` command: one sweep through a running service."""
-    from ..scenarios.wire import SpecValidationError
-    from ..service.client import (
-        JobFailedError,
-        QuotaExceededError,
-        ServiceClient,
-        ServiceError,
-    )
-    from ..sim.engine import SimulationResult
-
-    if args.scenario is None:
-        print(
-            "submit requires --scenario NAME; registered scenarios:\n"
-            + "\n".join(f"  {name}" for name in _scenario_names()),
-        )
-        return 2
-    payload = {"scenario": args.scenario}
-    for field, value in (
-        ("scale", args.scale),
-        ("population", args.population),
-        ("rounds", args.rounds),
-        ("fidelity", args.fidelity),
-        ("impairment", args.impairment),
-    ):
-        if value is not None:
-            payload[field] = value
-    if args.seeds:
-        payload["seeds"] = list(args.seeds)
-
-    client = ServiceClient(args.url, client_id=args.client_id)
-    try:
-        if args.no_wait:
-            record = client.submit(payload)
-        else:
-            record = client.submit_and_wait(payload, timeout=args.timeout)
-    except (SpecValidationError, QuotaExceededError, JobFailedError,
-            ServiceError, TimeoutError, OSError) as error:
-        print(f"submit failed: {error}", file=sys.stderr)
-        return 1
-    print(
-        f"[submit] job {record['job_id'][:16]}… state={record['state']} "
-        f"cells={len(record['digests'])} via {args.url}"
-    )
-    if args.no_wait or record["state"] != "done":
-        return 0
-    results = [
-        SimulationResult.from_dict(payload)
-        for payload in client.result(record["job_id"])
-    ]
-    count = len(results)
-    repairs = sum(r.metrics.total_repairs for r in results) / count
-    losses = sum(r.metrics.total_losses for r in results) / count
-    print(
-        f"means over {count} seed(s): repairs={repairs:.1f} "
-        f"losses={losses:.2f}"
-    )
-    return 0
-
-
 def _print_executor_summary(executor: SweepExecutor) -> None:
     stats = executor.stats
     print(
@@ -1053,10 +865,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _run_profile(args)
     if args.experiment == "worker":
         return _run_worker(args)
-    if args.experiment == "serve":
-        return _run_serve(args)
-    if args.experiment == "submit":
-        return _run_submit(args)
     return _run_sweeps(args)
 
 

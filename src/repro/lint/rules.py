@@ -20,7 +20,7 @@ from .schema import compare_schema, extract_digest_schema, load_manifest
 
 #: Directories whose stochastic/temporal state must flow through
 #: ``repro.sim.rng`` (RngStreams / BatchedDraws / the seeded helpers).
-R001_DIRS = {"sim", "net", "backup", "churn", "exec", "service"}
+R001_DIRS = {"sim", "net", "backup", "churn", "exec"}
 
 #: The one module allowed to construct generator state.
 R001_BLESSED_FILE = "rng.py"

@@ -14,8 +14,6 @@ import bisect
 import hashlib
 from typing import Dict, List, Optional, Set, Tuple
 
-from .impairment import CLEAN_OUTCOME, ImpairmentOutcome, ImpairmentSampler
-
 
 def _hash(value: str) -> int:
     """Stable 64-bit hash used for both node and key placement."""
@@ -96,40 +94,6 @@ class MasterBlockDht:
         self._ring = ConsistentHashRing(virtual_nodes)
         self._storage: Dict[int, Dict[str, bytes]] = {}
         self._online: Dict[int, bool] = {}
-        self._impairment: Optional[ImpairmentSampler] = None
-        #: Cumulative per-node-contact accounting (reset never; callers
-        #: snapshot before/after an operation to attribute costs).
-        self.contacts = 0
-        self.dropped_contacts = 0
-        self.total_delay_seconds = 0.0
-        #: Accumulated one-way delay of the most recent put/get.
-        self.last_op_delay_seconds = 0.0
-
-    def set_impairment(self, sampler: Optional[ImpairmentSampler]) -> None:
-        """Route every node contact through a link-impairment sampler.
-
-        Each contacted replica holder costs one sample: a dropped
-        outcome makes that holder unreachable for this operation (a
-        write skips the replica, a read falls through to the next
-        holder) and a delivered outcome's delay accumulates into
-        :attr:`last_op_delay_seconds`.  ``None`` restores the pristine
-        network.
-        """
-        self._impairment = sampler
-
-    def _contact(self) -> ImpairmentOutcome:
-        outcome = (
-            CLEAN_OUTCOME
-            if self._impairment is None
-            else self._impairment.sample()
-        )
-        self.contacts += 1
-        if outcome.dropped:
-            self.dropped_contacts += 1
-        else:
-            self.total_delay_seconds += outcome.delay_seconds
-            self.last_op_delay_seconds += outcome.delay_seconds
-        return outcome
 
     def join(self, node_id: int) -> None:
         """Add a node to the ring (online)."""
@@ -150,20 +114,11 @@ class MasterBlockDht:
         self._online[node_id] = online
 
     def put(self, key: str, value: bytes) -> int:
-        """Store a value; returns the number of replicas actually written.
-
-        Under an impairment sampler each online holder costs one
-        contact; a dropped contact leaves that replica unwritten (the
-        next write re-replicates), so lossy links degrade durability
-        exactly as a thinner replication factor would.
-        """
+        """Store a value; returns the number of replicas actually written."""
         owners = self._ring.successors(key, self._replication)
-        self.last_op_delay_seconds = 0.0
         written = 0
         for node_id in owners:
             if not self._online.get(node_id, False):
-                continue
-            if self._contact().dropped:
                 continue
             self._storage[node_id][key] = value
             written += 1
@@ -172,19 +127,10 @@ class MasterBlockDht:
         return written
 
     def get(self, key: str) -> Optional[bytes]:
-        """Fetch a value from the first online replica holder; None on miss.
-
-        Under an impairment sampler a dropped contact makes that holder
-        unreachable for this lookup and the read falls through to the
-        next replica in ring order — the degraded-network behaviour the
-        DHT tests pin down.
-        """
+        """Fetch a value from the first online replica holder; None on miss."""
         owners = self._ring.successors(key, self._replication)
-        self.last_op_delay_seconds = 0.0
         for node_id in owners:
             if not self._online.get(node_id, False):
-                continue
-            if self._contact().dropped:
                 continue
             value = self._storage.get(node_id, {}).get(key)
             if value is not None:

@@ -16,22 +16,12 @@ from .presets import (
     register_scenario,
     scenario_by_name,
 )
-from .wire import (
-    ALLOWED_KEYS,
-    SpecValidationError,
-    scenario_payload,
-    spec_from_payload,
-)
 
 __all__ = [
-    "ALLOWED_KEYS",
     "PRESET_OBSERVERS",
     "SCENARIOS",
     "Scenario",
-    "SpecValidationError",
     "available_scenarios",
     "register_scenario",
     "scenario_by_name",
-    "scenario_payload",
-    "spec_from_payload",
 ]

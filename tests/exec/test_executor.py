@@ -162,7 +162,8 @@ class TestCache:
         SweepExecutor(cache=cache).run(spec)
         victim = config_digest(spec.cells()[0].config)
         cache.path_for(victim).write_text("{ truncated", encoding="utf-8")
-        sweep = SweepExecutor(cache=cache).run(spec)
+        with pytest.warns(RuntimeWarning, match="corrupt result-cache entry"):
+            sweep = SweepExecutor(cache=cache).run(spec)
         assert sweep.stats.simulated == 1
         assert sweep.stats.cache_hits == 3
 
@@ -190,7 +191,11 @@ class TestCache:
 
         spec = small_spec()
         before = config_digest(spec.cells()[0].config)
-        monkeypatch.setattr(cache_module, "CACHE_SCHEMA_VERSION", 2)
+        monkeypatch.setattr(
+            cache_module,
+            "CACHE_SCHEMA_VERSION",
+            cache_module.CACHE_SCHEMA_VERSION + 1,
+        )
         assert config_digest(spec.cells()[0].config) != before
 
     def test_executor_accumulates_stats(self, tmp_path):

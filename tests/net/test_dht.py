@@ -3,19 +3,6 @@
 import pytest
 
 from repro.net.dht import ConsistentHashRing, DhtError, MasterBlockDht
-from repro.net.impairment import (
-    ImpairmentOutcome,
-    ScriptedImpairment,
-    drop_schedule,
-)
-
-
-def scripted_sampler(*dropped: bool):
-    """A deterministic sampler cycling the given drop flags."""
-    profile = ScriptedImpairment(
-        name="dht-script", script=drop_schedule(*dropped)
-    )
-    return profile.sampler(None)
 
 
 class TestRing:
@@ -142,87 +129,3 @@ class TestMasterBlockDht:
         with pytest.raises(ValueError):
             ConsistentHashRing(virtual_nodes=0)
 
-
-class TestImpairedDht:
-    """Behaviour under netem-style link impairment (ScriptedImpairment)."""
-
-    @pytest.fixture
-    def dht(self):
-        dht = MasterBlockDht(replication=3)
-        for node in range(10):
-            dht.join(node)
-        return dht
-
-    def test_clean_sampler_changes_nothing(self, dht):
-        dht.set_impairment(scripted_sampler(False, False, False))
-        assert dht.put("k", b"v") == 3
-        assert dht.get("k") == b"v"
-        assert dht.dropped_contacts == 0
-
-    def test_dropped_put_contact_skips_that_replica(self, dht):
-        # First contact dropped, the remaining two delivered: the write
-        # lands on exactly two of the three responsible holders.
-        dht.set_impairment(scripted_sampler(True, False, False))
-        assert dht.put("k", b"v") == 2
-        assert len(dht.replica_locations("k")) == 2
-        assert dht.dropped_contacts == 1
-
-    def test_fully_dropped_put_raises(self, dht):
-        dht.set_impairment(scripted_sampler(True))  # cycles: all dropped
-        with pytest.raises(DhtError):
-            dht.put("k", b"v")
-
-    def test_dropped_get_falls_through_to_next_replica(self, dht):
-        dht.put("k", b"v")  # pristine write: all three replicas placed
-        dht.set_impairment(scripted_sampler(True, False))
-        # First holder unreachable, second delivers.
-        assert dht.get("k") == b"v"
-        assert dht.dropped_contacts == 1
-
-    def test_lookup_fails_while_every_contact_drops(self, dht):
-        dht.put("k", b"v")
-        dht.set_impairment(scripted_sampler(True))
-        assert dht.get("k") is None
-        # The outage is transient: clearing the sampler restores reads
-        # (replicas were stored, only the links were down).
-        dht.set_impairment(None)
-        assert dht.get("k") == b"v"
-
-    def test_impaired_write_then_clean_rewrite_re_replicates(self, dht):
-        dht.set_impairment(scripted_sampler(True, True, False))
-        assert dht.put("k", b"v") == 1
-        dht.set_impairment(None)
-        assert dht.put("k", b"v") == 3
-        assert len(dht.replica_locations("k")) == 3
-
-    def test_delay_accumulates_per_operation(self, dht):
-        delayed = ScriptedImpairment(
-            name="dht-delay",
-            script=(
-                ImpairmentOutcome(dropped=False, delay_seconds=0.25),
-                ImpairmentOutcome(dropped=True),
-                ImpairmentOutcome(dropped=False, delay_seconds=0.5),
-            ),
-        )
-        dht.set_impairment(delayed.sampler(None))
-        dht.put("k", b"v")  # contacts all 3 holders: 0.25 + drop + 0.5
-        assert dht.last_op_delay_seconds == pytest.approx(0.75)
-        assert dht.total_delay_seconds == pytest.approx(0.75)
-        # The per-op accumulator resets; cumulative one keeps counting.
-        assert dht.get("k") == b"v"  # first holder delivers at 0.25
-        assert dht.last_op_delay_seconds == pytest.approx(0.25)
-        assert dht.total_delay_seconds == pytest.approx(1.0)
-
-    def test_contact_accounting(self, dht):
-        dht.set_impairment(scripted_sampler(False, True))
-        dht.put("k", b"v")  # three online holders -> three contacts
-        assert dht.contacts == 3
-        assert dht.dropped_contacts == 1
-
-    def test_offline_nodes_cost_no_contacts(self, dht):
-        holders = dht._ring.successors("k", 3)
-        dht.set_online(holders[0], False)
-        dht.set_impairment(scripted_sampler(False))
-        assert dht.put("k", b"v") == 2
-        # Only online holders are contacted (and sampled).
-        assert dht.contacts == 2

@@ -24,15 +24,16 @@ from repro.sim.fidelity import FIDELITY_BACKENDS, available_fidelities, simulati
 from repro.sim.metrics import MetricsCollector
 from repro.sim.protocol import ProtocolSimulation
 
-#: Digests of well-known abstract configs, pinned at the PR 4 values.
+#: Digests of well-known abstract configs, pinned at cache schema 2.
 #: If either changes, the on-disk result cache silently orphans every
 #: entry ever written — the exact failure mode invariant 3 of
-#: docs/ARCHITECTURE.md exists to prevent.
+#: docs/ARCHITECTURE.md exists to prevent.  Only a deliberate
+#: ``CACHE_SCHEMA_VERSION`` bump may move them.
 PINNED_DEFAULT_DIGEST = (
-    "659e35848bc897eab61700965ba4057067c5843fd02cfbcf2fd078d779ea0210"
+    "2e464d0a2e4125cfe77a76f44e7f79d7d053480db4fceddef95021e7c2921431"
 )
 PINNED_PAPER_DIGEST = (
-    "d777c27d3ccbd19569d431098491ea362e4b090bade9df2cdd751fa671112c6f"
+    "6d6783ac5adef3f172d94d2a2cec169a70f2c9dfe936a68411bd5e6c8f6b8d9c"
 )
 
 

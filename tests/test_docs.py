@@ -178,50 +178,3 @@ class TestSmokeRewrite:
             is None
         )
 
-
-class TestServiceRewrite:
-    """serve/submit pairs share one rewritten ephemeral port."""
-
-    def test_serve_and_submit_share_a_port(self):
-        state = {}
-        serve = check_docs.rewrite_command(
-            "repro-experiments serve --port 8765 --service-workers 4 "
-            "--cache-dir .repro-cache",
-            "/tmp/docs-cache",
-            state,
-        )
-        submit = check_docs.rewrite_command(
-            "repro-experiments submit --scenario paper --scale quick "
-            "--url http://127.0.0.1:8765",
-            "/tmp/docs-cache",
-            state,
-        )
-        port = serve[serve.index("--port") + 1]
-        assert port != "8765"  # never the documented literal
-        assert submit[submit.index("--url") + 1] == f"http://127.0.0.1:{port}"
-        assert serve[serve.index("--cache-dir") + 1] == "/tmp/docs-cache"
-        assert serve[serve.index("--service-workers") + 1] == "2"
-        assert submit[submit.index("--scale") + 1] == "quick"
-
-    def test_port_and_url_injected_when_undocumented(self):
-        state = {}
-        serve = check_docs.rewrite_command(
-            "repro-experiments serve", "/tmp/docs-cache", state
-        )
-        submit = check_docs.rewrite_command(
-            "repro-experiments submit --scenario paper",
-            "/tmp/docs-cache",
-            state,
-        )
-        port = serve[serve.index("--port") + 1]
-        assert submit[submit.index("--url") + 1] == f"http://127.0.0.1:{port}"
-        assert serve[serve.index("--cache-dir") + 1] == "/tmp/docs-cache"
-
-    def test_background_marker_split(self):
-        assert check_docs.split_background(
-            "repro-experiments serve --port 8765 &"
-        ) == ("repro-experiments serve --port 8765", True)
-        assert check_docs.split_background("repro-experiments list") == (
-            "repro-experiments list",
-            False,
-        )
