@@ -1,29 +1,25 @@
 """Engine hot-loop benchmark: the paper workload, end to end.
 
-This is the perf-trajectory anchor for the simulation engine itself
+This is the perf-trajectory anchor for the simulation engines themselves
 (event queue, recruitment loop, visibility flips) — the figure and
 ablation benches above it measure whole experiments, which mixes in
-executor and analysis cost.  Two sizes of the ``paper`` scenario preset:
+executor and analysis cost.  Workloads on the ``paper`` scenario preset:
 
-* ``quick`` — seconds; safe for routine runs alongside the other benches;
-* ``default-scale`` — the ISSUE-3 acceptance workload (the ``paper``
-  preset at the ``default`` experiment scale: 800 peers, 14 000 rounds),
-  the configuration whose wall clock ``BENCH_engine.json`` tracks
-  commit over commit;
-* ``protocol-quick`` — the same ``quick`` workload at the ``protocol``
-  fidelity (PR 5): every repair is a real store/fetch exchange gated by
-  the bandwidth model, so this tracks the message-level overhead
-  relative to the abstract fast path;
-* ``soa-quick`` / ``soa-default-scale`` — the same two workloads on the
-  structure-of-arrays ``abstract_soa`` backend (ISSUE 6), tracking the
-  vectorized kernel against the object-graph engine on identical
-  trajectories.  The quick variant is the CI ``bench-smoke`` regression
-  gate (``scripts/check_bench_regression.py``);
+* ``soa-quick`` / ``soa-default-scale`` — the default ``abstract_soa``
+  engine at quick size (250 peers, 3 000 rounds) and at the ``default``
+  experiment scale (800 peers, 14 000 rounds: the configuration whose
+  wall clock ``BENCH_engine.json`` tracks commit over commit).  Both
+  are the CI ``bench-smoke`` regression gate
+  (``scripts/check_bench_regression.py``);
+* ``protocol-quick`` / ``protocol-default-scale`` — the same workloads
+  at the ``protocol`` fidelity: every repair is a real store/fetch
+  exchange gated by the bandwidth model, so these track the
+  message-level overhead relative to the default engine;
 * ``protocol-impaired-quick`` — the protocol quick workload under the
   worst netem preset (30% loss, 50 ms ± 5 ms), so the impairment
-  sampler, drop handling and retry/backoff machinery (PR 8) have their
-  own trajectory line: the delta against ``protocol-quick`` is the
-  price of fault injection.
+  sampler, drop handling and retry/backoff machinery have their own
+  trajectory line: the delta against ``protocol-quick`` is the price of
+  fault injection.
 
 Run with ``--bench-json BENCH_engine.json`` to append trajectory
 records (see ``conftest.py`` for the format).
@@ -35,14 +31,6 @@ import pytest
 
 from repro.scenarios import scenario_by_name
 from repro.sim.engine import run_simulation
-
-
-@pytest.mark.scenario("paper")
-def test_engine_paper_quick(run_once):
-    config = scenario_by_name("paper").with_population(250).with_rounds(3000).build()
-    result = run_once(run_simulation, config)
-    assert result.final_round == 3000
-    assert result.metrics.total_placements > 0
 
 
 @pytest.mark.scenario("paper-protocol-quick")
@@ -103,19 +91,6 @@ def test_engine_paper_soa_default_scale(run_once):
     result = run_once(run_simulation, config)
     assert result.final_round == 14000
     assert result.metrics.total_repairs > 0
-    assert result.deaths > 0
-
-
-@pytest.mark.scenario("paper-default-scale")
-def test_engine_paper_default_scale(run_once):
-    config = scenario_by_name("paper").with_population(800).with_rounds(14000).build()
-    result = run_once(run_simulation, config)
-    assert result.final_round == 14000
-    assert result.metrics.total_repairs > 0
-    # Same-seed determinism is the invariant the hot-path work must
-    # never break; a full second run here would double the bench time,
-    # so the engine tests own that assertion — this just pins the
-    # workload's coarse shape.
     assert result.deaths > 0
 
 

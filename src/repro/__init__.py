@@ -48,7 +48,6 @@ try:
         PAPER_OBSERVERS,
         ObserverSpec,
         ProtocolSimulation,
-        Simulation,
         SimulationConfig,
         SimulationResult,
         available_fidelities,
@@ -87,7 +86,6 @@ _ALL_CANDIDATES = [
     "PAPER_OBSERVERS",
     "ObserverSpec",
     "ProtocolSimulation",
-    "Simulation",
     "SimulationConfig",
     "SimulationResult",
     "available_fidelities",

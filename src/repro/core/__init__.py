@@ -2,8 +2,8 @@
 
 This package holds everything specific to the paper's optimization — the
 acceptation function, the age categories, the lifetime statistics that
-justify using age as a stability signal, the selection strategies, the
-pool builder and the threshold-repair policy.
+justify using age as a stability signal, the selection strategies and
+the threshold-repair policy.
 """
 
 from .acceptance import (
@@ -38,7 +38,6 @@ from .lifetime import (
     rank_by_expected_remaining,
 )
 from .policy import POLICY_PRESETS, RepairPolicy, policy_by_name, scaled_threshold
-from .pool import PoolResult, build_pool
 from .selection import (
     SELECTION_STRATEGIES,
     AgeSelection,
@@ -82,8 +81,6 @@ __all__ = [
     "RepairPolicy",
     "policy_by_name",
     "scaled_threshold",
-    "PoolResult",
-    "build_pool",
     "SELECTION_STRATEGIES",
     "AgeSelection",
     "AvailabilitySelection",

@@ -1,14 +1,14 @@
-"""Fidelity comparison — abstract vs protocol curves from one spec.
+"""Fidelity comparison — default vs protocol curves from one spec.
 
-The repository's figures are produced by the *abstract* engine (peers
-as counters, repairs as instantaneous flips).  The protocol backend
+The repository's figures are produced by the default ``abstract_soa``
+engine (peers as counters, repairs as instantaneous flips).  The protocol backend
 (:mod:`repro.sim.protocol`) replays the same seeded churn trajectory
 with repairs executed as real store/fetch exchanges gated by the
 bandwidth model.  This experiment runs the paper workload at both
 fidelities through one declarative spec and reports the loss/repair
 curves side by side — the validation that the abstraction the paper's
 numbers rest on does not change the qualitative story, plus the
-protocol-only observables (transfer time, link queueing) the abstract
+protocol-only observables (transfer time, link queueing) the default
 engine cannot see.
 """
 
@@ -22,11 +22,12 @@ from ..analysis.report import format_table
 from ..analysis.series import to_days
 from ..churn.profiles import ROUNDS_PER_DAY
 from ..exec import ExperimentSpec, SweepExecutor, run_experiment
+from ..sim.config import DEFAULT_FIDELITY
 from ..sim.engine import SimulationResult
 from .common import DEFAULT, PAPER_FOCUS_THRESHOLD, ExperimentScale
 
-#: The two shipped fidelities, compared in registry order.
-FIDELITIES = ("abstract", "protocol")
+#: The default fidelity (the figures' cell) against the message level.
+FIDELITIES = (DEFAULT_FIDELITY, "protocol")
 
 
 @dataclass
@@ -174,10 +175,10 @@ def fidelity_compare_spec(
     paper_threshold: int = PAPER_FOCUS_THRESHOLD,
     seeds: Sequence[int] = (),
 ) -> ExperimentSpec:
-    """Abstract vs protocol on the paper workload, as one declarative spec.
+    """Default vs protocol on the paper workload, as one declarative spec.
 
     The ``fidelity`` grid axis is the only difference between the two
-    cells of a seed, so the abstract cell is *the same cell* (same
+    cells of a seed, so the default cell is *the same cell* (same
     config, same digest) the other figures run — sweeps sharing the
     cache never simulate it twice.  One seed by default: the protocol
     cell pays real per-message costs and the comparison is qualitative.

@@ -1,6 +1,6 @@
 """Impairment sweep — the protocol stack across the netem loss x delay matrix.
 
-The abstract engine cannot express a lossy or high-latency link; the
+The default engine cannot express a lossy or high-latency link; the
 protocol backend with :mod:`repro.net.impairment` can.  This experiment
 runs the paper workload at protocol fidelity under each profile of the
 netem-mirroring matrix (clean, 10% loss, 10 ms delay, 30% loss +

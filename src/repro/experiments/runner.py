@@ -42,6 +42,7 @@ from ..exec import (
     SweepExecutor,
     default_worker_id,
 )
+from ..sim.config import DEFAULT_FIDELITY
 from . import (
     ablation_adaptive,
     ablation_grace,
@@ -107,7 +108,7 @@ _EXPERIMENT_HELP = {
     "ablation-grace": "A3 — grace-period sweep",
     "ablation-proactive": "A4 — reactive vs proactive repair",
     "ablation-adaptive": "A5 — static vs adaptive thresholds",
-    "fig-fidelity": "abstract vs protocol fidelity: loss/repair curves "
+    "fig-fidelity": "default vs protocol fidelity: loss/repair curves "
                     "from one spec on the paper workload",
     "fig-impairment": "protocol fidelity across the netem loss x delay "
                       "matrix: durability and repair latency per "
@@ -235,10 +236,10 @@ def _scenario_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fidelity",
         default=None,
-        help="override the scenario's simulation backend: 'abstract' "
-        "(counters, the figures' fast path) or 'protocol' (real "
-        "store/fetch exchanges gated by the bandwidth model); see "
-        "'repro-experiments list'",
+        help="override the scenario's simulation backend: "
+        f"{DEFAULT_FIDELITY!r} (the default: counters, the figures' "
+        "engine) or 'protocol' (real store/fetch exchanges gated by "
+        "the bandwidth model); see 'repro-experiments list'",
     )
     parser.add_argument(
         "--impairment",
@@ -503,7 +504,7 @@ def render_component_list() -> str:
 
     lines.append("fidelity backends:")
     for name in FIDELITY_BACKENDS.names():
-        marker = " (default)" if name == "abstract" else ""
+        marker = " (default)" if name == DEFAULT_FIDELITY else ""
         lines.append(f"  {name}{marker}")
 
     lines.append("link profiles:")

@@ -273,7 +273,7 @@ class LinkScheduler:
 
         Rounds are the engine's clock granularity; a transfer shorter
         than a round still lands in the next round, matching the
-        abstract engine's repairs-execute-next-round semantics.
+        default engine's repairs-execute-next-round semantics.
         """
         completed = int(math.ceil(finish_second / self.round_seconds))
         return max(completed, now_round + 1)

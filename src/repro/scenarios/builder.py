@@ -33,7 +33,7 @@ from ..core.policy import scaled_threshold
 from ..core.selection import SELECTION_STRATEGIES
 from ..net.bandwidth import LINK_PROFILES
 from ..net.impairment import IMPAIRMENT_PROFILES
-from ..sim.config import ObserverSpec, SimulationConfig
+from ..sim.config import DEFAULT_FIDELITY, ObserverSpec, SimulationConfig
 
 #: Either a registered mix name or an explicit profile tuple.
 ChurnMix = Union[str, Sequence[Profile]]
@@ -179,10 +179,10 @@ class Scenario:
     def with_fidelity(self, fidelity: str) -> "Scenario":
         """Swap the simulation backend (registered fidelity name).
 
-        ``"abstract"`` is the fast counter-flipping engine behind the
-        figures; ``"protocol"`` executes repairs as real store/fetch
-        exchanges gated by the bandwidth model.  Any scenario runs at
-        any fidelity — the churn trajectory is shared.
+        ``"abstract_soa"`` (the default) is the counter-flipping engine
+        behind the figures; ``"protocol"`` executes repairs as real
+        store/fetch exchanges gated by the bandwidth model.  Any
+        scenario runs at any fidelity — the churn trajectory is shared.
         """
         from ..sim.fidelity import check_fidelity
 
@@ -283,7 +283,7 @@ class Scenario:
         ]
         if self.description:
             lines.insert(1, f"  {self.description}")
-        if config.fidelity != "abstract":
+        if config.fidelity != DEFAULT_FIDELITY:
             fairness = (
                 f" fairness={config.fairness_factor:g}"
                 if config.fairness_factor is not None

@@ -2,7 +2,7 @@
 
 from .config import PAPER_OBSERVERS, ObserverSpec, SimulationConfig
 from .driver import SimulationDriver
-from .engine import Simulation, SimulationResult, run_simulation
+from .engine import SimulationResult, run_simulation
 from .events import Event, EventKind, EventQueue
 from .fidelity import FIDELITY_BACKENDS, available_fidelities, simulation_for
 from .protocol import ProtocolSimulation
@@ -16,7 +16,6 @@ __all__ = [
     "PAPER_OBSERVERS",
     "ObserverSpec",
     "SimulationConfig",
-    "Simulation",
     "SimulationDriver",
     "SimulationResult",
     "ProtocolSimulation",

@@ -23,8 +23,10 @@ from ..net.impairment import IMPAIRMENT_PROFILES
 
 #: The fidelity whose serialized form is the historical one.  Configs at
 #: this fidelity omit every fidelity-related key from ``to_dict`` so
-#: their cache digests stay byte-identical across releases.
-DEFAULT_FIDELITY = "abstract"
+#: their cache digests stay byte-identical across releases (the
+#: object-graph engine it replaced produced the same results, pinned by
+#: ``tests/golden/results.json``).
+DEFAULT_FIDELITY = "abstract_soa"
 
 
 @dataclass(frozen=True)
@@ -86,10 +88,11 @@ class SimulationConfig:
     proactive_rate: float = 0.0      # A4: extra blocks per round per archive
     adaptive_thresholds: bool = False  # A5: per-peer threshold adaptation (paper future work)
     # --- fidelity backend (PR 5) -----------------------------------------
-    #: Which simulation backend executes the run: "abstract" (peers as
-    #: counters, repairs instantaneous) or "protocol" (repairs as real
-    #: message exchanges with bandwidth-gated completion).  Resolved
-    #: through ``repro.sim.fidelity.FIDELITY_BACKENDS``.
+    #: Which simulation backend executes the run: "abstract_soa" (peers
+    #: as state-table columns, repairs instantaneous) or "protocol"
+    #: (repairs as real message exchanges with bandwidth-gated
+    #: completion).  Resolved through
+    #: ``repro.sim.fidelity.FIDELITY_BACKENDS``.
     fidelity: str = DEFAULT_FIDELITY
     #: Access-link profile gating protocol-mode transfer times
     #: (``repro.net.bandwidth.LINK_PROFILES`` name).
@@ -177,7 +180,7 @@ class SimulationConfig:
             )
         # Component names resolve through the registries, so a typo (or a
         # strategy that was never registered) fails here with the list of
-        # valid choices instead of deep inside Simulation._setup.
+        # valid choices instead of deep inside a backend's setup.
         SELECTION_STRATEGIES.check(self.selection_strategy)
         ACCEPTANCE_RULES.check(self.acceptance_rule)
         LINK_PROFILES.check(self.link_profile)
@@ -210,8 +213,8 @@ class SimulationConfig:
         worker processes, so the field set must round-trip exactly
         through :meth:`from_dict`.
 
-        Fidelity keys are emitted **only** for non-abstract configs:
-        abstract-mode dicts (and therefore their cache digests) are
+        Fidelity keys are emitted **only** for non-default configs:
+        default-fidelity dicts (and therefore their cache digests) are
         byte-identical to releases that predate the fidelity axis, while
         protocol-mode configs hash every knob that changes their
         semantics.

@@ -1,22 +1,19 @@
-"""The shared round-driving skeleton behind every fidelity backend.
+"""The object-graph round driver behind the ``protocol`` fidelity.
 
-:class:`SimulationDriver` owns everything that makes two fidelities of
-the same scenario comparable: the calendar event queue, churn arrivals
+:class:`SimulationDriver` owns the calendar event queue, churn arrivals
 and deaths, session toggles, the named RNG streams, the metrics
 surface, partner-pool construction (selection strategy + mutual
-acceptance) and the consistency audit.  What it deliberately does *not*
-decide is how repairs, placements and restores execute — those are the
-fidelity axis, supplied by subclasses registered in
-:mod:`repro.sim.fidelity`:
+acceptance), the consistency audit, and the execution trio — placement,
+repair and proactive top-up as instantaneous state flips over ``Peer``
+objects.  :class:`repro.sim.protocol.ProtocolSimulation` subclasses it
+and re-executes the trio as real message exchanges gated by the
+bandwidth model; observers (measurement probes) keep the instantaneous
+path defined here.
 
-* :class:`repro.sim.engine.Simulation` (``abstract``) executes them as
-  instantaneous state flips — the fast path behind the figures;
-* :class:`repro.sim.protocol.ProtocolSimulation` (``protocol``)
-  executes them as real message exchanges gated by the bandwidth model.
-
-Because the driver draws churn, sessions and recruitment from the same
-seeded streams regardless of backend, two fidelities of one config
-share their churn trajectory, and same-seed runs of either backend are
+The driver draws churn, sessions and recruitment from the same named,
+seeded streams, and in the same order, as the default ``abstract_soa``
+engine (:mod:`repro.sim.engine_soa`), so the two fidelities of one
+config share their churn trajectory, and same-seed runs are
 byte-identical after serialization.
 
 The engine is event-driven internally (a peer only executes when
@@ -62,18 +59,14 @@ from .rng import (
 
 
 class SimulationDriver:
-    """Round/event skeleton shared by all fidelity backends.
+    """Object-graph round/event skeleton with instantaneous execution.
 
-    Subclasses implement the execution trio — :meth:`_run_placement`,
-    :meth:`_run_repair`, :meth:`_handle_top_up` — and may override the
-    lifecycle hooks (``_on_peer_spawned`` / ``_on_peer_departed`` /
-    ``_on_session_flip`` / ``_sample_extras``) and contribute extra
+    Subclasses may override the execution trio — :meth:`_run_placement`,
+    :meth:`_run_repair`, :meth:`_handle_top_up` — and the lifecycle
+    hooks (``_on_peer_spawned`` / ``_on_peer_departed`` /
+    ``_on_session_flip`` / ``_sample_extras``), and contribute extra
     event handlers via :meth:`_extra_dispatch`.
     """
-
-    #: The registered fidelity name (informational; dispatch happens
-    #: through ``repro.sim.fidelity.FIDELITY_BACKENDS``).
-    fidelity = "abstract"
 
     def __init__(self, config: SimulationConfig):
         self.config = config
@@ -124,7 +117,7 @@ class SimulationDriver:
         self._setup()
 
     # ------------------------------------------------------------------
-    # Backend hooks (no-ops at abstract fidelity)
+    # Backend hooks (no-ops here)
     # ------------------------------------------------------------------
     def _on_peer_spawned(self, peer: Peer) -> None:
         """A normal peer joined and is fully wired into the engine."""
@@ -143,19 +136,77 @@ class SimulationDriver:
         return {}
 
     # ------------------------------------------------------------------
-    # Execution trio (the fidelity axis)
+    # Execution trio: instantaneous state flips
     # ------------------------------------------------------------------
     def _run_placement(self, owner: Peer, now: int) -> None:
-        """Upload blocks until all n are placed (the initial d = n repair)."""
-        raise NotImplementedError
+        """Upload blocks until all n are placed (the initial d = n repair).
+
+        The peer counts as *placed* (included in the network, section
+        3.2) once the visible count clears the repair threshold, but the
+        upload keeps retrying until all ``n`` holders exist — important
+        when the whole population joins in the same round and early
+        placers see only a partially built network.
+        """
+        archive = owner.archive
+        needed = self.policy.n - len(archive.holders)
+        if needed > 0:
+            self._recruit(owner, now, needed)
+        if len(archive.holders) >= self.policy.n:
+            archive.fully_placed = True
+        if archive.visible >= self.policy.repair_threshold and not archive.placed:
+            archive.placed = True
+            if not owner.is_observer:
+                self.metrics.record_placement(now, owner.age(now))
+        if not archive.placed or not archive.fully_placed:
+            self._schedule_check(owner, now + 1)
 
     def _run_repair(self, owner: Peer, now: int) -> None:
         """Decode-and-reupload repair (paper section 2.2.3)."""
-        raise NotImplementedError
+        archive = owner.archive
+        grace = self.config.grace_rounds
+        for holder_id, invisible_since in list(archive.holders.items()):
+            if invisible_since is not None and now - invisible_since >= grace:
+                self._drop_holder(owner, self.population.get(holder_id))
+        needed = self.policy.n - len(archive.holders)
+        recruited = self._recruit(owner, now, needed) if needed > 0 else 0
+        if recruited > 0:
+            archive.repair_count += 1
+            if owner.adaptive is not None:
+                owner.adaptive.on_repair(now)
+            self.metrics.record_repair(
+                now, owner.age(now), recruited, owner.observer_name
+            )
+        else:
+            if owner.adaptive is not None:
+                owner.adaptive.on_starved(now)
+            self.metrics.record_starved()
+        if len(archive.holders) >= self.policy.n:
+            archive.fully_placed = True
+        if self._needs_repair(owner, archive.visible):
+            self._schedule_check(owner, now + 1)
 
     def _handle_top_up(self, now: int, peer: Peer) -> None:
         """Proactive-replication tick (baseline A4): keep holders at n."""
-        raise NotImplementedError
+        if not peer.alive:
+            return
+        if peer.online and peer.archive.placed:
+            missing = self.policy.n - len(peer.archive.holders)
+            if missing > 0:
+                self._recruit(peer, now, 1)
+        self._schedule_top_up(peer, now)
+
+    def _recruit(self, owner: Peer, now: int, needed: int) -> int:
+        """Select the best ``needed`` candidates and store blocks instantly."""
+        chosen = self._select_candidates(owner, now, needed)
+        added = 0
+        for candidate_id in chosen:
+            holder = self.population.get(candidate_id)
+            # Quota could have filled between sampling and selection.
+            if not owner.is_observer and not holder.has_free_quota(self.config.quota):
+                continue
+            self._add_holder(owner, holder)
+            added += 1
+        return added
 
     # ------------------------------------------------------------------
     # Setup
@@ -360,7 +411,7 @@ class SimulationDriver:
         visible count, self-service checks for peers coming online, and
         one bulk duration draw for the reschedules.  The SoA backend
         implements the identical passes over its columns, which is what
-        keeps the two fidelities metric-identical per seed.
+        keeps the churn trajectory shared across fidelities.
         """
         peers = self.population.peers
         batch: List[Peer] = []
@@ -620,8 +671,8 @@ class SimulationDriver:
     def _select_candidates(self, owner: Peer, now: int, needed: int) -> List[int]:
         """Pool-build then strategy-select the best ``needed`` partner ids.
 
-        This is the backend-independent half of recruitment: both the
-        abstract engine (which then flips counters) and the protocol
+        This is the execution-independent half of recruitment: both
+        :meth:`_recruit` (which then flips counters) and the protocol
         backend (which then sends real store requests) consult the same
         selection strategy and acceptance rule here, drawing from the
         same RNG streams.

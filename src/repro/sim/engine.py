@@ -1,23 +1,15 @@
-"""The abstract simulation backend (PeerSim substitute) and run results.
+"""Run results and the one-shot entry point every caller goes through.
 
-One :class:`Simulation` object runs one configuration end to end:
+:class:`SimulationResult` is what a finished run exposes to experiments,
+the sweep executor's cache and the tests, whichever backend produced
+it.  :func:`run_simulation` builds the backend ``config.fidelity``
+names in :data:`repro.sim.fidelity.FIDELITY_BACKENDS` and runs it:
 
-* churn — joins, definitive departures with immediate replacement
-  (paper section 4.1), and availability session toggles;
-* the backup protocol — initial placement, per-round monitoring,
-  threshold repairs with mutual-acceptance partner recruitment
-  (section 3.2);
-* metrics — per-category counters and the cumulative series behind
-  figures 1-4.
-
-The round-driving skeleton (event queue, churn, RNG streams, partner
-pools, metrics) lives in :class:`repro.sim.driver.SimulationDriver`;
-this module supplies the **abstract** fidelity on top of it: peers are
-counters and repairs, placements and proactive top-ups execute as
-instantaneous state flips.  It is the fast path behind every figure.
-The message-level alternative is :mod:`repro.sim.protocol`; both are
-registered in :data:`repro.sim.fidelity.FIDELITY_BACKENDS` and
-:func:`run_simulation` dispatches on ``config.fidelity``.
+* ``abstract_soa`` (:mod:`repro.sim.engine_soa`, the default) — peers
+  are state-table columns and repairs execute as instantaneous state
+  flips; the engine behind every figure;
+* ``protocol`` (:mod:`repro.sim.protocol`) — repairs execute as real
+  message exchanges gated by the bandwidth model.
 """
 
 from __future__ import annotations
@@ -26,10 +18,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from .config import SimulationConfig
-from .driver import SimulationDriver
-from .fidelity import FIDELITY_BACKENDS
 from .metrics import MetricsCollector
-from .peer import Peer
 
 
 @dataclass
@@ -88,86 +77,6 @@ class SimulationResult:
             peers_created=data["peers_created"],
             deaths=data["deaths"],
         )
-
-
-@FIDELITY_BACKENDS.register("abstract")
-class Simulation(SimulationDriver):
-    """The abstract fidelity: repairs as instantaneous state flips."""
-
-    fidelity = "abstract"
-
-    # ------------------------------------------------------------------
-    # Execution trio
-    # ------------------------------------------------------------------
-    def _run_placement(self, owner: Peer, now: int) -> None:
-        """Upload blocks until all n are placed (the initial d = n repair).
-
-        The peer counts as *placed* (included in the network, section
-        3.2) once the visible count clears the repair threshold, but the
-        upload keeps retrying until all ``n`` holders exist — important
-        when the whole population joins in the same round and early
-        placers see only a partially built network.
-        """
-        archive = owner.archive
-        needed = self.policy.n - len(archive.holders)
-        if needed > 0:
-            self._recruit(owner, now, needed)
-        if len(archive.holders) >= self.policy.n:
-            archive.fully_placed = True
-        if archive.visible >= self.policy.repair_threshold and not archive.placed:
-            archive.placed = True
-            if not owner.is_observer:
-                self.metrics.record_placement(now, owner.age(now))
-        if not archive.placed or not archive.fully_placed:
-            self._schedule_check(owner, now + 1)
-
-    def _run_repair(self, owner: Peer, now: int) -> None:
-        """Decode-and-reupload repair (paper section 2.2.3)."""
-        archive = owner.archive
-        grace = self.config.grace_rounds
-        for holder_id, invisible_since in list(archive.holders.items()):
-            if invisible_since is not None and now - invisible_since >= grace:
-                self._drop_holder(owner, self.population.get(holder_id))
-        needed = self.policy.n - len(archive.holders)
-        recruited = self._recruit(owner, now, needed) if needed > 0 else 0
-        if recruited > 0:
-            archive.repair_count += 1
-            if owner.adaptive is not None:
-                owner.adaptive.on_repair(now)
-            self.metrics.record_repair(
-                now, owner.age(now), recruited, owner.observer_name
-            )
-        else:
-            if owner.adaptive is not None:
-                owner.adaptive.on_starved(now)
-            self.metrics.record_starved()
-        if len(archive.holders) >= self.policy.n:
-            archive.fully_placed = True
-        if self._needs_repair(owner, archive.visible):
-            self._schedule_check(owner, now + 1)
-
-    def _handle_top_up(self, now: int, peer: Peer) -> None:
-        """Proactive-replication tick (baseline A4): keep holders at n."""
-        if not peer.alive:
-            return
-        if peer.online and peer.archive.placed:
-            missing = self.policy.n - len(peer.archive.holders)
-            if missing > 0:
-                self._recruit(peer, now, 1)
-        self._schedule_top_up(peer, now)
-
-    def _recruit(self, owner: Peer, now: int, needed: int) -> int:
-        """Select the best ``needed`` candidates and store blocks instantly."""
-        chosen = self._select_candidates(owner, now, needed)
-        added = 0
-        for candidate_id in chosen:
-            holder = self.population.get(candidate_id)
-            # Quota could have filled between sampling and selection.
-            if not owner.is_observer and not holder.has_free_quota(self.config.quota):
-                continue
-            self._add_holder(owner, holder)
-            added += 1
-        return added
 
 
 def run_simulation(config: SimulationConfig) -> SimulationResult:

@@ -1,18 +1,18 @@
-"""The ``abstract_soa`` fidelity backend: abstract semantics on columns.
+"""The ``abstract_soa`` fidelity backend, the default engine.
 
-This engine replays :class:`repro.sim.engine.Simulation` (the
-``abstract`` backend) **draw for draw** on structure-of-arrays state
-(:mod:`repro.sim.soa_state`): same named RNG streams, same calendar
-event queue, same handler logic — but peers are parallel columns
-instead of ``Peer`` objects and block placements are two ragged
-adjacency tables instead of per-peer dict/set pairs.  Every metric a
-run emits (``repair_rates``, ``loss_rates``, ``observer_totals``, the
-full census series) is identical to the abstract backend's for the same
-configuration and seed; ``tests/sim/test_soa_equivalence.py`` pins that
-for every registered scenario preset.
+Peers are structure-of-arrays columns (:mod:`repro.sim.soa_state`) and
+block placements are two ragged adjacency tables; repairs, placements
+and proactive top-ups execute as instantaneous state flips.  It draws
+from the same named RNG streams, in the same order, as the object-graph
+driver behind the ``protocol`` fidelity
+(:class:`repro.sim.driver.SimulationDriver`), so both fidelities of one
+config share their churn trajectory.  Its results are pinned by the
+committed golden digests in ``tests/golden/results.json``
+(``scripts/record_goldens.py`` regenerates them).
 
-Why it is faster (the layout that makes 10^6-peer populations fit in
-memory, and sub-second ``paper`` default-scale runs):
+Why it is faster than the object-graph driver (the layout that makes
+10^6-peer populations fit in memory, and sub-second ``paper``
+default-scale runs):
 
 * session toggles — the dominant event kind — are not dispatched one
   event at a time: the queue keeps each round's toggles in a dense
@@ -35,17 +35,15 @@ memory, and sub-second ``paper`` default-scale runs):
   by per-profile constants and bare ids in the queue's toggle buckets —
   the draws are issued in the same order, from the same streams.
 
-Exact equivalence leans on two driver-level properties: the event queue
+The shared trajectory leans on two properties: the event queue
 canonicalises each round's bucket before shuffling
 (:meth:`repro.sim.events.EventQueue._activate`), so execution order
 depends only on bucket *content*; and the batched toggle kernel is the
-same six fixed passes in both backends
-(:meth:`repro.sim.driver.SimulationDriver._process_toggle_batch`), so
+same six fixed passes here and in
+:meth:`repro.sim.driver.SimulationDriver._process_toggle_batch`, so
 the flips, checks and duration draws happen in the identical order.
 
-What this backend does **not** support is the fidelity axis itself —
-it is the abstract semantics, only faster.  Protocol-level runs keep
-using :mod:`repro.sim.protocol`.
+Protocol-level runs use :mod:`repro.sim.protocol`.
 """
 
 from __future__ import annotations
@@ -79,7 +77,7 @@ from .soa_state import StateTables
 
 @FIDELITY_BACKENDS.register("abstract_soa")
 class SoaSimulation:
-    """Abstract-fidelity semantics executed over state tables."""
+    """The default fidelity: instantaneous repairs over state tables."""
 
     fidelity = "abstract_soa"
 

@@ -5,14 +5,11 @@ Every scenario in this repository is runnable at more than one
 the same metrics surface, but a different answer to "what actually
 happens when a peer repairs":
 
-* ``abstract`` (:class:`repro.sim.engine.Simulation`) — the fast path
-  behind every figure: peers are counters, repairs and placements are
-  instantaneous state flips.  This is the engine the paper's
-  quantitative claims are reproduced with.
-* ``abstract_soa`` (:class:`repro.sim.engine_soa.SoaSimulation`) — the
-  abstract semantics, draw-for-draw, on structure-of-arrays state
-  tables: identical metrics, a fraction of the time and memory.  The
-  backend for very large populations (10^5-10^6 peers).
+* ``abstract_soa`` (:class:`repro.sim.engine_soa.SoaSimulation`, the
+  default) — peers are structure-of-arrays columns, repairs and
+  placements are instantaneous state flips.  This is the engine the
+  paper's quantitative claims are reproduced with, from the laptop
+  presets up to 10^6-peer populations.
 * ``protocol`` (:class:`repro.sim.protocol.ProtocolSimulation`) —
   repairs, recruitment and restores execute as real ``StoreRequest`` /
   ``FetchRequest`` exchanges over an in-memory transport, transfer
@@ -37,7 +34,7 @@ FIDELITY_BACKENDS: Registry[type] = Registry("fidelity backend")
 
 def _ensure_builtin_backends() -> None:
     """Import the modules that register the built-in backends."""
-    from . import engine, engine_soa, protocol  # noqa: F401  (import = registration)
+    from . import engine_soa, protocol  # noqa: F401  (import = registration)
 
 
 def check_fidelity(name: str) -> None:

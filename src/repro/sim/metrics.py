@@ -65,8 +65,8 @@ class MetricsCollector:
         self.pool_accepted = 0
         self.starved_repairs = 0
         #: Protocol-fidelity counters (transfers, queue delays, fairness
-        #: refusals, ...).  Empty for abstract runs — and *only then
-        #: absent from* :meth:`to_dict` — so abstract-mode payloads stay
+        #: refusals, ...).  Empty for default-fidelity runs — and *only
+        #: then absent from* :meth:`to_dict` — so their payloads stay
         #: byte-identical to earlier releases.
         self.protocol: Dict[str, float] = {}
         #: Protocol-fidelity time series, sampled on the same cadence as
@@ -243,7 +243,7 @@ class MetricsCollector:
             "pool_accepted": self.pool_accepted,
             "starved_repairs": self.starved_repairs,
         }
-        # Protocol-fidelity extras only when present: abstract-mode
+        # Protocol-fidelity extras only when present: default-fidelity
         # payloads (and therefore their cached bytes) must not change
         # shape when the protocol backend is merely available.
         if self.protocol:

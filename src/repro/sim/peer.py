@@ -5,7 +5,7 @@ these objects hundreds of millions of times.  All invariants that matter
 ("the owner's holder set and the holder's hosted set mirror each other",
 "the visible counter equals the recount") are enforced by the engine's
 mutation helpers and verified by integration tests via
-:func:`repro.sim.engine.Simulation.audit`.
+:func:`repro.sim.driver.SimulationDriver.audit`.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The protocol fidelity backend: repairs as real message exchanges.
 
-Where the abstract engine flips counters, this backend executes the
-backup protocol's data plane for every normal peer:
+Where the default ``abstract_soa`` engine flips counters, this backend
+executes the backup protocol's data plane for every normal peer:
 
 * each peer owns a transport endpoint
   (:class:`repro.net.transport.InMemoryTransport`), a quota-bounded
@@ -11,7 +11,7 @@ backup protocol's data plane for every normal peer:
   exchanges — a repair first downloads ``k`` blocks from visible
   holders, then uploads regenerated blocks to partners recruited
   through the *same* selection strategy and acceptance rule the
-  abstract engine consults;
+  default engine consults;
 * transfer completion is gated by the access-link bandwidth model
   (:class:`repro.net.bandwidth.LinkScheduler`): the repair's archive
   links only materialise when its ``TRANSFER_DONE`` event fires, and
@@ -23,11 +23,12 @@ backup protocol's data plane for every normal peer:
 * a loss is confirmed by an actual restore attempt — fetch probes to
   the surviving holders — before the archive resets.
 
-Everything upstream of execution is shared with the abstract backend
-via :class:`repro.sim.driver.SimulationDriver`: churn trajectory, RNG
-streams, metrics surface and the event clock.  Same-seed protocol runs
-are therefore byte-identical after serialization, across repeated runs
-and across all sweep-executor backends.
+Everything upstream of execution comes from
+:class:`repro.sim.driver.SimulationDriver`, which draws the churn
+trajectory, RNG streams, metrics surface and event clock exactly as the
+default engine does.  Same-seed protocol runs are byte-identical after
+serialization, across repeated runs and across all sweep-executor
+backends.
 
 Deliberate simplifications, documented rather than hidden:
 
@@ -45,7 +46,7 @@ Deliberate simplifications, documented rather than hidden:
   observes a timeout and retries with capped exponential backoff up to
   ``retry_budget`` attempts, then gives up gracefully (the operation
   re-enqueues as an ordinary check);
-* observers (the paper's measurement probes) keep the abstract
+* observers (the paper's measurement probes) keep the driver's
   instantaneous path: they are instruments, not workload, and must not
   perturb quota, fairness or bandwidth accounting;
 * proactive replication (baseline A4) is not supported at this
@@ -75,8 +76,8 @@ from ..net.transport import (
     InMemoryTransport,
     TransportError,
 )
-from .config import SimulationConfig
-from .engine import Simulation
+from .config import DEFAULT_FIDELITY, SimulationConfig
+from .driver import SimulationDriver
 from .events import Event, EventKind
 from .fidelity import FIDELITY_BACKENDS
 from .peer import Peer
@@ -105,7 +106,7 @@ class _PendingTransfer:
 
 
 @FIDELITY_BACKENDS.register("protocol")
-class ProtocolSimulation(Simulation):
+class ProtocolSimulation(SimulationDriver):
     """Message-level fidelity over the shared simulation driver."""
 
     fidelity = "protocol"
@@ -115,7 +116,7 @@ class ProtocolSimulation(Simulation):
             raise ValueError(
                 "the protocol fidelity backend does not support proactive "
                 "replication (proactive_rate > 0); run baseline A4 at "
-                "fidelity 'abstract'"
+                f"fidelity {DEFAULT_FIDELITY!r}"
             )
         # Protocol state must exist before the driver's _setup spawns
         # peers (the spawn hook wires each peer into it).
@@ -422,7 +423,7 @@ class ProtocolSimulation(Simulation):
         self._placement_bookkeeping(owner, now)
 
     def _placement_bookkeeping(self, owner: Peer, now: int) -> None:
-        """The abstract engine's post-upload placement accounting."""
+        """The driver's post-upload placement accounting."""
         archive = owner.archive
         if len(archive.holders) >= self.policy.n:
             archive.fully_placed = True
@@ -753,7 +754,7 @@ class ProtocolSimulation(Simulation):
     def _attach_holder(self, owner: Peer, holder: Peer, now: int) -> None:
         """Materialise one transferred block as an archive link.
 
-        Unlike the abstract :meth:`_add_holder`, the holder may have
+        Unlike the instantaneous :meth:`_add_holder`, the holder may have
         gone offline while the transfer was in flight — it then joins
         as an invisible holder, exactly as if it had toggled right after
         an instantaneous store.

@@ -1,7 +1,7 @@
 """Structure-of-arrays state tables for the ``abstract_soa`` backend.
 
-The object-graph engine (:mod:`repro.sim.peer`) keeps one ``Peer`` plus
-one ``ArchiveState`` per peer — ~15 heap objects and dict slots per
+The object-graph driver behind ``protocol`` (:mod:`repro.sim.peer`)
+keeps one ``Peer`` plus one ``ArchiveState`` per peer — ~15 heap objects and dict slots per
 simulated participant.  That layout is pleasant to mutate but costs an
 attribute walk per touch and roughly 5 KB per peer, which caps practical
 populations around 10^5.  This module re-lays the same state as parallel

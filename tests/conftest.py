@@ -12,7 +12,7 @@ import pytest
 
 from repro.backup.client import BackupSwarm
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import Simulation
+from repro.sim.engine_soa import SoaSimulation
 from repro.sim.observers import scaled_observers
 
 
@@ -48,9 +48,9 @@ def tiny_observer_config() -> SimulationConfig:
 
 
 @pytest.fixture
-def finished_simulation(tiny_config) -> Simulation:
+def finished_simulation(tiny_config) -> SoaSimulation:
     """A completed tiny simulation (shared by metric/consistency tests)."""
-    simulation = Simulation(tiny_config)
+    simulation = SoaSimulation(tiny_config)
     simulation.run()
     return simulation
 

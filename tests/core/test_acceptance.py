@@ -1,5 +1,6 @@
 """Tests for the paper's acceptation function and its properties."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,6 +126,37 @@ class TestAcceptancePolicy:
     def test_bad_cap(self):
         with pytest.raises(ValueError):
             AcceptancePolicy(age_cap=0)
+
+
+class TestMutualAcceptance:
+    """Both sides' ``decide`` calls, as the engines' pool fills make them."""
+
+    @staticmethod
+    def mutual_accepts(policy, owner_age, candidate_age, trials, seed):
+        uniforms = np.random.default_rng(seed).random((trials, 2))
+        return sum(
+            policy.decide(owner_age, candidate_age, float(u_owner))
+            and policy.decide(candidate_age, owner_age, float(u_candidate))
+            for u_owner, u_candidate in uniforms
+        )
+
+    def test_mutual_acceptance_probability_statistics(self):
+        """Acceptance frequency matches the analytic mutual probability."""
+        policy = AcceptancePolicy(age_cap=100)
+        owner_age, candidate_age = 80.0, 30.0
+        expected = policy.mutual_probability(owner_age, candidate_age)
+        trials = 20_000
+        accepted = self.mutual_accepts(policy, owner_age, candidate_age, trials, 0)
+        assert accepted / trials == pytest.approx(expected, abs=0.02)
+
+    def test_old_candidates_always_accepted_by_young_owner(self):
+        policy = AcceptancePolicy(age_cap=100)
+        uniforms = np.random.default_rng(8).random(200)
+        # Owner side f(0, 200) = 1: the newborn accepts every elder ...
+        assert all(policy.decide(0, 200, float(u)) for u in uniforms)
+        # ... while the elder's side f(200, 0) = 1/L refuses most of them.
+        refusals = sum(not policy.decide(200, 0, float(u)) for u in uniforms)
+        assert refusals > 150
 
 
 class TestUniformAcceptance:

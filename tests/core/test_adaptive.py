@@ -105,7 +105,7 @@ class TestDecay:
 class TestSimulationIntegration:
     def test_adaptive_run_is_clean_and_deterministic(self):
         from repro.sim.config import SimulationConfig
-        from repro.sim.engine import Simulation
+        from repro.sim.engine_soa import SoaSimulation
 
         config = SimulationConfig(
             population=80,
@@ -117,10 +117,10 @@ class TestSimulationIntegration:
             seed=3,
             adaptive_thresholds=True,
         )
-        first = Simulation(config)
+        first = SoaSimulation(config)
         first_result = first.run()
         assert first.audit() == []
-        second_result = Simulation(config).run()
+        second_result = SoaSimulation(config).run()
         assert (
             first_result.metrics.total_repairs
             == second_result.metrics.total_repairs
@@ -128,7 +128,7 @@ class TestSimulationIntegration:
 
     def test_controllers_attached_to_every_peer(self):
         from repro.sim.config import SimulationConfig
-        from repro.sim.engine import Simulation
+        from repro.sim.engine_soa import SoaSimulation
 
         config = SimulationConfig(
             population=30,
@@ -139,7 +139,9 @@ class TestSimulationIntegration:
             quota=24,
             adaptive_thresholds=True,
         )
-        simulation = Simulation(config)
+        simulation = SoaSimulation(config)
         simulation.run()
-        for peer in simulation.population.alive_normal_peers():
-            assert peer.adaptive is not None
+        state = simulation.state
+        for peer_id in range(state.count):
+            if state.alive[peer_id]:
+                assert simulation._adaptive.get(peer_id) is not None

@@ -40,6 +40,7 @@ from repro.experiments.fig4_cumulative_losses import (
     check_shape as check_fig4,
     run_figure4,
 )
+from repro.sim.config import DEFAULT_FIDELITY
 
 #: Smaller than QUICK: the test suite must stay fast.  The code width
 #: stays at n = 32 (narrower codes lose the stratification signal in
@@ -138,7 +139,7 @@ class TestFidelityCompare:
         return run_fidelity_compare(scale=TEST_SCALE, seeds=(0,))
 
     def test_both_fidelities_present(self, result):
-        assert set(result.by_fidelity) == {"abstract", "protocol"}
+        assert set(result.by_fidelity) == {DEFAULT_FIDELITY, "protocol"}
 
     def test_shape_checks_pass(self, result):
         assert check_fidelity(result) == []
@@ -150,13 +151,13 @@ class TestFidelityCompare:
 
     def test_render_compares_side_by_side(self, result):
         text = result.render()
-        assert "abstract" in text and "protocol" in text
+        assert DEFAULT_FIDELITY in text and "protocol" in text
         assert "protocol metric" in text
         assert "legend:" in text
 
     def test_csv_has_one_column_per_fidelity(self, result):
         header = result.to_csv().splitlines()[0]
-        assert header == "round,abstract,protocol"
+        assert header == f"round,{DEFAULT_FIDELITY},protocol"
 
 
 class TestAblations:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.runner import build_executor, build_parser, main
+from repro.sim.config import DEFAULT_FIDELITY
 
 
 class TestParser:
@@ -112,8 +113,10 @@ class TestListCommand:
         output = capsys.readouterr().out
         for name in ("serial", "process", "distributed"):
             assert f"  {name}" in output
-        assert "  abstract (default)" in output
-        assert "  protocol" in output
+        assert f"  {DEFAULT_FIDELITY} (default)" in output
+        assert "  protocol\n" in output
+        fidelities = output.split("fidelity backends:\n")[1].split("link profiles:")[0]
+        assert fidelities.count("(default)") == 1
         assert "  paper-dsl" in output
 
 
@@ -170,7 +173,7 @@ class TestRunCommand:
         assert "cumtime" in output  # pstats table header
         assert "[profile]" in output
 
-    @pytest.mark.parametrize("fidelity", ["abstract", "abstract_soa"])
+    @pytest.mark.parametrize("fidelity", ["abstract_soa", "protocol"])
     def test_profile_reports_per_kind_breakdown(self, capsys, fidelity):
         code = main([
             "profile", "--scenario", "paper",

@@ -11,6 +11,7 @@ from repro.scenarios import (
     register_scenario,
     scenario_by_name,
 )
+from repro.sim.config import DEFAULT_FIDELITY
 
 #: The presets the redesign ships (plus the paper baseline).
 SHIPPED = (
@@ -97,13 +98,18 @@ class TestProtocolPresets:
         protocol = scenario_by_name("paper").with_fidelity("protocol")
         assert protocol.build().fidelity == "protocol"
         # Immutability: the registered preset itself is untouched.
-        assert scenario_by_name("paper").build().fidelity == "abstract"
-        assert protocol.with_fidelity("abstract").build().fidelity == "abstract"
+        assert scenario_by_name("paper").build().fidelity == DEFAULT_FIDELITY
+        back = protocol.with_fidelity(DEFAULT_FIDELITY).build()
+        assert back.fidelity == DEFAULT_FIDELITY
 
     def test_describe_mentions_fidelity(self):
         text = scenario_by_name("unfair_freeriders").describe()
         assert "fidelity=protocol" in text
         assert "fairness=1" in text
+        # Default-fidelity scenarios (million_peers names it explicitly)
+        # print no protocol knobs.
+        for name in ("paper", "million_peers"):
+            assert "fidelity=" not in scenario_by_name(name).describe()
 
 
 class TestPresetSmokeRuns:

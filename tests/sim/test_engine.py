@@ -1,10 +1,11 @@
-"""Integration tests for the simulation engine."""
+"""Integration tests for the default (``abstract_soa``) engine."""
 
 import pytest
 
 from repro.churn.profiles import Profile
 from repro.sim.config import ObserverSpec, SimulationConfig
-from repro.sim.engine import Simulation, run_simulation
+from repro.sim.engine import run_simulation
+from repro.sim.engine_soa import SoaSimulation
 
 #: A no-churn profile mix: everyone durable and always online.
 CALM = (Profile("Calm", 1.0, None, 1.0, mean_online_session=1000.0),)
@@ -22,6 +23,16 @@ def tiny(**overrides):
     )
     defaults.update(overrides)
     return SimulationConfig(**defaults)
+
+
+def alive_normal_ids(simulation):
+    """Ids of the living non-observer peers of a finished run."""
+    state = simulation.state
+    return [
+        peer_id
+        for peer_id in range(state.n_observers, state.count)
+        if state.alive[peer_id]
+    ]
 
 
 class TestDeterminism:
@@ -44,7 +55,7 @@ class TestDeterminism:
 
 class TestConsistency:
     def test_audit_clean_after_run(self):
-        simulation = Simulation(tiny(rounds=1000))
+        simulation = SoaSimulation(tiny(rounds=1000))
         simulation.run()
         assert simulation.audit() == []
 
@@ -53,34 +64,34 @@ class TestConsistency:
             observers=(ObserverSpec("Baby", 1), ObserverSpec("Elder", 500)),
             grace_rounds=12,
         )
-        simulation = Simulation(config)
+        simulation = SoaSimulation(config)
         simulation.run()
         assert simulation.audit() == []
 
     def test_population_size_is_maintained(self):
-        simulation = Simulation(tiny())
+        simulation = SoaSimulation(tiny())
         result = simulation.run()
-        assert len(simulation.population) == 80
+        assert sum(simulation.state.alive) == 80
         assert result.peers_created == 80 + result.deaths
 
     def test_quota_never_exceeded(self):
-        simulation = Simulation(tiny(quota=12))
+        simulation = SoaSimulation(tiny(quota=12))
         simulation.run()
-        for peer in simulation.population.peers.values():
-            assert len(peer.hosted) <= 12
+        assert max(simulation.state.quota_used) <= 12
 
 
 class TestPlacementAndRepair:
     def test_calm_network_places_everyone_and_never_repairs(self):
         config = tiny(profiles=CALM, rounds=300)
-        simulation = Simulation(config)
+        simulation = SoaSimulation(config)
         result = simulation.run()
         assert result.metrics.total_placements == 80
         assert result.metrics.total_repairs == 0
         assert result.metrics.total_losses == 0
-        for peer in simulation.population.alive_normal_peers():
-            assert peer.archive.placed
-            assert peer.archive.visible == config.total_blocks
+        state = simulation.state
+        for peer_id in alive_normal_ids(simulation):
+            assert state.placed[peer_id]
+            assert state.visible[peer_id] == config.total_blocks
 
     def test_initial_placement_counts_once_per_peer(self):
         result = run_simulation(tiny(profiles=CALM, rounds=200))
@@ -93,11 +104,12 @@ class TestPlacementAndRepair:
     def test_losses_only_from_low_thresholds(self):
         """With a generous threshold, losses should be rare or absent;
         alive-block counts can never go below k without being recorded."""
-        simulation = Simulation(tiny(rounds=1500, repair_threshold=12))
+        simulation = SoaSimulation(tiny(rounds=1500, repair_threshold=12))
         result = simulation.run()
-        for peer in simulation.population.alive_normal_peers():
-            if peer.archive.placed:
-                assert peer.archive.alive >= 0
+        state = simulation.state
+        for peer_id in alive_normal_ids(simulation):
+            if state.placed[peer_id]:
+                assert len(state.holders[peer_id]) >= 0
         assert result.metrics.total_losses >= 0  # smoke: counter coherent
 
     def test_higher_threshold_means_more_repairs(self):
@@ -118,19 +130,25 @@ class TestObservers:
         )
 
     def test_observers_never_hold_blocks(self):
-        simulation = Simulation(self.observer_config())
+        simulation = SoaSimulation(self.observer_config())
         simulation.run()
-        for observer in simulation.population.observers():
-            assert not observer.hosted
-            assert not observer.hosted_free
+        state = simulation.state
+        for observer_id in range(state.n_observers):
+            assert len(state.owners_row(observer_id)) == 0
+            assert state.quota_used[observer_id] == 0
 
     def test_observer_blocks_do_not_consume_quota(self):
-        simulation = Simulation(self.observer_config(quota=16))
+        simulation = SoaSimulation(self.observer_config(quota=16))
         simulation.run()
-        for peer in simulation.population.peers.values():
-            if peer.hosted_free:
-                # hosted_free never contributes to the quota count.
-                assert len(peer.hosted) <= 16
+        state = simulation.state
+        hosts_an_observer = 0
+        for peer_id in alive_normal_ids(simulation):
+            owners = list(state.owners_row(peer_id))
+            normal = [owner for owner in owners if owner >= state.n_observers]
+            hosts_an_observer += len(owners) > len(normal)
+            # Observer-owned blocks never contribute to the quota count.
+            assert state.quota_used[peer_id] == len(normal) <= 16
+        assert hosts_an_observer > 0
 
     def test_observer_repairs_recorded_separately(self):
         result = run_simulation(self.observer_config())
@@ -160,11 +178,11 @@ class TestObservers:
         assert totals.get("Baby", 0) >= totals.get("Elder", 0)
 
     def test_observers_survive_whole_run(self):
-        simulation = Simulation(self.observer_config())
+        simulation = SoaSimulation(self.observer_config())
         simulation.run()
-        observers = list(simulation.population.observers())
-        assert len(observers) == 2
-        assert all(o.alive and o.online for o in observers)
+        state = simulation.state
+        assert state.n_observers == 2
+        assert all(state.alive[o] and state.online[o] for o in range(2))
 
 
 class TestKnobs:
@@ -188,13 +206,13 @@ class TestKnobs:
         assert result.final_round == 600
 
     def test_uniform_acceptance_runs_clean(self):
-        simulation = Simulation(tiny(acceptance_rule="uniform", rounds=800))
+        simulation = SoaSimulation(tiny(acceptance_rule="uniform", rounds=800))
         simulation.run()
         assert simulation.audit() == []
 
     @pytest.mark.parametrize("strategy", ["age", "random", "availability", "oracle"])
     def test_all_strategies_run_clean(self, strategy):
-        simulation = Simulation(
+        simulation = SoaSimulation(
             tiny(selection_strategy=strategy, rounds=500)
         )
         simulation.run()
@@ -219,34 +237,36 @@ class TestCheckRescheduling:
     """
 
     def test_earlier_check_cancels_and_replaces_later_one(self):
-        simulation = Simulation(tiny())
-        peer = simulation._spawn_peer(0)
+        simulation = SoaSimulation(tiny())
+        state = simulation.state
+        peer_id = simulation._spawn_peer(0)
         # Forget the join-time check so we control the pending state.
-        peer.check_scheduled = None
-        peer.check_handle = None
+        state.check_scheduled[peer_id] = None
+        state.check_handle[peer_id] = None
 
-        simulation._schedule_check(peer, 12)
-        later_handle = peer.check_handle
-        assert peer.check_scheduled == 12
+        simulation._schedule_check(peer_id, 12)
+        later_handle = state.check_handle[peer_id]
+        assert state.check_scheduled[peer_id] == 12
 
         # A later request is deduplicated away ...
-        simulation._schedule_check(peer, 20)
-        assert peer.check_scheduled == 12
-        assert peer.check_handle is later_handle
+        simulation._schedule_check(peer_id, 20)
+        assert state.check_scheduled[peer_id] == 12
+        assert state.check_handle[peer_id] is later_handle
 
         # ... but an earlier one cancels and replaces the pending check.
-        simulation._schedule_check(peer, 5)
-        assert peer.check_scheduled == 5
+        simulation._schedule_check(peer_id, 5)
+        assert state.check_scheduled[peer_id] == 5
         assert later_handle.cancelled
-        assert peer.check_handle is not later_handle
-        assert not peer.check_handle.cancelled
+        assert state.check_handle[peer_id] is not later_handle
+        assert not state.check_handle[peer_id].cancelled
 
     def test_check_state_cleared_when_check_runs(self):
-        simulation = Simulation(tiny(rounds=200))
+        simulation = SoaSimulation(tiny(rounds=200))
         simulation.run()
-        for peer in simulation.population.alive_normal_peers():
-            if peer.check_scheduled is None:
-                assert peer.check_handle is None
+        state = simulation.state
+        for peer_id in alive_normal_ids(simulation):
+            if state.check_scheduled[peer_id] is None:
+                assert state.check_handle[peer_id] is None
 
 
 class TestResultApi:

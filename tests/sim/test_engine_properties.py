@@ -1,9 +1,9 @@
 """Property tests of the simulation engine: state stays exact under any knobs.
 
-The engine's incremental counters (visible/alive per archive, quota per
+The default engine's incremental columns (visible per archive, quota per
 holder, bidirectional holder links) are recomputed from scratch by
-``Simulation.audit``; these tests drive randomized configurations through
-short runs and require a spotless audit plus a handful of global
+``SoaSimulation.audit``; these tests drive randomized configurations
+through short runs and require a spotless audit plus a handful of global
 conservation laws.
 """
 
@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.config import ObserverSpec, SimulationConfig
-from repro.sim.engine import Simulation
+from repro.sim.engine_soa import SoaSimulation
 
 knob_strategy = st.fixed_dictionaries(
     {
@@ -63,7 +63,7 @@ def build_config(knobs) -> SimulationConfig:
 )
 @given(knobs=knob_strategy)
 def test_audit_clean_for_any_configuration(knobs):
-    simulation = Simulation(build_config(knobs))
+    simulation = SoaSimulation(build_config(knobs))
     simulation.run()
     assert simulation.audit() == []
 
@@ -76,47 +76,45 @@ def test_audit_clean_for_any_configuration(knobs):
 @given(knobs=knob_strategy)
 def test_conservation_laws(knobs):
     config = build_config(knobs)
-    simulation = Simulation(config)
+    simulation = SoaSimulation(config)
     result = simulation.run()
+    state = simulation.state
+    alive = [peer_id for peer_id in range(state.count) if state.alive[peer_id]]
 
     # Population is maintained: alive normal peers == configured size.
-    assert len(simulation.population) == config.population
+    assert len(alive) == config.population + state.n_observers
     # Every death spawned exactly one replacement.
     assert result.peers_created == config.population + result.deaths
 
-    # Block conservation: holder links match hosted sets, split by kind.
-    hosted_normal = sum(
-        len(p.hosted) for p in simulation.population.peers.values() if p.alive
-    )
-    hosted_free = sum(
-        len(p.hosted_free)
-        for p in simulation.population.peers.values()
-        if p.alive
-    )
-    held_normal = held_free = 0
-    for peer in simulation.population.peers.values():
-        if not peer.alive:
-            continue
-        if peer.is_observer:
-            held_free += len(peer.archive.holders)
+    # Block conservation: holder links match hosted rows, split by kind,
+    # and only normal-owner links consume quota.
+    hosted_normal = hosted_free = held_normal = held_free = 0
+    for peer_id in alive:
+        for owner_id in state.owners_row(peer_id):
+            if owner_id < state.n_observers:
+                hosted_free += 1
+            else:
+                hosted_normal += 1
+        if peer_id < state.n_observers:
+            held_free += len(state.holders[peer_id])
         else:
-            held_normal += len(peer.archive.holders)
+            held_normal += len(state.holders[peer_id])
     assert hosted_normal == held_normal
     assert hosted_free == held_free
+    assert sum(state.quota_used[peer_id] for peer_id in alive) == held_normal
 
     # No archive ever exceeds n holders, and counters stay in range.
-    for peer in simulation.population.peers.values():
-        if not peer.alive:
-            continue
-        archive = peer.archive
-        assert len(archive.holders) <= config.total_blocks
-        assert 0 <= archive.visible <= archive.alive <= len(archive.holders)
+    for peer_id in alive:
+        holders = len(state.holders[peer_id])
+        assert holders <= config.total_blocks
+        assert 0 <= state.visible[peer_id] <= holders
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_metrics_totals_match_archive_counters(seed):
-    """Per-archive repair counters of *surviving* peers never exceed the
-    global metric total (dead peers' counters are discarded)."""
+    """Archives placed among *surviving* peers never exceed the global
+    placement total, and the per-category counters add up to the
+    headline totals (no warm-up, so every event is counted)."""
     config = SimulationConfig(
         population=60,
         rounds=900,
@@ -126,10 +124,16 @@ def test_metrics_totals_match_archive_counters(seed):
         quota=24,
         seed=seed,
     )
-    simulation = Simulation(config)
+    simulation = SoaSimulation(config)
     result = simulation.run()
-    surviving_repairs = sum(
-        p.archive.repair_count
-        for p in simulation.population.alive_normal_peers()
+    state = simulation.state
+    surviving_placed = sum(
+        state.placed[peer_id]
+        for peer_id in range(state.count)
+        if state.alive[peer_id]
     )
-    assert surviving_repairs <= result.metrics.total_repairs
+    assert 0 < surviving_placed <= result.metrics.total_placements
+    categories = result.metrics.by_category.values()
+    assert sum(c.repairs for c in categories) == result.metrics.total_repairs
+    assert sum(c.losses for c in categories) == result.metrics.total_losses
+    assert sum(c.placements for c in categories) == result.metrics.total_placements

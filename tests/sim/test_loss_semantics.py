@@ -10,7 +10,8 @@ import pytest
 
 from repro.churn.profiles import Profile
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import Simulation, run_simulation
+from repro.sim.engine import run_simulation
+from repro.sim.engine_soa import SoaSimulation
 
 #: Everyone dies within days: block loss is guaranteed to outrun repair
 #: at a tight threshold.
@@ -91,7 +92,7 @@ class TestBlockedRegime:
             profiles=FLAKY,
             seed=2,
         )
-        simulation = Simulation(config)
+        simulation = SoaSimulation(config)
         result = simulation.run()
         blocked = sum(c.blocked for c in result.metrics.by_category.values())
         # With 34% availability the expected visible count of a 16-block
@@ -112,18 +113,27 @@ class TestBlockedRegime:
             profiles=FLAKY,
             seed=3,
         )
-        simulation = Simulation(config)
+        simulation = SoaSimulation(config)
+        calls = []
+        record_blocked = simulation.metrics.record_blocked
+
+        def spy(round_number, age, observer_name=None):
+            calls.append((round_number, age, observer_name))
+            record_blocked(round_number, age, observer_name)
+
+        simulation.metrics.record_blocked = spy
         result = simulation.run()
-        per_archive = sum(
-            p.archive.blocked_count
-            for p in simulation.population.alive_normal_peers()
-        )
         global_blocked = sum(
             c.blocked for c in result.metrics.by_category.values()
         )
-        # Archive counters of surviving peers cannot exceed the global
-        # total (dead peers' counters are discarded with them).
-        assert per_archive <= global_blocked + 1e-9
+        # Every blocked attempt is recorded once, against the age of the
+        # normal peer whose archive blocked (immortal peers joined at
+        # round 0, so the age never exceeds the round).
+        assert len(calls) == global_blocked > 0
+        assert all(
+            name is None and 0 <= age <= round_number
+            for round_number, age, name in calls
+        )
 
 
 @pytest.mark.slow
@@ -139,7 +149,7 @@ class TestThresholdExtremes:
             quota=24,
             seed=4,
         )
-        simulation = Simulation(config)
+        simulation = SoaSimulation(config)
         simulation.run()
         assert simulation.audit() == []
 

@@ -2,7 +2,7 @@
 
 Covers the acceptance criteria of the fidelity-backend refactor:
 
-* abstract-mode config dicts and cache digests are byte-identical to
+* default-fidelity config dicts and cache digests are byte-identical to
   the previous release (pinned digests), protocol-mode digests differ;
 * same-seed protocol runs are byte-identical after serialization;
 * the data plane (block stores, manifests, links, pending transfers)
@@ -18,13 +18,15 @@ import json
 import pytest
 
 from repro.exec.cache import canonical_json, config_digest
-from repro.sim.config import SimulationConfig
+from repro.sim.config import DEFAULT_FIDELITY, SimulationConfig
 from repro.sim.engine import SimulationResult, run_simulation
+from repro.sim.engine_soa import SoaSimulation
 from repro.sim.fidelity import FIDELITY_BACKENDS, available_fidelities, simulation_for
 from repro.sim.metrics import MetricsCollector
 from repro.sim.protocol import ProtocolSimulation
 
-#: Digests of well-known abstract configs, pinned at cache schema 2.
+#: Digests of well-known default-fidelity configs, pinned at cache
+#: schema 2 (before the ``abstract_soa`` engine became the default).
 #: If either changes, the on-disk result cache silently orphans every
 #: entry ever written — the exact failure mode invariant 3 of
 #: docs/ARCHITECTURE.md exists to prevent.  Only a deliberate
@@ -66,9 +68,9 @@ class TestDigestStability:
             assert key not in data
 
     def test_protocol_digest_differs(self):
-        abstract = SimulationConfig.scaled(population=80, rounds=500)
-        protocol = dataclasses.replace(abstract, fidelity="protocol")
-        assert config_digest(abstract) != config_digest(protocol)
+        default = SimulationConfig.scaled(population=80, rounds=500)
+        protocol = dataclasses.replace(default, fidelity="protocol")
+        assert config_digest(default) != config_digest(protocol)
 
     def test_protocol_knobs_enter_the_digest(self):
         base = protocol_config()
@@ -98,9 +100,13 @@ class TestDigestStability:
 
 class TestFidelityRegistry:
     def test_builtins_registered(self):
-        names = available_fidelities()
-        assert "abstract" in names
-        assert "protocol" in names
+        assert set(available_fidelities()) == {"abstract_soa", "protocol"}
+        assert DEFAULT_FIDELITY == "abstract_soa"
+
+    def test_removed_abstract_fidelity_fails_with_choices(self):
+        with pytest.raises(ValueError) as excinfo:
+            SimulationConfig(fidelity="abstract")
+        assert "abstract_soa" in str(excinfo.value)
 
     def test_unknown_fidelity_fails_fast_with_choices(self):
         with pytest.raises(ValueError) as excinfo:
@@ -111,9 +117,9 @@ class TestFidelityRegistry:
         assert isinstance(
             simulation_for(protocol_config()), ProtocolSimulation
         )
-        assert not isinstance(
+        assert isinstance(
             simulation_for(SimulationConfig.scaled(population=50, rounds=100)),
-            ProtocolSimulation,
+            SoaSimulation,
         )
         assert FIDELITY_BACKENDS.get("protocol") is ProtocolSimulation
 
@@ -136,16 +142,16 @@ class TestProtocolDeterminism:
         assert canonical_json(a.to_dict()) != canonical_json(b.to_dict())
 
     def test_shares_churn_trajectory_with_abstract(self):
-        """Same seed => same joins/deaths at either fidelity."""
-        abstract = run_simulation(
+        """Same seed => same joins/deaths as the default fidelity."""
+        default = run_simulation(
             SimulationConfig.scaled(
                 population=80, rounds=500, data_blocks=8, parity_blocks=8,
                 seed=3,
             )
         )
         protocol = run_simulation(protocol_config())
-        assert protocol.deaths == abstract.deaths
-        assert protocol.peers_created == abstract.peers_created
+        assert protocol.deaths == default.deaths
+        assert protocol.peers_created == default.peers_created
 
 
 class TestProtocolRun:
@@ -174,7 +180,7 @@ class TestProtocolRun:
         simulation = ProtocolSimulation(config)
         result = simulation.run()
         assert simulation.audit() == []
-        # Observers keep the abstract instantaneous path but still
+        # Observers keep the driver's instantaneous path but still
         # accumulate their figure-3 counters.
         assert set(result.observer_totals()) <= {"Baby", "Elder"}
 

@@ -1,13 +1,13 @@
-"""Soak lane: the full equivalence contract at real default scale.
+"""Soak lane: the golden digests at real default scale.
 
-The tier-1 equivalence grid (``test_soa_equivalence.py``) shrinks every
-preset to seconds; this module runs the actual ISSUE 3/10 acceptance
+The tier-1 golden grid (``tests/golden/test_golden_results.py``) shrinks
+every preset to seconds; this module runs the actual acceptance
 workload — the ``paper`` preset at the ``default`` experiment scale,
-800 peers over 14 000 rounds — on both engines and requires the entire
-serialized result to agree, per seed.  It is the evidence base for the
-ROADMAP question "can ``abstract_soa`` become the default fidelity":
-a green soak lane means the swarm backend is indistinguishable from
-the reference engine on the exact configuration the figures use.
+800 peers over 14 000 rounds, seeds 0-2 — and requires the entire
+serialized result (minus its config) to match the ``soak`` section of
+``tests/golden/results.json``, recorded from the object-graph engine the
+default ``abstract_soa`` engine replaced.  A mismatch names the first
+diverging result key.
 
 Marked both ``slow`` and ``soak``: the run costs minutes, so only the
 dedicated CI soak lane (``-m soak``) executes it.
@@ -15,40 +15,34 @@ dedicated CI soak lane (``-m soak``) executes it.
 
 from __future__ import annotations
 
-import pytest
+import importlib.util
+from pathlib import Path
 
-from repro.scenarios import scenario_by_name
-from repro.sim.engine import run_simulation
+import pytest
 
 pytestmark = [pytest.mark.slow, pytest.mark.soak]
 
-POPULATION = 800
-ROUNDS = 14_000
+REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
-SEEDS = (0, 1, 2)
+spec = importlib.util.spec_from_file_location(
+    "record_goldens", REPO_ROOT / "scripts" / "record_goldens.py"
+)
+record_goldens = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(record_goldens)
 
-
-def _default_scale(seed: int):
-    return (
-        scenario_by_name("paper")
-        .with_population(POPULATION)
-        .with_rounds(ROUNDS)
-        .with_seed(seed)
-    )
+SOAK = record_goldens.load_goldens()["soak"]
+CELLS = dict(record_goldens.soak_cells())
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_full_result_matches_at_default_scale(seed):
-    scenario = _default_scale(seed)
-    reference = run_simulation(scenario.with_fidelity("abstract").build())
-    vectorized = run_simulation(scenario.with_fidelity("abstract_soa").build())
+def test_soak_grid_matches_the_recorded_one():
+    assert sorted(SOAK) == sorted(CELLS)
 
-    expected = reference.to_dict()
-    actual = vectorized.to_dict()
-    # The configs differ by construction (the fidelity knob itself).
-    expected.pop("config"), actual.pop("config")
-    assert actual == expected
-    # The workload must actually exercise the machinery being vouched
-    # for: churn, repairs, losses-or-not, observer activity.
-    assert vectorized.metrics.total_repairs > 0
-    assert vectorized.deaths > 0
+
+@pytest.mark.parametrize("key", sorted(CELLS))
+def test_full_result_matches_at_default_scale(key):
+    config = CELLS[key]
+    assert (config.population, config.rounds) == (800, 14_000)
+    expected = SOAK[key]
+    actual = record_goldens.result_digests(config)
+    if actual != expected:
+        pytest.fail(f"{key}: {record_goldens.first_divergence(expected, actual)}")

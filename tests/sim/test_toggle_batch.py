@@ -2,16 +2,14 @@
 
 Two layers: unit tests of the event queue's dense toggle lane (the
 bulk-drain API the kernel consumes), and a hypothesis property driving
-randomized micro-populations through the batched kernel — both the
-scalar-loop branch and the vectorised branch, forced via the
-``_VECTOR_POPULATION`` cut-over — and requiring state-for-state
-agreement with the object-graph reference engine across interleaved
-toggles, deaths and staggered joins.
+randomized micro-populations through both branches of the batched
+kernel — the scalar loops and the vectorised array passes, forced via
+the ``_VECTOR_POPULATION`` cut-over — and requiring a clean audit of
+each plus identical serialized results across interleaved toggles,
+deaths and staggered joins.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -19,7 +17,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.config import ObserverSpec, SimulationConfig
-from repro.sim.engine import run_simulation
 from repro.sim.engine_soa import SoaSimulation
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.fidelity import simulation_for
@@ -154,50 +151,40 @@ def build_config(knobs) -> SimulationConfig:
 
 
 class TestBatchedKernelProperty:
-    """Randomized runs: batched kernel == scalar reference, both branches.
+    """Randomized runs: the vectorised branch == the scalar branch.
 
     ``_VECTOR_POPULATION`` is the cut-over between the kernel's scalar
     loops and its vectorised array passes (which also switch the state
     tables to numpy columns, the reverse index to the CSR slab and the
     online pool to an array).  Forcing it to 1 runs micro-populations
-    through the swarm-scale branch, so both code paths face the same
-    randomized churn.
+    through the swarm-scale branch; left alone, they take the scalar
+    branch.  Both face the same randomized churn and must agree on the
+    whole serialized result.
     """
 
-    @pytest.mark.parametrize(
-        "vector_population",
-        [None, 1],
-        ids=["scalar-kernel", "vector-kernel"],
-    )
+    @staticmethod
+    def _run(config, vector_population):
+        original = SoaSimulation._VECTOR_POPULATION
+        if vector_population is not None:
+            SoaSimulation._VECTOR_POPULATION = vector_population
+        try:
+            simulation = simulation_for(config)
+            assert simulation._vector_kernel is (vector_population is not None)
+            result = simulation.run()
+            # State-for-state: every incremental column recomputed from
+            # scratch must agree with itself.
+            assert simulation.audit() == []
+        finally:
+            SoaSimulation._VECTOR_POPULATION = original
+        return result.to_dict()
+
     @settings(
         max_examples=8,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(knobs=knob_strategy)
-    def test_matches_scalar_reference_state_for_state(
-        self, vector_population, knobs
-    ):
+    def test_matches_scalar_reference_state_for_state(self, knobs):
         config = build_config(knobs)
-        reference = run_simulation(
-            dataclasses.replace(config, fidelity="abstract")
-        )
-        original = SoaSimulation._VECTOR_POPULATION
-        if vector_population is not None:
-            SoaSimulation._VECTOR_POPULATION = vector_population
-        try:
-            simulation = simulation_for(
-                dataclasses.replace(config, fidelity="abstract_soa")
-            )
-            assert simulation._vector_kernel is (vector_population is not None)
-            result = simulation.run()
-            # State-for-state: every incremental column recomputed from
-            # scratch must agree with itself...
-            assert simulation.audit() == []
-        finally:
-            SoaSimulation._VECTOR_POPULATION = original
-        # ... and every serialized metric with the reference engine.
-        expected = reference.to_dict()
-        actual = result.to_dict()
-        expected.pop("config"), actual.pop("config")
-        assert actual == expected
+        assert config.fidelity == "abstract_soa"
+        assert self._run(config, 1) == self._run(config, None)

@@ -16,7 +16,8 @@ import repro
 from repro.baselines.proactive import estimate_churn, measured_churn
 from repro.churn.profiles import PAPER_PROFILES
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import Simulation, run_simulation
+from repro.sim.engine import run_simulation
+from repro.sim.engine_soa import SoaSimulation
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -67,11 +68,14 @@ class TestSimulatorVsAnalyticChurn:
             population=600, rounds=200, data_blocks=8, parity_blocks=8,
             repair_threshold=10, quota=24, seed=2,
         )
-        simulation = Simulation(config)
+        simulation = SoaSimulation(config)
         simulation.run()
+        state = simulation.state
         counts = {}
-        for peer in simulation.population.alive_normal_peers():
-            counts[peer.profile.name] = counts.get(peer.profile.name, 0) + 1
+        for peer_id in range(state.n_observers, state.count):
+            if state.alive[peer_id]:
+                name = config.profiles[state.profile[peer_id]].name
+                counts[name] = counts.get(name, 0) + 1
         total = sum(counts.values())
         # Short horizon: the alive mix still tracks the draw mix.
         assert counts["Erratic"] / total == pytest.approx(0.35, abs=0.08)
@@ -98,7 +102,7 @@ class TestLongRunConsistency:
                 seed=4,
                 **knobs,
             )
-            simulation = Simulation(config)
+            simulation = SoaSimulation(config)
             simulation.run()
             assert simulation.audit() == [], f"violations under {knobs}"
 
@@ -108,17 +112,18 @@ class TestLongRunConsistency:
             population=100, rounds=1500, data_blocks=8, parity_blocks=8,
             repair_threshold=10, quota=24, seed=5,
         )
-        simulation = Simulation(config)
+        simulation = SoaSimulation(config)
         simulation.run()
-        hosted = sum(
-            len(p.hosted) for p in simulation.population.peers.values() if p.alive
-        )
+        state = simulation.state
+        alive = [peer_id for peer_id in range(state.count) if state.alive[peer_id]]
+        hosted = sum(state.quota_used[peer_id] for peer_id in alive)
         held = sum(
-            len(p.archive.holders)
-            for p in simulation.population.peers.values()
-            if p.alive and not p.is_observer
+            len(state.holders[peer_id])
+            for peer_id in alive
+            if peer_id >= state.n_observers
         )
         assert hosted == held
+        assert hosted == sum(len(state.owners_row(peer_id)) for peer_id in alive)
 
 
 class TestByteLevelUnderChurn:
