@@ -11,6 +11,10 @@ executor and analysis cost.  Workloads on the ``paper`` scenario preset:
   wall clock ``BENCH_engine.json`` tracks commit over commit).  Both
   are the CI ``bench-smoke`` regression gate
   (``scripts/check_bench_regression.py``);
+* ``soa-swarm-quick`` — the default engine above its 50 000-peer
+  vector cut-over (50 000 peers joining over 12 rounds, 60 rounds):
+  the vectorised toggle branch, the array pool fill and the owner
+  matrix, the swarm-scale paths the other quick benches never reach;
 * ``protocol-quick`` / ``protocol-default-scale`` — the same workloads
   at the ``protocol`` fidelity: every repair is a real store/fetch
   exchange gated by the bandwidth model, so these track the
@@ -77,6 +81,22 @@ def test_engine_paper_soa_quick(run_once):
     result = run_once(run_simulation, config)
     assert result.final_round == 3000
     assert result.metrics.total_placements > 0
+
+
+@pytest.mark.scenario("paper-soa-swarm-quick")
+def test_engine_paper_soa_swarm_quick(run_once):
+    config = (
+        scenario_by_name("paper")
+        .with_population(50_000)
+        .with_rounds(60)
+        .with_staggered_join(12)
+        .with_fidelity("abstract_soa")
+        .build()
+    )
+    result = run_once(run_simulation, config)
+    assert result.final_round == 60
+    assert result.metrics.total_placements >= 50_000
+    assert result.metrics.total_repairs > 0
 
 
 @pytest.mark.scenario("paper-soa-default-scale")

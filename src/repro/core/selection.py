@@ -105,6 +105,26 @@ class SelectionStrategy(ABC):
         candidates = [Candidate(peer_id=i, age=a) for i, a in pairs]
         return self.select(candidates, count, rng)
 
+    def select_arrays(
+        self,
+        ids: np.ndarray,
+        ages: np.ndarray,
+        count: int,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """Array twin of :meth:`select_pairs`, for swarm-scale pools.
+
+        ``ids`` and ``ages`` are parallel ``int64`` vectors; the result
+        is the chosen ids as an ``int64`` vector, most preferred first.
+        Overrides must pick the same ids with the same draws as
+        :meth:`select_pairs` on the zipped pairs.  The default does
+        exactly that, so third-party strategies keep working unchanged.
+        """
+        chosen = self.select_pairs(
+            list(zip(ids.tolist(), ages.tolist())), count, rng
+        )
+        return np.array(chosen, dtype=np.int64)
+
 
 @SELECTION_STRATEGIES.register("age")
 class AgeSelection(SelectionStrategy):
@@ -145,6 +165,20 @@ class AgeSelection(SelectionStrategy):
         )
         return [entry[2] for entry in decorated[:count]]
 
+    def select_arrays(
+        self,
+        ids: np.ndarray,
+        ages: np.ndarray,
+        count: int,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        if count < 0:
+            raise ValueError("count cannot be negative")
+        # The same jitter draw and the same (-age, jitter, id) order as
+        # select_pairs; lexsort's primary key is the last one.
+        jitter = rng.random(len(ids))
+        return ids[np.lexsort((ids, jitter, -ages))[:count]]
+
 
 @SELECTION_STRATEGIES.register("random")
 class RandomSelection(SelectionStrategy):
@@ -169,6 +203,17 @@ class RandomSelection(SelectionStrategy):
             raise ValueError("count cannot be negative")
         permutation = rng.permutation(len(pairs))
         return [pairs[i][0] for i in permutation[:count]]
+
+    def select_arrays(
+        self,
+        ids: np.ndarray,
+        ages: np.ndarray,
+        count: int,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        if count < 0:
+            raise ValueError("count cannot be negative")
+        return ids[rng.permutation(len(ids))[:count]]
 
 
 @SELECTION_STRATEGIES.register("availability")

@@ -18,11 +18,18 @@ default-scale runs):
   event at a time: the queue keeps each round's toggles in a dense
   per-round id bucket (:meth:`repro.sim.events.EventQueue.pop_round_batch`)
   and :meth:`_process_toggle_batch` runs the whole round as array
-  passes — one CSR gather of every affected owner
+  passes — one masked row gather of every affected owner from the
+  fixed-width owner matrix
   (:meth:`repro.sim.soa_state.StateTables.owners_concat`), one
   scatter-add on the ``visible`` column, one masked threshold compare,
   and one vectorised geometric draw for all reschedules
   (:func:`repro.sim.rng.geometric_from_uniforms`);
+* swarm-scale recruitment stays in arrays end to end: the pool fill
+  returns ``(ids, ages)`` vectors, the strategy orders them with
+  :meth:`repro.core.selection.SelectionStrategy.select_arrays`, and the
+  chosen partners are committed with one quota mask and one
+  fancy-index write into the owner matrix
+  (:meth:`repro.sim.soa_state.StateTables.owners_append_many`);
 * the remaining scalar handlers (checks, deaths, repair bookkeeping)
   touch C-backed list slots instead of attribute-walking three heap
   objects per peer;
@@ -49,6 +56,7 @@ Protocol-level runs use :mod:`repro.sim.protocol`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -105,7 +113,13 @@ class SoaSimulation:
         self.round = 0
         self.peers_created = 0
         self.deaths = 0
-        self._profile_weights = [p.proportion for p in config.profiles]
+        # Profile choice by inverse CDF over batched uniforms: the
+        # arithmetic of ``Generator.choice(p=...)`` (cumsum, normalise
+        # by the last entry, right-side search of one uniform), so the
+        # draws match the driver's scalar calls bit for bit.
+        cdf = np.cumsum([p.proportion for p in config.profiles], dtype=np.float64)
+        cdf /= cdf[-1]
+        self._profile_cdf = cdf.tolist()
         self._needs_oracle = bool(getattr(self.strategy, "needs_oracle", False))
         self._needs_availability = bool(
             getattr(self.strategy, "needs_availability", False)
@@ -154,9 +168,9 @@ class SoaSimulation:
             {} if config.adaptive_thresholds else None
         )
         # Above this population the toggle kernel runs its vectorised
-        # branch (CSR gather + scatter-add over numpy columns); below
-        # it, per-round batches are a handful of peers and the scalar
-        # branch over list columns is faster.  Both branches execute
+        # branch (owner-matrix gather + scatter-add over numpy columns);
+        # below it, per-round batches are a handful of peers and the
+        # scalar branch over list columns is faster.  Both branches execute
         # the identical passes, so the cut is invisible to results.
         self._vector_kernel = config.population >= self._VECTOR_POPULATION
         # The online candidate index: a replica of the driver's
@@ -176,8 +190,12 @@ class SoaSimulation:
         #: scratch column for the pool fill's skip-set (all False
         #: between fills; see ``_fill_pool_fast``).
         self._pool_marks = np.zeros(capacity, dtype=bool)
+        # Owner rows are bounded by the quota plus one quota-free slot
+        # per observer (see soa_state's owner-matrix notes).
         self.state = StateTables(
-            initial_capacity=capacity, vector_columns=self._vector_kernel
+            initial_capacity=capacity,
+            vector_columns=self._vector_kernel,
+            row_width=config.quota + len(config.observers),
         )
         # Hot-path caches.  Events are frozen value objects, so reusing
         # one instance per (kind, peer) is invisible to the queue; the
@@ -186,8 +204,8 @@ class SoaSimulation:
         # reads availability.
         self._geometric = self.rng.sessions.geometric
         self._session_draws = self.rng.batched("sessions")
-        self._profile_choice = self.rng.profiles.choice
-        self._lifetime_uniform = self.rng.lifetimes.uniform
+        self._profile_draws = self.rng.batched("profiles")
+        self._lifetime_draws = self.rng.batched("lifetimes")
         self._track_uptime = self._needs_availability
         self._join_event = Event(EventKind.JOIN)
         self._sample_event = Event(EventKind.SAMPLE)
@@ -316,15 +334,15 @@ class SoaSimulation:
     # ------------------------------------------------------------------
     def _spawn_peer(self, now: int) -> int:
         config = self.config
-        index = int(
-            self._profile_choice(len(config.profiles), p=self._profile_weights)
-        )
+        # Batched twins of the driver's ``profiles.choice(p=...)`` and
+        # ``lifetimes.uniform(low, high)``: same uniforms, same
+        # arithmetic (``bisect_right`` is ``searchsorted(side="right")``).
+        index = bisect_right(self._profile_cdf, self._profile_draws.next_uniform())
         lifetime_bounds = self._session_params[index][2]
         death_round: Optional[int] = None
         if lifetime_bounds is not None:
-            lifetime = float(
-                self._lifetime_uniform(lifetime_bounds[0], lifetime_bounds[1])
-            )
+            low, high = lifetime_bounds
+            lifetime = low + (high - low) * self._lifetime_draws.next_uniform()
             death_round = now + max(int(lifetime), 1)
         peer_id = self.state.add_peer(index, now, death_round)
         self._check_events.append(Event(EventKind.REPAIR_CHECK, peer_id))
@@ -431,8 +449,9 @@ class SoaSimulation:
         ``SimulationDriver._process_toggle_batch`` — dead filter, state
         flips, visibility fan-out, owner threshold checks on final
         counts, self-service checks, bulk duration draw — but the
-        fan-out is one CSR gather + scatter-add and the threshold scan
-        one masked compare instead of per-owner Python loops.
+        fan-out is one owner-matrix gather + scatter-add and the
+        threshold scan one masked compare instead of per-owner Python
+        loops.
         """
         state = self.state
         alive = state.alive
@@ -484,7 +503,7 @@ class SoaSimulation:
         # Visibility fan-out and owner threshold checks (against final
         # post-batch counts, ascending owner order).  Two executions of
         # the same pass: typical rounds toggle a handful of peers, where
-        # scalar loops over the CSR rows beat array machinery; large
+        # scalar loops over the ragged rows beat array machinery; large
         # batches (million-peer populations) take one gather of every
         # touched owner plus one scatter-add per direction.
         visible = state.visible
@@ -701,6 +720,25 @@ class SoaSimulation:
         quota = self.config.quota
         quota_used = state.quota_used
         row = state.holders[owner_id]
+        if isinstance(chosen, np.ndarray):
+            # The array fill's partners (distinct ids), committed in one
+            # pass: the same per-candidate quota test, link and counter
+            # updates as the loop below, as masks and fancy indexes.
+            if check_quota:
+                quota_np = state.quota_np
+                chosen = chosen[quota_np[chosen] < quota]
+            added = len(chosen)
+            if not added:
+                return 0
+            ids = chosen.tolist()
+            row.extend(ids)
+            state.visible[owner_id] += added
+            if check_quota:
+                quota_np[chosen] += 1
+                for candidate_id in ids:
+                    quota_used[candidate_id] += 1
+            state.owners_append_many(chosen, owner_id)
+            return added
         added = 0
         for candidate_id in chosen:
             # Quota could have filled between sampling and selection.
@@ -728,11 +766,13 @@ class SoaSimulation:
                 pool = self._fill_pool_small(
                     owner_id, now, pool_target, max_examined
                 )
-            else:
-                pool = self._fill_pool_fast(
-                    owner_id, now, pool_target, max_examined
-                )
-            return self.strategy.select_pairs(pool, needed, self.rng.selection)
+                return self.strategy.select_pairs(pool, needed, self.rng.selection)
+            ids, ages = self._fill_pool_fast(
+                owner_id, now, pool_target, max_examined
+            )
+            return self.strategy.select_arrays(
+                ids, ages, needed, self.rng.selection
+            )
         pool = self._fill_pool_generic(owner_id, now, pool_target, max_examined)
         if self._fast_candidates:
             return self.strategy.select_pairs(pool, needed, self.rng.selection)
@@ -750,11 +790,14 @@ class SoaSimulation:
         once per candidate as interpreted bytecode.  The acceptance
         expressions keep the driver's exact operation order, so the
         IEEE-754 results (and therefore the accepted set) are
-        bit-identical.
+        bit-identical.  Returns the accepted ``(ids, ages)`` as two
+        ``int64`` vectors in acceptance order.
         """
         state = self.state
         n_online = self._online_size
-        accepted: List = []
+        accepted_ids: List[np.ndarray] = []
+        accepted_ages: List[np.ndarray] = []
+        n_accepted = 0
         examined = 0
         if n_online:
             selection_take = self._selection_draws.take_array
@@ -795,9 +838,9 @@ class SoaSimulation:
             while (
                 sample_budget > 0
                 and examined < max_examined
-                and len(accepted) < target_size
+                and n_accepted < target_size
             ):
-                needed = target_size - len(accepted)
+                needed = target_size - n_accepted
                 chunk_size = pool_chunk_size(needed)
                 if chunk_size > sample_budget:
                     chunk_size = sample_budget
@@ -856,13 +899,20 @@ class SoaSimulation:
                         fresh = fresh[:needed]
                         ages = ages[:needed]
                     examined += len(fresh)
-                accepted.extend(zip(fresh.tolist(), ages.tolist()))
+                accepted_ids.append(fresh)
+                accepted_ages.append(ages)
+                n_accepted += len(fresh)
             marks[holder_row] = False
             marks[owner_id] = False
             for cand in chunks:
                 marks[cand] = False
-        self.metrics.record_pool(examined, len(accepted))
-        return accepted
+        self.metrics.record_pool(examined, n_accepted)
+        if len(accepted_ids) == 1:
+            return accepted_ids[0], accepted_ages[0]
+        if not accepted_ids:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
+        return np.concatenate(accepted_ids), np.concatenate(accepted_ages)
 
     def _fill_pool_small(
         self, owner_id: int, now: int, target_size: int, max_examined: int
@@ -980,15 +1030,24 @@ class SoaSimulation:
                 if chunk_size > sample_budget:
                     chunk_size = sample_budget
                 sample_budget -= chunk_size
+                n_items = self._online_size
                 if self._vector_kernel:
-                    items = self._online_items[: self._online_size].tolist()
+                    # Gather the chunk from the array index directly
+                    # (``astype`` truncates like ``int``), never copying
+                    # the whole index.
+                    indices = (selection.take_array(chunk_size) * n_items).astype(
+                        np.intp
+                    )
+                    np.minimum(indices, n_items - 1, out=indices)
+                    chunk = self._online_items[indices].tolist()
                 else:
                     items = self._online_items
-                n_items = len(items)
-                chunk = []
-                for u in selection.take(chunk_size):
-                    index = int(u * n_items)
-                    chunk.append(items[index if index < n_items else n_items - 1])
+                    chunk = []
+                    for u in selection.take(chunk_size):
+                        index = int(u * n_items)
+                        chunk.append(
+                            items[index if index < n_items else n_items - 1]
+                        )
                 fresh = []
                 for candidate_id in chunk:
                     if candidate_id in seen:

@@ -23,22 +23,26 @@ columns indexed by peer id:
   ``owners_of`` — the toggle fan-out's input — is adaptive like the
   archive columns: ragged lists at ordinary scale (iteration and
   ``list.remove`` are the hot operations there), and at swarm scale a
-  CSR slab — one ``int64`` data array plus per-row ``start``/``len``/
-  ``cap`` bookkeeping — so the kernel can gather every owner touched
-  by a toggle batch with one fancy-index instead of chaining thousands
-  of little lists;
+  fixed-width owner matrix — one ``int64`` row per peer plus a numpy
+  row-length column — so the kernel gathers every owner touched by a
+  toggle batch, and recruitment files a whole batch of links, with one
+  fancy index instead of thousands of little list operations;
 * **census mirrors** (``join_np`` / ``census_alive``) are numpy arrays
   maintained alongside the lists so the periodic metrics census is one
   vectorised mask-subtract-searchsorted instead of a Python loop over
   the whole population.
 
-CSR slab mechanics: a row grows by relocating to the end of the slab
-with doubled capacity (the old copy becomes garbage); removals swap-pop
-inside the row (row order is irrelevant — the engines only ever consume
-rows as unordered sets); when the slab must grow while at least half of
-it is garbage, it is compacted in one vectorised pass instead.  Peer
-ids are never recycled, so ``start``/``cap`` entries stay valid
-forever.
+Owner matrix mechanics: the quota rule bounds every row.  A peer hosts
+at most ``quota`` blocks for normal peers, and at most one block per
+observer (observer blocks are quota-free, paper section 4.2.2, and a
+holder appears once per owner row), so a row never exceeds
+``quota + n_observers`` entries — the matrix width, fixed at
+construction.  Row ``h`` holds its owners in slots ``0 .. len[h]-1``;
+appends write slot ``len[h]``, removals swap-pop inside the row (row
+order is irrelevant — the engines only ever consume rows as unordered
+sets).  Rows never move; the matrix grows with the other numpy
+columns, and ``np.zeros`` commits its pages lazily, so untouched rows
+cost no memory.
 
 Invariants (checked by ``SoaSimulation.audit``):
 
@@ -77,7 +81,9 @@ class StateTables:
 
     One instance holds every peer of a run — observers first, then
     normal peers in spawn order.  ``add_observer`` / ``add_peer`` return
-    the allocated id; columns grow in lockstep.
+    the allocated id; columns grow in lockstep.  ``row_width`` is the
+    owner-matrix width (``quota + n_observers``), required with
+    ``vector_columns``.
     """
 
     __slots__ = (
@@ -105,14 +111,11 @@ class StateTables:
         # ragged link table (owner -> holders)
         "holders",
         # reverse index (holder -> owners): ragged lists at ordinary
-        # scale, CSR slab at swarm scale (see class docstring)
+        # scale, a fixed-width owner matrix plus row lengths at swarm
+        # scale (see the module docstring)
         "owners_of",
-        "_own_data",
-        "_own_start",
+        "_own_matrix",
         "_own_len",
-        "_own_cap",
-        "_own_used",
-        "_own_garbage",
         # observer side tables (indexed by id < n_observers)
         "fixed_age",
         "observer_name",
@@ -125,7 +128,12 @@ class StateTables:
         "_capacity",
     )
 
-    def __init__(self, initial_capacity: int = 1024, vector_columns: bool = False):
+    def __init__(
+        self,
+        initial_capacity: int = 1024,
+        vector_columns: bool = False,
+        row_width: int = 0,
+    ):
         self.n_observers = 0
         self.count = 0
         self.vector_columns = vector_columns
@@ -163,18 +171,20 @@ class StateTables:
             self.placed = []
         self._capacity = capacity
         # Reverse index, same adaptivity: ragged lists below the vector
-        # threshold, CSR slab above it.
+        # threshold, the owner matrix above it.
         if vector_columns:
+            if row_width < 1:
+                raise ValueError(
+                    f"vector columns need a positive owner-row width "
+                    f"(quota + observers), got {row_width}"
+                )
             self.owners_of = None
-            self._own_data = np.zeros(1024, dtype=np.int64)
+            self._own_matrix = np.zeros((capacity, row_width), dtype=np.int64)
+            self._own_len = np.zeros(capacity, dtype=np.int64)
         else:
             self.owners_of: List[List[int]] = []
-            self._own_data = _EMPTY_IDS
-        self._own_start: List[int] = []
-        self._own_len: List[int] = []
-        self._own_cap: List[int] = []
-        self._own_used = 0
-        self._own_garbage = 0
+            self._own_matrix = None
+            self._own_len = None
 
     # ------------------------------------------------------------------
     # Growth
@@ -196,6 +206,14 @@ class StateTables:
                 placed[: self._capacity] = self.placed
                 self.visible = visible
                 self.placed = placed
+                matrix = np.zeros(
+                    (capacity, self._own_matrix.shape[1]), dtype=np.int64
+                )
+                matrix[: self._capacity] = self._own_matrix
+                own_len = np.zeros(capacity, dtype=np.int64)
+                own_len[: self._capacity] = self._own_len
+                self._own_matrix = matrix
+                self._own_len = own_len
             self._join_np = join_np
             self._census_alive = census
             self.quota_np = quota_np
@@ -216,11 +234,7 @@ class StateTables:
         self.check_scheduled.append(None)
         self.check_handle.append(None)
         self.holders.append([])
-        if self.vector_columns:
-            self._own_start.append(0)
-            self._own_len.append(0)
-            self._own_cap.append(0)
-        else:
+        if not self.vector_columns:
             self.owners_of.append([])
         self._join_np[peer_id] = join_round
         return peer_id
@@ -256,31 +270,49 @@ class StateTables:
         self._census_alive[peer_id] = False
 
     # ------------------------------------------------------------------
-    # owners_of reverse index (ragged lists / CSR slab, see docstring)
+    # owners_of reverse index (ragged lists / owner matrix, see docstring)
     # ------------------------------------------------------------------
     def owners_row(self, peer_id: int) -> Sequence[int]:
         """The owners peer ``peer_id`` stores for.
 
-        A plain list at ordinary scale, a slab view at swarm scale.
-        Callers must treat the row as read-only and unordered, and must
-        not hold a slab view across mutations (append/remove/compaction
-        may relocate the row).
+        A plain list at ordinary scale, a matrix-row view at swarm
+        scale.  Callers must treat the row as read-only and unordered,
+        and must not hold a matrix view across mutations (a removal
+        reorders the row; growth replaces the matrix).
         """
         if not self.vector_columns:
             return self.owners_of[peer_id]
-        start = self._own_start[peer_id]
-        return self._own_data[start : start + self._own_len[peer_id]]
+        return self._own_matrix[peer_id, : self._own_len[peer_id]]
 
     def owners_append(self, holder_id: int, owner_id: int) -> None:
         """Record that ``holder_id`` now stores a block of ``owner_id``."""
         if not self.vector_columns:
             self.owners_of[holder_id].append(owner_id)
             return
-        count = self._own_len[holder_id]
-        if count == self._own_cap[holder_id]:
-            self._relocate_row(holder_id, count)
-        self._own_data[self._own_start[holder_id] + count] = owner_id
-        self._own_len[holder_id] = count + 1
+        self.owners_append_many(np.array([holder_id], dtype=np.int64), owner_id)
+
+    def owners_append_many(self, holder_ids: np.ndarray, owner_id: int) -> None:
+        """Record that each of ``holder_ids`` now stores a block of ``owner_id``.
+
+        The ids must be distinct, as one recruitment's partners are.
+        One fancy-index write in matrix mode (all rows are checked for
+        room before any is written); a loop over the rows in list mode.
+        """
+        if not self.vector_columns:
+            owners_of = self.owners_of
+            for holder_id in holder_ids.tolist():
+                owners_of[holder_id].append(owner_id)
+            return
+        counts = self._own_len[holder_ids]
+        width = self._own_matrix.shape[1]
+        if len(counts) and counts.max() >= width:
+            full = holder_ids[counts >= width].tolist()
+            raise ValueError(
+                f"peers {full}: owner row full ({width} entries); the "
+                "quota bound was violated"
+            )
+        self._own_matrix[holder_ids, counts] = owner_id
+        self._own_len[holder_ids] = counts + 1
 
     def owners_remove(self, holder_id: int, owner_id: int) -> None:
         """Drop one ``owner_id`` entry from ``holder_id``'s row.
@@ -292,10 +324,9 @@ class StateTables:
         if not self.vector_columns:
             self.owners_of[holder_id].remove(owner_id)
             return
-        start = self._own_start[holder_id]
-        count = self._own_len[holder_id]
-        row = self._own_data[start : start + count]
-        position = row.tolist().index(owner_id)
+        count = int(self._own_len[holder_id])
+        row = self._own_matrix[holder_id]
+        position = row[:count].tolist().index(owner_id)
         last = count - 1
         if position != last:
             row[position] = row[last]
@@ -307,12 +338,8 @@ class StateTables:
             owners = self.owners_of[peer_id]
             self.owners_of[peer_id] = []
             return owners
-        start = self._own_start[peer_id]
-        count = self._own_len[peer_id]
-        owners = self._own_data[start : start + count].tolist()
+        owners = self._own_matrix[peer_id, : self._own_len[peer_id]].tolist()
         self._own_len[peer_id] = 0
-        self._own_garbage += self._own_cap[peer_id]
-        self._own_cap[peer_id] = 0
         return owners
 
     def owners_concat(self, peer_ids: Sequence[int]) -> np.ndarray:
@@ -321,107 +348,15 @@ class StateTables:
         The vector toggle kernel's gather: one flat ``int64`` vector
         (with repeats — an owner stored by two toggling holders appears
         twice) ready for ``np.add.at`` scatter updates of ``visible``.
-        Slab mode only; the list-mode kernel iterates rows directly.
+        One masked row gather; matrix mode only (the list-mode kernel
+        iterates rows directly).
         """
-        starts = self._own_start
-        lens = self._own_len
-        data = self._own_data
-        if len(peer_ids) < 16:
-            out: List[int] = []
-            for peer_id in peer_ids:
-                count = lens[peer_id]
-                if count:
-                    start = starts[peer_id]
-                    out.extend(data[start : start + count].tolist())
-            return np.array(out, dtype=np.int64) if out else _EMPTY_IDS
-        n = len(peer_ids)
-        s = np.fromiter((starts[p] for p in peer_ids), dtype=np.int64, count=n)
-        c = np.fromiter((lens[p] for p in peer_ids), dtype=np.int64, count=n)
-        total = int(c.sum())
-        if total == 0:
+        if not len(peer_ids):
             return _EMPTY_IDS
-        ends = np.cumsum(c)
-        indices = np.repeat(s - (ends - c), c) + np.arange(total)
-        return data[indices]
-
-    def _relocate_row(self, holder_id: int, count: int) -> None:
-        cap = self._own_cap[holder_id]
-        new_cap = cap * 2 if cap else 4
-        if self._own_used + new_cap > len(self._own_data):
-            self._ensure_own_capacity(new_cap)
-        data = self._own_data
-        used = self._own_used
-        start = self._own_start[holder_id]
-        if count:
-            data[used : used + count] = data[start : start + count]
-        self._own_start[holder_id] = used
-        self._own_cap[holder_id] = new_cap
-        self._own_used = used + new_cap
-        self._own_garbage += cap
-
-    def _ensure_own_capacity(self, extra: int) -> None:
-        # Compact before growing: growth holds the old and new slabs
-        # simultaneously, so reclaiming abandoned row copies first —
-        # when they are at least a quarter of the consumed slab — often
-        # makes the allocation unnecessary and caps peak memory at
-        # swarm scale (a doubling-only policy let the slab overshoot
-        # the live entries ~3.5x on the million-peer run).
-        if self._own_used + extra > len(self._own_data):
-            if self._own_garbage * 4 >= self._own_used:
-                self._compact_owners()
-        elif self._own_garbage * 2 >= self._own_used:
-            self._compact_owners()
-        needed = self._own_used + extra
-        size = len(self._own_data)
-        if needed <= size:
-            return
-        while size < needed:
-            size += (size >> 1) or 1
-        try:
-            # In-place realloc: for slab-sized blocks the allocator
-            # remaps pages instead of copying, so growth does not hold
-            # two slabs.  Grown slots arrive zeroed.
-            self._own_data.resize(size, refcheck=True)
-        except ValueError:  # an outstanding view pins the buffer
-            data = np.zeros(size, dtype=np.int64)
-            data[: self._own_used] = self._own_data[: self._own_used]
-            self._own_data = data
-
-    def _compact_owners(self) -> None:
-        """Pack live rows to the front of the slab, in place.
-
-        Rows move in ascending start order with zero slack, so every
-        destination lies at or before its source and no live slot is
-        overwritten before it has moved.  No second slab is allocated:
-        compaction exists to cap peak memory at swarm scale, so it must
-        not itself hold two slabs.  Packed rows end with ``cap == len``
-        — the next append to one relocates it to the tail like any
-        full row.
-        """
-        data = self._own_data
-        starts = self._own_start
-        lens = self._own_len
-        caps = self._own_cap
-        order = sorted(range(self.count), key=starts.__getitem__)
-        cursor = 0
-        for peer_id in order:
-            count = lens[peer_id]
-            if not count:
-                starts[peer_id] = 0
-                caps[peer_id] = 0
-                continue
-            start = starts[peer_id]
-            if start != cursor:
-                # Per-row .copy(): source and destination may overlap
-                # after earlier moves, and the row is tiny.
-                data[cursor : cursor + count] = data[
-                    start : start + count
-                ].copy()
-            starts[peer_id] = cursor
-            caps[peer_id] = count
-            cursor += count
-        self._own_used = cursor
-        self._own_garbage = 0
+        ids = np.asarray(peer_ids, dtype=np.int64)
+        rows = self._own_matrix[ids]
+        mask = np.arange(rows.shape[1]) < self._own_len[ids][:, None]
+        return rows[mask]
 
     # ------------------------------------------------------------------
     # Census

@@ -9,6 +9,7 @@ from repro.core.selection import (
     Candidate,
     OracleSelection,
     RandomSelection,
+    SelectionStrategy,
     available_strategies,
     strategy_by_name,
 )
@@ -161,3 +162,85 @@ class TestSelectPairs:
     def test_empty_pairs(self, rng):
         for name in ("age", "random", "availability", "oracle"):
             assert strategy_by_name(name).select_pairs([], 3, rng) == []
+
+
+class TestSelectArrays:
+    """The array path picks the select_pairs ids with the same draws."""
+
+    class Youngest(SelectionStrategy):
+        """A third-party strategy that only implements ``rank``."""
+
+        name = "youngest"
+
+        def rank(self, candidates, rng):
+            jitter = rng.random(len(candidates))
+            order = sorted(
+                range(len(candidates)),
+                key=lambda i: (candidates[i].age, jitter[i]),
+            )
+            return [candidates[i].peer_id for i in order]
+
+    class ConstantJitter:
+        """A generator stub whose uniforms all tie, so ids decide."""
+
+        def random(self, size):
+            return np.zeros(size)
+
+    @staticmethod
+    def pool(size, distinct_ages, seed=5):
+        draws = np.random.default_rng(seed)
+        ids = draws.permutation(10 * size)[:size].astype(np.int64)
+        ages = draws.integers(distinct_ages, size=size).astype(np.int64)
+        return ids, ages
+
+    def check(self, strategy, ids, ages, count, seed):
+        pairs_rng = np.random.default_rng(seed)
+        arrays_rng = np.random.default_rng(seed)
+        expected = strategy.select_pairs(
+            list(zip(ids.tolist(), ages.tolist())), count, pairs_rng
+        )
+        chosen = strategy.select_arrays(ids, ages, count, arrays_rng)
+        assert chosen.dtype == np.int64
+        assert chosen.tolist() == expected
+        assert (
+            arrays_rng.bit_generator.state == pairs_rng.bit_generator.state
+        )
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [AgeSelection(), RandomSelection(), Youngest()],
+        ids=["age", "random", "fallback"],
+    )
+    @pytest.mark.parametrize("count", [0, 1, 7, 40, 200])
+    def test_matches_select_pairs(self, strategy, count):
+        # Three distinct ages over 120 candidates: ties everywhere.
+        ids, ages = self.pool(120, distinct_ages=3)
+        for seed in range(5):
+            self.check(strategy, ids, ages, count, seed)
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [AgeSelection(), RandomSelection(), Youngest()],
+        ids=["age", "random", "fallback"],
+    )
+    def test_empty_pool(self, strategy):
+        self.check(strategy, _EMPTY, _EMPTY, 3, seed=1)
+
+    def test_age_ties_fall_back_to_ids(self):
+        ids, ages = self.pool(50, distinct_ages=2)
+        strategy = AgeSelection()
+        pairs = list(zip(ids.tolist(), ages.tolist()))
+        expected = strategy.select_pairs(pairs, 20, self.ConstantJitter())
+        chosen = strategy.select_arrays(ids, ages, 20, self.ConstantJitter())
+        assert chosen.tolist() == expected
+        oldest = ids[ages == ages.max()]
+        assert expected[: len(oldest)] == sorted(oldest.tolist())[:20]
+
+    def test_negative_count(self, rng):
+        ids, ages = self.pool(10, distinct_ages=4)
+        for strategy in (AgeSelection(), RandomSelection()):
+            with pytest.raises(ValueError):
+                strategy.select_arrays(ids, ages, -1, rng)
+
+
+_EMPTY = np.empty(0, dtype=np.int64)

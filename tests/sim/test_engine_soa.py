@@ -9,10 +9,14 @@ registry.
 
 from __future__ import annotations
 
+import math
+
+from repro.churn.lifetimes import from_profile
 from repro.scenarios import scenario_by_name
 from repro.sim.engine import run_simulation
 from repro.sim.engine_soa import SoaSimulation
 from repro.sim.fidelity import available_fidelities, simulation_for
+from repro.sim.rng import RngStreams
 
 
 def _config(seed=3, population=150, rounds=1000):
@@ -59,3 +63,29 @@ def test_observer_and_category_activity_present():
     assert result.metrics.total_repairs > 0
     assert result.peers_created >= 150
     assert result.deaths > 0
+
+
+def test_spawn_draws_match_scalar_generator_calls():
+    """Batched spawn draws equal the driver's scalar generator calls.
+
+    The engine reads profile choices and lifetimes from block-buffered
+    uniforms; the ``protocol`` driver calls ``Generator.choice(p=...)``
+    and ``Generator.uniform`` once per spawn.  Over the paper profile
+    mix both must give the same profile and death round, peer by peer.
+    """
+    config = _config(rounds=10)
+    simulation = SoaSimulation(config)
+    peer_ids = [simulation._spawn_peer(7) for _ in range(3000)]
+    reference = RngStreams(config.seed)
+    weights = [profile.proportion for profile in config.profiles]
+    profiles = set()
+    for peer_id in peer_ids:
+        index = int(reference.profiles.choice(len(weights), p=weights))
+        lifetime = from_profile(config.profiles[index]).sample(reference.lifetimes)
+        expected_death = (
+            None if math.isinf(lifetime) else 7 + max(int(lifetime), 1)
+        )
+        assert simulation.state.profile[peer_id] == index
+        assert simulation.state.death[peer_id] == expected_death
+        profiles.add(index)
+    assert profiles == set(range(len(weights)))

@@ -1,0 +1,133 @@
+"""Unit tests for the reverse index of :class:`StateTables`.
+
+At swarm scale (``vector_columns=True``) the holder -> owners index is a
+fixed-width owner matrix whose width is the quota bound
+``quota + n_observers``; at ordinary scale it is ragged lists.  The
+engine-level tests only see it through whole runs, so the matrix's
+own contract is pinned here.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from repro.sim.soa_state import StateTables
+
+QUOTA = 4
+OBSERVERS = 2
+
+
+def _tables(vector_columns=True, peers=6, capacity=16):
+    state = StateTables(
+        initial_capacity=capacity,
+        vector_columns=vector_columns,
+        row_width=QUOTA + OBSERVERS,
+    )
+    for index in range(OBSERVERS):
+        state.add_observer(fixed_age=100, name=f"observer{index}")
+    for _ in range(peers):
+        state.add_peer(profile_index=0, join_round=0, death_round=None)
+    return state
+
+
+def _row(state, peer_id):
+    return sorted(int(owner) for owner in state.owners_row(peer_id))
+
+
+def test_vector_columns_need_a_row_width():
+    with pytest.raises(ValueError, match="row width"):
+        StateTables(vector_columns=True)
+
+
+def test_full_row_refuses_another_owner():
+    state = _tables()
+    holder = OBSERVERS
+    for owner in range(QUOTA + OBSERVERS):
+        state.owners_append(holder, owner + 100)
+    with pytest.raises(ValueError, match="row full"):
+        state.owners_append(holder, 999)
+    with pytest.raises(ValueError, match="row full"):
+        state.owners_append_many(np.array([holder + 1, holder]), 999)
+    # The refused batch wrote nothing, not even for the roomy holder.
+    assert len(state.owners_row(holder + 1)) == 0
+    assert len(state.owners_row(holder)) == QUOTA + OBSERVERS
+
+
+def test_quota_plus_every_observer_fits_exactly():
+    """A holder at quota that also hosts for every observer is full."""
+    state = _tables()
+    holder = state.count - 1
+    normal_owners = list(range(OBSERVERS, OBSERVERS + QUOTA))
+    for owner in normal_owners:
+        state.owners_append(holder, owner)
+    state.owners_append_many(np.array([holder]), 0)
+    state.owners_append(holder, 1)
+    assert _row(state, holder) == [0, 1] + normal_owners
+    with pytest.raises(ValueError):
+        state.owners_append(holder, OBSERVERS + QUOTA)
+
+
+@pytest.mark.parametrize("vector_columns", [True, False])
+def test_remove_missing_owner_raises(vector_columns):
+    state = _tables(vector_columns)
+    state.owners_append(3, 5)
+    with pytest.raises(ValueError):
+        state.owners_remove(3, 6)
+    with pytest.raises(ValueError):
+        state.owners_remove(4, 5)
+    state.owners_remove(3, 5)
+    with pytest.raises(ValueError):
+        state.owners_remove(3, 5)
+
+
+@pytest.mark.parametrize("vector_columns", [True, False])
+def test_append_many_remove_and_clear(vector_columns):
+    state = _tables(vector_columns)
+    state.owners_append_many(np.array([2, 4, 5], dtype=np.int64), 7)
+    state.owners_append_many(np.array([4], dtype=np.int64), 3)
+    state.owners_append(4, 6)
+    assert _row(state, 4) == [3, 6, 7]
+    state.owners_remove(4, 3)
+    assert _row(state, 4) == [6, 7]
+    assert sorted(state.owners_clear(4)) == [6, 7]
+    assert _row(state, 4) == []
+    assert _row(state, 2) == [7] and _row(state, 5) == [7]
+
+
+def test_concat_is_the_rows_as_a_multiset():
+    state = _tables(peers=12)
+    draws = np.random.default_rng(3)
+    for holder in range(OBSERVERS, state.count):
+        owners = draws.permutation(state.count)[: draws.integers(QUOTA + 1)]
+        for owner in owners.tolist():
+            state.owners_append(holder, owner)
+        if len(owners):
+            state.owners_remove(holder, int(owners[0]))
+    for size in (0, 1, 5, state.count):
+        peer_ids = draws.choice(state.count, size=size, replace=False).tolist()
+        peer_ids += peer_ids[:2]  # repeated holders count twice
+        expected = Counter(
+            owner for peer_id in peer_ids for owner in _row(state, peer_id)
+        )
+        gathered = state.owners_concat(peer_ids)
+        assert gathered.dtype == np.int64
+        assert Counter(gathered.tolist()) == expected
+
+
+def test_rows_survive_capacity_doubling():
+    state = _tables(peers=14, capacity=16)
+    for holder in range(OBSERVERS, state.count):
+        for owner in range(holder % QUOTA + 1):
+            state.owners_append(holder, owner + 50)
+    before = {peer_id: _row(state, peer_id) for peer_id in range(state.count)}
+    for _ in range(40):  # 16 -> 32 -> 64 rows
+        state.add_peer(profile_index=0, join_round=1, death_round=None)
+    assert state._own_matrix.shape == (64, QUOTA + OBSERVERS)
+    for peer_id, row in before.items():
+        assert _row(state, peer_id) == row
+    assert all(_row(state, peer_id) == [] for peer_id in range(16, state.count))
+    state.owners_append(state.count - 1, 9)
+    assert _row(state, state.count - 1) == [9]

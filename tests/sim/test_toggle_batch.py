@@ -155,8 +155,8 @@ class TestBatchedKernelProperty:
 
     ``_VECTOR_POPULATION`` is the cut-over between the kernel's scalar
     loops and its vectorised array passes (which also switch the state
-    tables to numpy columns, the reverse index to the CSR slab and the
-    online pool to an array).  Forcing it to 1 runs micro-populations
+    tables to numpy columns, the reverse index to the owner matrix and
+    the online pool to an array).  Forcing it to 1 runs micro-populations
     through the swarm-scale branch; left alone, they take the scalar
     branch.  Both face the same randomized churn and must agree on the
     whole serialized result.
