@@ -6,8 +6,11 @@ preset, seeds 0-2, at the default fidelity and at ``protocol``, the
 file stores the SHA-256 of the run's canonical ``to_dict()`` without
 its ``config`` block, plus one digest per result key, so a failing
 comparison can name the first key that diverged.  A ``soak`` section
-does the same for the ``paper`` preset at the default experiment scale
-(800 peers x 14 000 rounds), checked by the opt-in soak lane.
+does the same at the default experiment scale (800 peers x 14 000
+rounds): the ``paper`` preset at the default fidelity, seeds 0-2, plus
+``paper`` and the impaired ``lossy_dsl`` preset at ``protocol``, seed 0
+(late transfer completions, retries and restore probes that the small
+tier-1 protocol cells rarely reach).  The opt-in soak lane checks it.
 
 ``tests/golden/test_golden_results.py`` recomputes the grid on every
 tier-1 run; ``tests/sim/test_soak_equivalence.py`` recomputes the soak
@@ -47,10 +50,15 @@ FIDELITY_CELLS = {
     "protocol": ("protocol", 60, 600),
 }
 
-#: The soak section: ``paper`` at the default experiment scale.
-SOAK_SCENARIO = "paper"
+#: The soak section at the default experiment scale: ``(scenario,
+#: grid label, seeds)`` rows, keyed like the tier-1 grid.
 SOAK_POPULATION = 800
 SOAK_ROUNDS = 14_000
+SOAK_GRID = (
+    ("paper", "default", SEEDS),
+    ("paper", "protocol", (0,)),
+    ("lossy_dsl", "protocol", (0,)),
+)
 
 
 def _digest(payload: object, length: int = 64) -> str:
@@ -91,16 +99,18 @@ def grid_cells() -> Iterator[Tuple[str, SimulationConfig]]:
 
 def soak_cells() -> Iterator[Tuple[str, SimulationConfig]]:
     """The soak-lane cells as ``(key, config)``."""
-    for seed in SEEDS:
-        config = (
-            scenario_by_name(SOAK_SCENARIO)
-            .with_fidelity(DEFAULT_FIDELITY)
-            .with_population(SOAK_POPULATION)
-            .with_rounds(SOAK_ROUNDS)
-            .with_seed(seed)
-            .build()
-        )
-        yield f"{SOAK_SCENARIO}/default/seed{seed}", config
+    for name, label, seeds in SOAK_GRID:
+        fidelity = FIDELITY_CELLS[label][0]
+        for seed in seeds:
+            config = (
+                scenario_by_name(name)
+                .with_fidelity(fidelity)
+                .with_population(SOAK_POPULATION)
+                .with_rounds(SOAK_ROUNDS)
+                .with_seed(seed)
+                .build()
+            )
+            yield f"{name}/{label}/seed{seed}", config
 
 
 def first_divergence(

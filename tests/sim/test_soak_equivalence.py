@@ -2,12 +2,14 @@
 
 The tier-1 golden grid (``tests/golden/test_golden_results.py``) shrinks
 every preset to seconds; this module runs the actual acceptance
-workload — the ``paper`` preset at the ``default`` experiment scale,
-800 peers over 14 000 rounds, seeds 0-2 — and requires the entire
-serialized result (minus its config) to match the ``soak`` section of
-``tests/golden/results.json``, recorded from the object-graph engine the
-default ``abstract_soa`` engine replaced.  A mismatch names the first
-diverging result key.
+workload at the ``default`` experiment scale, 800 peers over 14 000
+rounds — the ``paper`` preset at the default fidelity, seeds 0-2, and
+``paper`` plus the impaired ``lossy_dsl`` preset at ``protocol``, seed
+0 — and requires the entire serialized result (minus its config) to
+match the ``soak`` section of ``tests/golden/results.json``.  The
+protocol cells reach the late transfer completions, retries and restore
+probes that the 60 x 600 tier-1 protocol cells rarely exercise.  A
+mismatch names the first diverging result key.
 
 Marked both ``slow`` and ``soak``: the run costs minutes, so only the
 dedicated CI soak lane (``-m soak``) executes it.
