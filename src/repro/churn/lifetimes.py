@@ -191,8 +191,9 @@ def mixture_survival(profiles, age: float) -> float:
 
 def optional_seed_generator(seed: Optional[int]) -> np.random.Generator:
     """Small helper: a numpy generator from an optional seed."""
-    # Imported lazily: sim.driver imports this module, so a module-level
-    # import of repro.sim would be circular.
+    # Imported lazily: repro.sim.config imports the churn package, whose
+    # __init__ imports this module, so a module-level import of
+    # repro.sim would be circular.
     from ..sim.rng import seeded_generator
 
     return seeded_generator(seed)

@@ -40,7 +40,11 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #:    per-schedule tiebreak draw) and the round-batched toggle lane
 #:    of ``abstract_soa`` both changed same-seed trajectories; entries
 #:    written before them are stale.
-CACHE_SCHEMA_VERSION = 2
+#: 3. ``protocol`` moved onto the state tables: a dying peer's owners
+#:    are now checked for loss in ascending id order (the object graph
+#:    walked them in Python set order), which reorders restore probes
+#:    and release exchanges under impairment.
+CACHE_SCHEMA_VERSION = 3
 
 
 def canonical_json(payload: object) -> str:

@@ -152,7 +152,7 @@ def fig_impairment_spec(
 ) -> ExperimentSpec:
     """The loss x delay matrix at protocol fidelity, as one spec.
 
-    Every cell shares the churn trajectory (same seed, same driver), so
+    Every cell shares the churn trajectory (same seed, same engine), so
     differences between rows are attributable to the link alone.  One
     seed by default — protocol cells pay real per-message costs and the
     matrix is four of them.

@@ -616,15 +616,12 @@ def _resolve_scenario(args: argparse.Namespace, command: str):
     return scenario
 
 
-#: Event-dispatch handlers per backend, mapped to the event kind they
-#: execute.  Handlers that wrap one another (the object-graph engine's
-#: JOIN dispatch calls the spawn helper the soa engine dispatches to
-#: directly) share a kind; the breakdown takes the largest cumulative
-#: time per kind, so a wrapper and its callee are never double-counted.
+#: Event-dispatch handlers, mapped to the event kind they execute.  The
+#: breakdown takes the largest cumulative time per kind, so a handler
+#: that recurses is never double-counted.
 _KIND_HANDLERS = {
     "_process_toggle_batch": "toggle",
     "_handle_check": "check",
-    "_handle_join": "join",
     "_spawn_peer": "join",
     "_handle_death": "death",
     "_handle_sample": "sample",

@@ -24,8 +24,8 @@ from ..net.impairment import IMPAIRMENT_PROFILES
 #: The fidelity whose serialized form is the historical one.  Configs at
 #: this fidelity omit every fidelity-related key from ``to_dict`` so
 #: their cache digests stay byte-identical across releases (the
-#: object-graph engine it replaced produced the same results, pinned by
-#: ``tests/golden/results.json``).
+#: object-graph ``abstract`` engine it replaced produced the same
+#: results, pinned by ``tests/golden/results.json``).
 DEFAULT_FIDELITY = "abstract_soa"
 
 

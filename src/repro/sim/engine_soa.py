@@ -2,17 +2,18 @@
 
 Peers are structure-of-arrays columns (:mod:`repro.sim.soa_state`) and
 block placements are two ragged adjacency tables; repairs, placements
-and proactive top-ups execute as instantaneous state flips.  It draws
-from the same named RNG streams, in the same order, as the object-graph
-driver behind the ``protocol`` fidelity
-(:class:`repro.sim.driver.SimulationDriver`), so both fidelities of one
-config share their churn trajectory.  Its results are pinned by the
+and proactive top-ups execute as instantaneous state flips.  This is
+the one simulation core: the ``protocol`` fidelity
+(:class:`repro.sim.protocol.ProtocolSimulation`) subclasses it and
+re-executes placement, repair and loss as message exchanges over the
+same tables, through a handful of seams called once per spawn, death,
+toggle batch or census (see "Backend seams" below), so both fidelities
+of one config share their churn trajectory.  Results are pinned by the
 committed golden digests in ``tests/golden/results.json``
 (``scripts/record_goldens.py`` regenerates them).
 
-Why it is faster than the object-graph driver (the layout that makes
-10^6-peer populations fit in memory, and sub-second ``paper``
-default-scale runs):
+What makes it fast (the layout that lets 10^6-peer populations fit in
+memory, and gives sub-second ``paper`` default-scale runs):
 
 * session toggles — the dominant event kind — are not dispatched one
   event at a time: the queue keeps each round's toggles in a dense
@@ -31,8 +32,8 @@ default-scale runs):
   fancy-index write into the owner matrix
   (:meth:`repro.sim.soa_state.StateTables.owners_append_many`);
 * the remaining scalar handlers (checks, deaths, repair bookkeeping)
-  touch C-backed list slots instead of attribute-walking three heap
-  objects per peer;
+  touch C-backed list slots instead of attribute-walking per-peer heap
+  objects;
 * the recruitment loop inlines the :class:`repro.sim.rng.BatchedDraws`
   buffer arithmetic (one bounds check + one index per draw, no method
   calls) while consuming the exact same draw sequence;
@@ -42,15 +43,11 @@ default-scale runs):
   by per-profile constants and bare ids in the queue's toggle buckets —
   the draws are issued in the same order, from the same streams.
 
-The shared trajectory leans on two properties: the event queue
-canonicalises each round's bucket before shuffling
-(:meth:`repro.sim.events.EventQueue._activate`), so execution order
-depends only on bucket *content*; and the batched toggle kernel is the
-same six fixed passes here and in
-:meth:`repro.sim.driver.SimulationDriver._process_toggle_batch`, so
-the flips, checks and duration draws happen in the identical order.
-
-Protocol-level runs use :mod:`repro.sim.protocol`.
+Both kernel branches (scalar and vectorised) and both pool fills
+(scalar and array) are draw-identical, which leans on the event queue
+canonicalising each round's bucket before shuffling
+(:meth:`repro.sim.events.EventQueue._activate`): execution order
+depends only on bucket *content*, never on the order events were filed.
 """
 
 from __future__ import annotations
@@ -116,7 +113,7 @@ class SoaSimulation:
         # Profile choice by inverse CDF over batched uniforms: the
         # arithmetic of ``Generator.choice(p=...)`` (cumsum, normalise
         # by the last entry, right-side search of one uniform), so the
-        # draws match the driver's scalar calls bit for bit.
+        # draws match ``profiles.choice(p=...)`` bit for bit.
         cdf = np.cumsum([p.proportion for p in config.profiles], dtype=np.float64)
         cdf /= cdf[-1]
         self._profile_cdf = cdf.tolist()
@@ -138,8 +135,8 @@ class SoaSimulation:
         self._acceptance_draws = self.rng.batched("acceptance")
         # Per-profile session/lifetime constants, replacing the per-peer
         # SessionProcess / LifetimeDistribution objects.  The log1p(-p)
-        # terms feed the batched duration draw (shared with the driver
-        # via session_duration_params — NaN means "mean <= 1 round,
+        # terms feed the batched duration draw (session_duration_params
+        # — NaN means "mean <= 1 round,
         # duration is 1 without consuming a draw"); ``online_p`` keeps
         # the spawn-time scalar geometric (None for the same clamp).
         self._session_params = []
@@ -173,13 +170,13 @@ class SoaSimulation:
         # scalar branch over list columns is faster.  Both branches execute
         # the identical passes, so the cut is invisible to results.
         self._vector_kernel = config.population >= self._VECTOR_POPULATION
-        # The online candidate index: a replica of the driver's
-        # ``SampleableSet`` (same swap-pop updates, therefore the
-        # identical item layout at every step — sampling must read the
-        # same ids for the same draws).  Adaptive like the state
-        # columns: a numpy array at swarm scale, where the pool fill
-        # gathers whole candidate chunks in one fancy index; a plain
-        # list below it, where scalar indexing dominates.
+        # The online candidate index: a swap-pop set (``_online_items``
+        # holds the members, ``_online_pos`` each id's slot or -1), so
+        # uniform sampling is one index per draw and the item layout is
+        # a pure function of the add/discard sequence.  Adaptive like
+        # the state columns: a numpy array at swarm scale, where the
+        # pool fill gathers whole candidate chunks in one fancy index; a
+        # plain list below it, where scalar indexing dominates.
         capacity = config.population + len(config.observers) + 16
         if self._vector_kernel:
             self._online_items = np.zeros(capacity, dtype=np.int64)
@@ -239,6 +236,32 @@ class SoaSimulation:
         self.queue.schedule(0, self._sample_event)
 
     # ------------------------------------------------------------------
+    # Backend seams (no-ops here; the protocol fidelity extends them).
+    # Each runs once per spawn, death, toggle batch or census — never
+    # once per link — so the default engine pays nothing per link.
+    # ------------------------------------------------------------------
+    def _on_spawn(self, peer_id: int) -> None:
+        """A normal peer joined and is wired into the tables."""
+
+    def _on_departure(self, peer_id: int, now: int) -> None:
+        """A peer died: its links are detached, its owners not yet checked."""
+
+    def _on_toggles(
+        self, now: int, went_offline: List[int], went_online: List[int]
+    ) -> None:
+        """A toggle batch flipped these peers; every check is filed."""
+
+    def _census_extras(self, now: int) -> None:
+        """Extend the periodic census with backend-specific data."""
+
+    def _finalize(self) -> None:
+        """Run after the last event, before the result is assembled."""
+
+    def _dispatch_extra(self, now: int, event: Event) -> None:
+        """Handle an event kind the core loop does not know."""
+        raise ValueError(f"unexpected event kind {event.kind}")
+
+    # ------------------------------------------------------------------
     # Small helpers
     # ------------------------------------------------------------------
     def _age(self, peer_id: int, now: int) -> float:
@@ -260,7 +283,7 @@ class SoaSimulation:
         return visible < self._repair_threshold
 
     def _online_add(self, peer_id: int) -> None:
-        """Mirror of ``SampleableSet.add`` on the adaptive index."""
+        """Append ``peer_id`` to the online index (idempotent)."""
         if self._online_pos[peer_id] >= 0:
             return
         size = self._online_size
@@ -277,7 +300,7 @@ class SoaSimulation:
         self._online_size = size + 1
 
     def _online_discard(self, peer_id: int) -> None:
-        """Mirror of ``SampleableSet.discard`` (swap with the tail)."""
+        """Remove ``peer_id`` by swapping the tail into its slot (idempotent)."""
         position = self._online_pos[peer_id]
         if position < 0:
             return
@@ -314,9 +337,9 @@ class SoaSimulation:
     def _schedule_toggle(self, peer_id: int, now: int) -> None:
         """File a fresh peer's first toggle (spawn-time, scalar draw).
 
-        Mirrors ``SimulationDriver._schedule_toggle``: the one scalar
-        geometric left on the ``sessions`` generator, interleaving with
-        the batched refills identically in both backends.
+        The one scalar geometric left on the ``sessions`` generator; the
+        batch reschedules consume the same generator's buffered
+        refills, so the two interleave identically in every run.
         """
         params = self._session_params[self.state.profile[peer_id]]
         if params[0]:
@@ -334,7 +357,7 @@ class SoaSimulation:
     # ------------------------------------------------------------------
     def _spawn_peer(self, now: int) -> int:
         config = self.config
-        # Batched twins of the driver's ``profiles.choice(p=...)`` and
+        # Batched twins of ``profiles.choice(p=...)`` and
         # ``lifetimes.uniform(low, high)``: same uniforms, same
         # arithmetic (``bisect_right`` is ``searchsorted(side="right")``).
         index = bisect_right(self._profile_cdf, self._profile_draws.next_uniform())
@@ -353,6 +376,7 @@ class SoaSimulation:
             self._adaptive[peer_id] = AdaptiveThreshold(self.policy)
         if death_round is not None:
             self.queue.schedule(death_round, Event(EventKind.DEATH, peer_id))
+        self._on_spawn(peer_id)
         self._schedule_toggle(peer_id, now)
         self._schedule_check(peer_id, now)
         if config.proactive_rate > 0:
@@ -389,7 +413,9 @@ class SoaSimulation:
 
         # Blocks it hosted for others vanish "immediately" (section 4.1):
         # detach every link first, then evaluate loss/threshold once per
-        # owner against its final post-death counters.
+        # owner against its final post-death counters, in ascending
+        # owner order (a loss exchanges messages at protocol fidelity,
+        # so the order must not depend on the reverse index's layout).
         visible = state.visible
         affected = state.owners_clear(peer_id)
         if was_online:
@@ -399,7 +425,8 @@ class SoaSimulation:
         else:
             for owner_id in affected:
                 holders[owner_id].remove(peer_id)
-        for owner_id in affected:
+        self._on_departure(peer_id, now)
+        for owner_id in sorted(affected):
             self._after_block_loss(owner_id, now)
 
         # Immediate replacement by a fresh peer (section 4.1).
@@ -420,24 +447,24 @@ class SoaSimulation:
         self.metrics.record_loss(
             now, self._age(owner_id, now), self._observer_name(owner_id)
         )
-        row = state.holders[owner_id]
-        if owner_id < state.n_observers:
-            for holder_id in row:
-                state.owners_remove(holder_id, owner_id)
-        else:
-            quota_used = state.quota_used
-            if row:
-                state.quota_np[row] -= 1
-            for holder_id in row:
-                state.owners_remove(holder_id, owner_id)
-                quota_used[holder_id] -= 1
-        row.clear()
-        state.visible[owner_id] = 0
+        for holder_id in list(state.holders[owner_id]):
+            self._drop_holder(owner_id, holder_id)
         state.placed[owner_id] = 0
         state.fully_placed[owner_id] = 0
         # The user still has local data to back up again: a fresh
         # placement follows (next round at the earliest).
         self._schedule_check(owner_id, now + 1)
+
+    def _drop_holder(self, owner_id: int, holder_id: int) -> None:
+        """Owner abandons one holder (grace-expired repair drop or loss)."""
+        state = self.state
+        state.holders[owner_id].remove(holder_id)
+        state.owners_remove(holder_id, owner_id)
+        if state.online[holder_id]:
+            state.visible[owner_id] -= 1
+        if owner_id >= state.n_observers:
+            state.quota_used[holder_id] -= 1
+            state.quota_np[holder_id] -= 1
 
     # ------------------------------------------------------------------
     # Session toggles (the most frequent event kind, batched per round)
@@ -445,13 +472,13 @@ class SoaSimulation:
     def _process_toggle_batch(self, now: int, peer_ids: np.ndarray) -> None:
         """Flip every session toggling this round in one batched pass.
 
-        The same six fixed passes as
-        ``SimulationDriver._process_toggle_batch`` — dead filter, state
-        flips, visibility fan-out, owner threshold checks on final
-        counts, self-service checks, bulk duration draw — but the
-        fan-out is one owner-matrix gather + scatter-add and the
-        threshold scan one masked compare instead of per-owner Python
-        loops.
+        The queue hands over the round's whole toggle bucket (sorted
+        ascending by peer id) and the kernel runs six fixed passes: dead
+        filter, state flips, visibility fan-out, owner threshold checks
+        on final counts, self-service checks for peers coming online,
+        and one bulk duration draw for the reschedules.  At swarm scale
+        the fan-out is one owner-matrix gather + scatter-add and the
+        threshold scan one masked compare.
         """
         state = self.state
         alive = state.alive
@@ -462,10 +489,9 @@ class SoaSimulation:
         profile = state.profile
         went_offline: List[int] = []
         went_online: List[int] = []
-        # Duration lists are accumulated during the flip pass (same
-        # ascending batch order as the driver's separate pass, so the
-        # bulk draw below consumes identical uniforms); the draws
-        # themselves still happen only after every flip has landed.
+        # Duration lists are accumulated during the flip pass (ascending
+        # batch order); the draws themselves happen only after every
+        # flip has landed.
         need_ids: List[int] = []
         need_log: List[float] = []
         ones_ids: List[int] = []
@@ -577,10 +603,11 @@ class SoaSimulation:
                 peer_id, int(visible[peer_id])
             ):
                 self._schedule_check(peer_id, now)
+        self._on_toggles(now, went_offline, went_online)
         # Bulk reschedule: one uniform per non-degenerate duration, in
         # batch (ascending id) order, inverted through the shared
         # geometric kernel.  Means <= 1 round clamp to a single round
-        # without consuming a draw, mirroring the scalar path.
+        # without consuming a draw, like the spawn-time scalar draw.
         count = len(need_ids)
         if count:
             if count < GEOMETRIC_SCALAR_LIMIT:
@@ -643,12 +670,15 @@ class SoaSimulation:
         self._run_repair(peer_id, now)
 
     def _run_placement(self, owner_id: int, now: int) -> None:
-        state = self.state
-        row = state.holders[owner_id]
-        needed = self._n - len(row)
+        needed = self._n - len(self.state.holders[owner_id])
         if needed > 0:
             self._recruit(owner_id, now, needed)
-        if len(row) >= self._n:
+        self._finish_placement(owner_id, now)
+
+    def _finish_placement(self, owner_id: int, now: int) -> None:
+        """Post-upload placement accounting (section 3.2)."""
+        state = self.state
+        if len(state.holders[owner_id]) >= self._n:
             state.fully_placed[owner_id] = 1
         if state.visible[owner_id] >= self._repair_threshold and not state.placed[
             owner_id
@@ -660,6 +690,7 @@ class SoaSimulation:
             self._schedule_check(owner_id, now + 1)
 
     def _run_repair(self, owner_id: int, now: int) -> None:
+        """Decode-and-reupload repair (paper section 2.2.3)."""
         state = self.state
         row = state.holders[owner_id]
         grace = self.config.grace_rounds
@@ -670,18 +701,15 @@ class SoaSimulation:
             for holder_id in row
             if not online[holder_id] and now - last_offline[holder_id] >= grace
         ]
-        if dropped:
-            quota_free = owner_id < state.n_observers
-            quota_used = state.quota_used
-            quota_np = state.quota_np
-            for holder_id in dropped:
-                row.remove(holder_id)
-                state.owners_remove(holder_id, owner_id)
-                if not quota_free:
-                    quota_used[holder_id] -= 1
-                    quota_np[holder_id] -= 1
+        for holder_id in dropped:
+            self._drop_holder(owner_id, holder_id)
         needed = self._n - len(row)
         recruited = self._recruit(owner_id, now, needed) if needed > 0 else 0
+        self._finish_repair(owner_id, now, recruited)
+
+    def _finish_repair(self, owner_id: int, now: int, recruited: int) -> None:
+        """Post-upload repair accounting: record, then re-check threshold."""
+        state = self.state
         adaptive = self._adaptive
         if recruited > 0:
             if adaptive is not None:
@@ -696,7 +724,7 @@ class SoaSimulation:
             if adaptive is not None:
                 adaptive[owner_id].on_starved(now)
             self.metrics.record_starved()
-        if len(row) >= self._n:
+        if len(state.holders[owner_id]) >= self._n:
             state.fully_placed[owner_id] = 1
         if self._needs_repair(owner_id, state.visible[owner_id]):
             self._schedule_check(owner_id, now + 1)
@@ -753,45 +781,53 @@ class SoaSimulation:
             added += 1
         return added
 
-    def _select_candidates(self, owner_id: int, now: int, needed: int) -> List[int]:
+    def _select_candidates(self, owner_id: int, now: int, needed: int):
+        """Pool-build then strategy-select the best ``needed`` partner ids.
+
+        Large pools of the built-in rules, and every pool under the
+        vector kernel, fill as arrays (``_fill_pool_fast``) and are
+        ordered by ``select_arrays``; the rest fill candidate by
+        candidate (``_fill_pool_small``).  The two fills are
+        draw-identical, so the cut is purely a speed knob.  The
+        ``(id, age)`` pairs become :class:`Candidate` descriptors only
+        when the strategy declares data needs.
+        """
         pool_target = int(math.ceil(self.config.pool_factor * needed))
         max_examined = int(self.config.max_examined_factor * needed) + 16
-        if self._fast_candidates and self._acceptance_kind != "custom":
-            # Small pools sample a few dozen candidates per chunk, where
-            # the vectorised fill's array machinery costs more than
-            # scalar evaluation; route them to its draw-identical
-            # scalar twin.  Larger pools (hundreds of samples) amortise
-            # the array dispatch and stay on the vector fill.
-            if pool_target < self._SCALAR_POOL_TARGET and not self._vector_kernel:
-                pool = self._fill_pool_small(
-                    owner_id, now, pool_target, max_examined
-                )
-                return self.strategy.select_pairs(pool, needed, self.rng.selection)
+        if (
+            self._fast_candidates
+            and self._acceptance_kind != "custom"
+            and (self._vector_kernel or pool_target >= self._SCALAR_POOL_TARGET)
+        ):
             ids, ages = self._fill_pool_fast(
                 owner_id, now, pool_target, max_examined
             )
             return self.strategy.select_arrays(
                 ids, ages, needed, self.rng.selection
             )
-        pool = self._fill_pool_generic(owner_id, now, pool_target, max_examined)
+        pool = self._fill_pool_small(owner_id, now, pool_target, max_examined)
         if self._fast_candidates:
             return self.strategy.select_pairs(pool, needed, self.rng.selection)
-        return self.strategy.select(pool, needed, self.rng.selection)
+        return self.strategy.select(
+            [self._describe_candidate(candidate_id) for candidate_id, _ in pool],
+            needed,
+            self.rng.selection,
+        )
 
     def _fill_pool_fast(
         self, owner_id: int, now: int, target_size: int, max_examined: int
     ):
         """Swarm-scale recruitment: whole chunks as array operations.
 
-        Replays ``SimulationDriver._fill_pool`` draw for draw — same
-        chunk sizes from the same ``BatchedDraws`` buffers — but the
-        dedup, the eligibility filters and the mutual-acceptance
-        comparisons run once per chunk as numpy expressions instead of
-        once per candidate as interpreted bytecode.  The acceptance
-        expressions keep the driver's exact operation order, so the
-        IEEE-754 results (and therefore the accepted set) are
-        bit-identical.  Returns the accepted ``(ids, ages)`` as two
-        ``int64`` vectors in acceptance order.
+        Replays ``_fill_pool_small`` draw for draw — same chunk sizes
+        from the same ``BatchedDraws`` buffers — but the dedup, the
+        eligibility filters and the mutual-acceptance comparisons run
+        once per chunk as numpy expressions instead of once per
+        candidate as interpreted bytecode.  The acceptance bounds are
+        all-integer arithmetic, so the results (and therefore the
+        accepted set) are bit-identical.  Built-in rules only.  Returns
+        the accepted ``(ids, ages)`` as two ``int64`` vectors in
+        acceptance order.
         """
         state = self.state
         n_online = self._online_size
@@ -821,7 +857,7 @@ class SoaSimulation:
                 s_owner = owner_age if owner_age < cap else cap
             # One reusable boolean column marks every id this fill must
             # skip — the owner, current holders, and every id already
-            # sampled this fill (the driver's `seen` set).  A gather
+            # sampled this fill (the scalar fill's `seen` set).  A gather
             # against it replaces per-chunk np.isin sort-merges; the
             # marks are unset before returning so the column stays
             # all-False between fills.
@@ -872,7 +908,7 @@ class SoaSimulation:
                     # Inlined AcceptancePolicy: accept iff
                     # u < (L - s1 + s2 + 1)/L (min(p, 1) is free, u < 1).
                     # The scalar terms are pre-folded; all-integer
-                    # arithmetic, so the driver's evaluation order gives
+                    # arithmetic, so any evaluation order gives
                     # bit-identical right-hand sides.
                     pairs = acceptance_take(2 * len(fresh))
                     s_cand = np.minimum(ages, cap)
@@ -880,7 +916,7 @@ class SoaSimulation:
                         pairs[1::2] * cap < (cap + s_owner + 1) - s_cand
                     )
                     # Evaluation stops at the candidate that fills the
-                    # pool (the driver breaks out of its scalar loop
+                    # pool (the scalar fill breaks out of its loop
                     # there), so `examined` keeps one-at-a-time
                     # semantics although the draws cover the chunk.
                     cum = np.cumsum(ok)
@@ -916,34 +952,42 @@ class SoaSimulation:
 
     def _fill_pool_small(
         self, owner_id: int, now: int, target_size: int, max_examined: int
-    ):
-        """Scalar twin of ``_fill_pool_fast`` for sub-vector populations.
+    ) -> List:
+        """Fused candidate sampling and mutual acceptance (section 3.2).
 
-        Identical draw consumption and acceptance arithmetic — same
-        chunk sizes from the same ``BatchedDraws`` buffers, the same
-        pre-folded integer acceptance bound — but evaluated candidate
-        by candidate: at a few hundred samples per chunk the numpy
-        dedup/filter/cumsum pipeline costs more than the loop it
-        replaces.  Scalar-kernel mode only (``_online_items`` must be
-        the list representation).
+        Draws are consumed in *chunks*: each pass takes ``chunk_size``
+        selection uniforms up front, filters the sampled candidates
+        (first occurrence only, not the owner, not already a holder,
+        quota not exhausted), then consumes exactly two acceptance
+        uniforms per filtered candidate — unconditionally, even when the
+        owner's own draw already rejected — unless the rule is uniform.
+        Chunked consumption makes the draw count a pure function of the
+        chunk's content, which is what lets ``_fill_pool_fast`` evaluate
+        whole chunks as array operations while replaying the identical
+        stream.  Candidate *evaluation* (and the ``examined`` count)
+        stops at the candidate that fills the pool, so the pool
+        statistics keep one-at-a-time semantics; the loop bounds are
+        re-checked only between chunks.  Returns the accepted
+        ``(id, age)`` pairs in acceptance order.
         """
         state = self.state
         n_online = self._online_size
         accepted: List = []
         examined = 0
         if n_online:
-            selection_take = self._selection_draws.take
+            selection = self._selection_draws
             acceptance_take = self._acceptance_draws.take
             online_items = self._online_items
+            vector = self._vector_kernel
             sample_budget = 8 * n_online + 64
             check_quota = owner_id >= state.n_observers
             quota = self.config.quota
             quota_used = state.quota_used
             join = state.join
-            by_age = self._acceptance_kind == "age"
-            if by_age:
+            rule = self._acceptance_kind
+            owner_age = self._age(owner_id, now)
+            if rule == "age":
                 cap = self.acceptance.age_cap
-                owner_age = self._age(owner_id, now)
                 s_owner = owner_age if owner_age < cap else cap
             seen = set(state.holders[owner_id])
             seen.add(owner_id)
@@ -957,17 +1001,33 @@ class SoaSimulation:
                 if chunk_size > sample_budget:
                     chunk_size = sample_budget
                 sample_budget -= chunk_size
+                if vector:
+                    # Gather the chunk from the array index in one fancy
+                    # index (``astype`` truncates like ``int``).
+                    indices = (selection.take_array(chunk_size) * n_online).astype(
+                        np.intp
+                    )
+                    np.minimum(indices, last, out=indices)
+                    chunk = online_items[indices].tolist()
+                else:
+                    chunk = [
+                        online_items[index if index < last else last]
+                        for index in [
+                            int(u * n_online) for u in selection.take(chunk_size)
+                        ]
+                    ]
                 fresh: List[int] = []
-                for u in selection_take(chunk_size):
-                    index = int(u * n_online)
-                    candidate_id = online_items[index if index < last else last]
+                for candidate_id in chunk:
                     if candidate_id in seen:
                         continue
                     seen.add(candidate_id)
                     if check_quota and quota_used[candidate_id] >= quota:
                         continue
                     fresh.append(candidate_id)
-                if by_age:
+                if rule == "age":
+                    # Inlined AcceptancePolicy: accept iff
+                    # u < (L - s1 + s2 + 1)/L (min(p, 1) is free, u < 1),
+                    # with the scalar terms pre-folded as in the array fill.
                     pairs = acceptance_take(2 * len(fresh))
                     for position, candidate_id in enumerate(fresh):
                         if len(accepted) >= target_size:
@@ -978,114 +1038,31 @@ class SoaSimulation:
                         if pairs[2 * position] * cap >= s_cand + (
                             cap - s_owner + 1
                         ):
-                            continue
+                            continue  # owner rejects
                         if pairs[2 * position + 1] * cap >= (
                             cap + s_owner + 1
                         ) - s_cand:
-                            continue
+                            continue  # candidate rejects
                         accepted.append((candidate_id, age))
-                else:
+                elif rule == "uniform":
                     for candidate_id in fresh:
                         if len(accepted) >= target_size:
                             break
                         examined += 1
                         accepted.append((candidate_id, now - join[candidate_id]))
-        self.metrics.record_pool(examined, len(accepted))
-        return accepted
-
-    def _fill_pool_generic(
-        self, owner_id: int, now: int, target_size: int, max_examined: int
-    ):
-        """Cold-path pool fill for custom rules / data-needing strategies.
-
-        A column-level mirror of ``SimulationDriver._fill_pool``: same
-        chunk sizes, same draw consumption (two acceptance uniforms per
-        examined candidate, unconditionally), scalar evaluation.
-        """
-        state = self.state
-        selection = self._selection_draws
-        acceptance = self._acceptance_draws
-        seen = set()
-        accepted = []
-        examined = 0
-        if self._online_size:
-            sample_budget = 8 * self._online_size + 64
-            owner_age = self._age(owner_id, now)
-            holder_set = set(state.holders[owner_id])
-            check_quota = owner_id >= state.n_observers
-            quota = self.config.quota
-            quota_used = state.quota_used
-            join = state.join
-            fast = self._fast_candidates
-            rule = self._acceptance_kind
-            if rule == "age":
-                cap = self.acceptance.age_cap
-                s_owner = owner_age if owner_age < cap else cap
-            while (
-                sample_budget > 0
-                and examined < max_examined
-                and len(accepted) < target_size
-            ):
-                chunk_size = pool_chunk_size(target_size - len(accepted))
-                if chunk_size > sample_budget:
-                    chunk_size = sample_budget
-                sample_budget -= chunk_size
-                n_items = self._online_size
-                if self._vector_kernel:
-                    # Gather the chunk from the array index directly
-                    # (``astype`` truncates like ``int``), never copying
-                    # the whole index.
-                    indices = (selection.take_array(chunk_size) * n_items).astype(
-                        np.intp
-                    )
-                    np.minimum(indices, n_items - 1, out=indices)
-                    chunk = self._online_items[indices].tolist()
                 else:
-                    items = self._online_items
-                    chunk = []
-                    for u in selection.take(chunk_size):
-                        index = int(u * n_items)
-                        chunk.append(
-                            items[index if index < n_items else n_items - 1]
-                        )
-                fresh = []
-                for candidate_id in chunk:
-                    if candidate_id in seen:
-                        continue
-                    seen.add(candidate_id)
-                    if candidate_id == owner_id or candidate_id in holder_set:
-                        continue
-                    if check_quota and quota_used[candidate_id] >= quota:
-                        continue
-                    fresh.append(candidate_id)
-                pairs = (
-                    acceptance.take(2 * len(fresh)) if rule != "uniform" else ()
-                )
-                for position, candidate_id in enumerate(fresh):
-                    if len(accepted) >= target_size:
-                        break
-                    examined += 1
-                    age = now - join[candidate_id]
-                    if rule == "age":
-                        s_cand = age if age < cap else cap
-                        if pairs[2 * position] * cap >= cap - s_owner + s_cand + 1:
-                            continue
-                        if (
-                            pairs[2 * position + 1] * cap
-                            >= cap - s_cand + s_owner + 1
-                        ):
-                            continue
-                    elif rule != "uniform":
-                        decide = self.acceptance.decide
+                    decide = self.acceptance.decide
+                    pairs = acceptance_take(2 * len(fresh))
+                    for position, candidate_id in enumerate(fresh):
+                        if len(accepted) >= target_size:
+                            break
+                        examined += 1
+                        age = now - join[candidate_id]
                         if not decide(owner_age, age, pairs[2 * position]):
                             continue
                         if not decide(age, owner_age, pairs[2 * position + 1]):
                             continue
-                    if fast:
                         accepted.append((candidate_id, age))
-                    else:
-                        accepted.append(self._describe_candidate(candidate_id))
-        del accepted[target_size:]
         self.metrics.record_pool(examined, len(accepted))
         return accepted
 
@@ -1122,6 +1099,7 @@ class SoaSimulation:
         counts = self.state.census_counts(now, self._census_uppers)
         population = dict(zip(self._category_names, counts.tolist()))
         self.metrics.sample_counts(now, population, self.config.sample_interval)
+        self._census_extras(now)
         upcoming = now + self.config.sample_interval
         if upcoming <= self.config.rounds:
             self.queue.schedule(upcoming, self._sample_event)
@@ -1164,8 +1142,9 @@ class SoaSimulation:
                 self._handle_sample(now)
             elif kind is top_up:
                 self._handle_top_up(now, event.peer_id)
-            else:  # pragma: no cover - no other kinds are ever scheduled
-                raise ValueError(f"unexpected event kind {kind}")
+            else:
+                self._dispatch_extra(now, event)
+        self._finalize()
         elapsed = time.perf_counter() - started
         return SimulationResult(
             config=self.config,
@@ -1177,7 +1156,7 @@ class SoaSimulation:
         )
 
     # ------------------------------------------------------------------
-    # Consistency audit (mirrors SimulationDriver.audit on the tables)
+    # Consistency audit (used by integration and property tests)
     # ------------------------------------------------------------------
     def audit(self) -> List[str]:
         """Recompute all incremental columns from scratch; return violations."""

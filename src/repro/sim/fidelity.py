@@ -10,7 +10,8 @@ happens when a peer repairs":
   placements are instantaneous state flips.  This is the engine the
   paper's quantitative claims are reproduced with, from the laptop
   presets up to 10^6-peer populations.
-* ``protocol`` (:class:`repro.sim.protocol.ProtocolSimulation`) —
+* ``protocol`` (:class:`repro.sim.protocol.ProtocolSimulation`, a
+  subclass of the default engine over the same state tables) —
   repairs, recruitment and restores execute as real ``StoreRequest`` /
   ``FetchRequest`` exchanges over an in-memory transport, transfer
   completion is gated by the access-link bandwidth model, and the

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
-from ..churn.profiles import DURABLE, ROUNDS_PER_DAY
+from ..churn.profiles import ROUNDS_PER_DAY
 from .config import PAPER_OBSERVERS, ObserverSpec
-from .peer import Peer
 
 
 def observer_table(
@@ -51,19 +50,3 @@ def scaled_observers(
         for spec in specs
     )
 
-
-def build_observer_peer(peer_id: int, spec: ObserverSpec, join_round: int) -> Peer:
-    """Construct the simulator peer for an observer spec.
-
-    Observers never churn: they are the measurement probe, so they use
-    the durable profile, stay online and never die.
-    """
-    return Peer(
-        peer_id=peer_id,
-        profile=DURABLE,
-        join_round=join_round,
-        death_round=None,
-        is_observer=True,
-        fixed_age=spec.fixed_age,
-        observer_name=spec.name,
-    )

@@ -23,12 +23,15 @@ executes the backup protocol's data plane for every normal peer:
 * a loss is confirmed by an actual restore attempt — fetch probes to
   the surviving holders — before the archive resets.
 
-Everything upstream of execution comes from
-:class:`repro.sim.driver.SimulationDriver`, which draws the churn
-trajectory, RNG streams, metrics surface and event clock exactly as the
-default engine does.  Same-seed protocol runs are byte-identical after
-serialization, across repeated runs and across all sweep-executor
-backends.
+Everything upstream of execution — the churn trajectory, RNG streams,
+metrics surface, event clock, partner selection and the ``StateTables``
+columns that hold every peer and archive — is the default engine's own
+(:class:`repro.sim.engine_soa.SoaSimulation`, which this backend
+subclasses).  The data plane lives in id-keyed side tables (stores,
+ledgers, manifests, in-flight transfers, retry state, transport
+endpoints) wired in through the core's once-per-event seams.  Same-seed
+protocol runs are byte-identical after serialization, across repeated
+runs, both toggle-kernel branches and all sweep-executor backends.
 
 Deliberate simplifications, documented rather than hidden:
 
@@ -46,9 +49,12 @@ Deliberate simplifications, documented rather than hidden:
   observes a timeout and retries with capped exponential backoff up to
   ``retry_budget`` attempts, then gives up gracefully (the operation
   re-enqueues as an ordinary check);
-* observers (the paper's measurement probes) keep the driver's
+* observers (the paper's measurement probes) keep the core engine's
   instantaneous path: they are instruments, not workload, and must not
   perturb quota, fairness or bandwidth accounting;
+* a holder attached while offline (it left during the transfer) counts
+  as invisible from the completion round, not from the round it went
+  offline: the grace test reads ``max(last_offline, attach round)``;
 * proactive replication (baseline A4) is not supported at this
   fidelity.
 """
@@ -57,6 +63,8 @@ from __future__ import annotations
 
 import hashlib
 from typing import Callable, Dict, List, Optional, Set
+
+import numpy as np
 
 from ..backup.fairness import ExchangeLedger, GlobalFairness
 from ..backup.store import BlockStore
@@ -77,10 +85,9 @@ from ..net.transport import (
     TransportError,
 )
 from .config import DEFAULT_FIDELITY, SimulationConfig
-from .driver import SimulationDriver
+from .engine_soa import SoaSimulation
 from .events import Event, EventKind
 from .fidelity import FIDELITY_BACKENDS
-from .peer import Peer
 
 #: SHA-256 of the empty sentinel payload every simulated block carries.
 _EMPTY_CHECKSUM = hashlib.sha256(b"").hexdigest()
@@ -106,8 +113,8 @@ class _PendingTransfer:
 
 
 @FIDELITY_BACKENDS.register("protocol")
-class ProtocolSimulation(SimulationDriver):
-    """Message-level fidelity over the shared simulation driver."""
+class ProtocolSimulation(SoaSimulation):
+    """Message-level fidelity over the shared state tables."""
 
     fidelity = "protocol"
 
@@ -118,8 +125,7 @@ class ProtocolSimulation(SimulationDriver):
                 "replication (proactive_rate > 0); run baseline A4 at "
                 f"fidelity {DEFAULT_FIDELITY!r}"
             )
-        # Protocol state must exist before the driver's _setup spawns
-        # peers (the spawn hook wires each peer into it).
+        # Protocol state must exist before the core engine's setup.
         self.transport = InMemoryTransport()
         self.link = LINK_PROFILES.get(config.link_profile)
         self.cost_model = CostModel(
@@ -152,6 +158,9 @@ class ProtocolSimulation(SimulationDriver):
         #: owner -> consecutive timed-out attempts of its current
         #: placement/repair operation (the per-exchange retry budget).
         self._attempts: Dict[int, int] = {}
+        #: owner -> holder -> round its link was attached while the
+        #: holder was offline (the holder is invisible from then on).
+        self._attach_round: Dict[int, Dict[int, int]] = {}
         super().__init__(config)
         # Installed only for non-clean profiles: a clean run never
         # consumes the dedicated "impairment" stream, so pre-impairment
@@ -293,21 +302,25 @@ class ProtocolSimulation(SimulationDriver):
         return f"a{owner_id}"
 
     # ------------------------------------------------------------------
-    # Driver hooks
+    # Core-engine seams
     # ------------------------------------------------------------------
-    def _on_peer_spawned(self, peer: Peer) -> None:
-        peer_id = peer.peer_id
+    def _on_spawn(self, peer_id: int) -> None:
         self._stores[peer_id] = BlockStore(self.config.quota)
         self._ledgers[peer_id] = ExchangeLedger()
         self._manifest[peer_id] = {}
         self._next_index[peer_id] = 0
         self.transport.register(peer_id, self._make_handler(peer_id))
 
-    def _on_session_flip(self, peer: Peer, now: int) -> None:
-        self.transport.set_online(peer.peer_id, peer.online)
+    def _on_toggles(
+        self, now: int, went_offline: List[int], went_online: List[int]
+    ) -> None:
+        set_online = self.transport.set_online
+        for peer_id in went_offline:
+            set_online(peer_id, False)
+        for peer_id in went_online:
+            set_online(peer_id, True)
 
-    def _on_peer_departed(self, peer: Peer, now: int) -> None:
-        peer_id = peer.peer_id
+    def _on_departure(self, peer_id: int, now: int) -> None:
         # Its own in-flight transfer dies with it, releasing the link
         # (cancel_peer must run before _cancel_pending marks the
         # transfer complete, or the release accounting sees nothing).
@@ -321,8 +334,9 @@ class ProtocolSimulation(SimulationDriver):
             self._cancel_pending(pending, release_blocks=True)
         # Mid-retry churn: a backed-off operation whose owner dies must
         # not leave retry state behind (its pending check is swallowed
-        # by the driver's alive guard).
+        # by the core's alive guard).
         self._attempts.pop(peer_id, None)
+        self._attach_round.pop(peer_id, None)
         # It can no longer become a holder for anyone's pending transfer.
         for owner_id in sorted(self._pending_by_holder.pop(peer_id, ())):
             waiting = self._pending.get(owner_id)
@@ -344,7 +358,7 @@ class ProtocolSimulation(SimulationDriver):
         self._next_index.pop(peer_id, None)
         self.transport.unregister(peer_id)
 
-    def _sample_extras(self, now: int) -> None:
+    def _census_extras(self, now: int) -> None:
         protocol = self.metrics.protocol
         self.metrics.sample_protocol(
             now,
@@ -354,14 +368,13 @@ class ProtocolSimulation(SimulationDriver):
             messages=self._messages,
         )
 
-    def _extra_dispatch(self):
-        return {
-            EventKind.TRANSFER_DONE: lambda now, event: (
-                self._handle_transfer_done(now, event.peer_id)
-            ),
-        }
+    def _dispatch_extra(self, now: int, event: Event) -> None:
+        if event.kind is EventKind.TRANSFER_DONE:
+            self._handle_transfer_done(now, event.peer_id)
+        else:
+            super()._dispatch_extra(now, event)
 
-    def _finalize(self, final_round: int) -> None:
+    def _finalize(self) -> None:
         # Always stamp the message counter so protocol-mode payloads are
         # recognisable even for degenerate runs with zero traffic.
         self.metrics.bump("messages_sent", self._messages)
@@ -369,7 +382,7 @@ class ProtocolSimulation(SimulationDriver):
     # ------------------------------------------------------------------
     # Timeout / retry machinery
     # ------------------------------------------------------------------
-    def _retry_after_timeout(self, owner: Peer, now: int) -> None:
+    def _retry_after_timeout(self, owner_id: int, now: int) -> None:
         """An operation lost exchanges to the network; retry or give up.
 
         Retries back off exponentially (``retry_backoff_base`` rounds,
@@ -379,13 +392,12 @@ class ProtocolSimulation(SimulationDriver):
         archive keeps being maintained, it just stops being treated as
         a transient network hiccup.
         """
-        owner_id = owner.peer_id
         self.metrics.bump("timeouts")
         attempts = self._attempts.get(owner_id, 0)
         if attempts >= self.config.retry_budget:
             self._attempts.pop(owner_id, None)
             self.metrics.bump("gave_up")
-            self._schedule_check(owner, now + 1)
+            self._schedule_check(owner_id, now + 1)
             return
         self._attempts[owner_id] = attempts + 1
         self.metrics.bump("retries")
@@ -393,125 +405,126 @@ class ProtocolSimulation(SimulationDriver):
             self.config.retry_backoff_base << attempts,
             self.config.retry_backoff_cap,
         )
-        self._schedule_check(owner, now + backoff)
+        self._schedule_check(owner_id, now + backoff)
 
     # ------------------------------------------------------------------
     # Execution trio, message-level
     # ------------------------------------------------------------------
-    def _run_placement(self, owner: Peer, now: int) -> None:
-        if owner.is_observer:
-            return super()._run_placement(owner, now)
-        if owner.peer_id in self._pending:
+    def _run_placement(self, owner_id: int, now: int) -> None:
+        if owner_id < self.state.n_observers:
+            return super()._run_placement(owner_id, now)
+        if owner_id in self._pending:
             return  # upload in flight; bookkeeping happens on completion
-        archive = owner.archive
-        needed = self.policy.n - len(archive.holders)
+        needed = self._n - len(self.state.holders[owner_id])
         if needed > 0:
             drops_before = self._drop_count
             self._latency_pool = 0.0
-            placed = self._store_blocks(owner, now, needed)
+            placed = self._store_blocks(owner_id, now, needed)
             if placed:
-                self._attempts.pop(owner.peer_id, None)
+                self._attempts.pop(owner_id, None)
                 self._begin_transfer(
-                    owner, now, kind="placement", blocks=placed, sources=()
+                    owner_id, now, kind="placement", blocks=placed, sources=()
                 )
                 return
             if self._drop_count > drops_before:
                 # Nothing placed and the network ate at least one store
                 # exchange: a transient failure, not a refusal.
-                self._retry_after_timeout(owner, now)
+                self._retry_after_timeout(owner_id, now)
                 return
-        self._placement_bookkeeping(owner, now)
+        self._finish_placement(owner_id, now)
 
-    def _placement_bookkeeping(self, owner: Peer, now: int) -> None:
-        """The driver's post-upload placement accounting."""
-        archive = owner.archive
-        if len(archive.holders) >= self.policy.n:
-            archive.fully_placed = True
-        if archive.visible >= self.policy.repair_threshold and not archive.placed:
-            archive.placed = True
-            self.metrics.record_placement(now, owner.age(now))
-        if not archive.placed or not archive.fully_placed:
-            self._schedule_check(owner, now + 1)
-
-    def _run_repair(self, owner: Peer, now: int) -> None:
-        if owner.is_observer:
-            return super()._run_repair(owner, now)
-        if owner.peer_id in self._pending:
+    def _run_repair(self, owner_id: int, now: int) -> None:
+        state = self.state
+        if owner_id < state.n_observers:
+            return super()._run_repair(owner_id, now)
+        if owner_id in self._pending:
             return  # one transfer at a time per archive
-        archive = owner.archive
+        row = state.holders[owner_id]
         grace = self.config.grace_rounds
-        for holder_id, invisible_since in list(archive.holders.items()):
-            if invisible_since is not None and now - invisible_since >= grace:
-                self._drop_holder(owner, self.population.get(holder_id))
+        online = state.online
+        last_offline = state.last_offline
+        attach_round = self._attach_round.get(owner_id, {})
+        dropped = [
+            holder_id
+            for holder_id in row
+            if not online[holder_id]
+            and now
+            - max(last_offline[holder_id], attach_round.get(holder_id, -1))
+            >= grace
+        ]
+        for holder_id in dropped:
+            self._drop_holder(owner_id, holder_id)
         # Download phase: fetch any k blocks from visible holders, as
-        # real exchanges (the driver's can_decode pre-check said this
-        # should succeed; a shortfall means the stack lost a block —
-        # or, under impairment, that the network ate some fetches).
+        # real exchanges (the core's decode pre-check said this should
+        # succeed; a shortfall means the stack lost a block — or, under
+        # impairment, that the network ate some fetches).
         fetch_drops_before = self._drop_count
         self._latency_pool = 0.0
-        sources = self._collect_blocks(owner)
-        if len(sources) < self.policy.k:
-            archive.blocked_count += 1
-            if owner.adaptive is not None:
-                owner.adaptive.on_blocked(now)
-            self.metrics.record_blocked(now, owner.age(now), owner.observer_name)
+        sources = self._collect_blocks(owner_id)
+        adaptive = self._adaptive
+        if len(sources) < self._k:
+            if adaptive is not None:
+                adaptive[owner_id].on_blocked(now)
+            self.metrics.record_blocked(now, self._age(owner_id, now))
             if self._drop_count > fetch_drops_before:
-                self._retry_after_timeout(owner, now)
+                self._retry_after_timeout(owner_id, now)
                 return
             self.metrics.bump("fetch_shortfalls")
-            self._schedule_check(owner, now + 1)
+            self._schedule_check(owner_id, now + 1)
             return
-        needed = self.policy.n - len(archive.holders)
+        needed = self._n - len(row)
         store_drops_before = self._drop_count
-        placed = self._store_blocks(owner, now, needed) if needed > 0 else {}
+        placed = self._store_blocks(owner_id, now, needed) if needed > 0 else {}
         if not placed:
             if self._drop_count > store_drops_before:
                 # Every would-be recruit exchange drowned; the selection
                 # pool itself may be fine, so back off and retry.
-                self._retry_after_timeout(owner, now)
+                self._retry_after_timeout(owner_id, now)
                 return
-            if owner.adaptive is not None:
-                owner.adaptive.on_starved(now)
+            if adaptive is not None:
+                adaptive[owner_id].on_starved(now)
             self.metrics.record_starved()
-            if self._needs_repair(owner, archive.visible):
-                self._schedule_check(owner, now + 1)
+            if self._needs_repair(owner_id, state.visible[owner_id]):
+                self._schedule_check(owner_id, now + 1)
             return
-        self._attempts.pop(owner.peer_id, None)
+        self._attempts.pop(owner_id, None)
         self._begin_transfer(
-            owner,
-            now,
-            kind="repair",
-            blocks=placed,
-            sources=sources,
+            owner_id, now, kind="repair", blocks=placed, sources=sources
         )
 
-    def _record_loss(self, owner: Peer, now: int) -> None:
-        if owner.is_observer:
-            return super()._record_loss(owner, now)
-        # A loss aborts any in-flight transfer for the dead archive.
-        # The owner is still alive, so its link watermark stays: the
-        # aborted transfer's bytes were already committed to the wire,
-        # and the uplink may also owe serve time to other peers'
-        # repairs — neither is reclaimable (unlike a death, where
-        # cancel_peer releases the whole link).
-        pending = self._pending.pop(owner.peer_id, None)
+    def _record_loss(self, owner_id: int, now: int) -> None:
+        if owner_id >= self.state.n_observers:
+            self._restore_attempt(owner_id)
+        super()._record_loss(owner_id, now)
+
+    def _restore_attempt(self, owner_id: int) -> None:
+        """Abort the dead archive's operation, then probe its holders.
+
+        The owner is still alive, so its link watermark stays: the
+        aborted transfer's bytes were already committed to the wire,
+        and the uplink may also owe serve time to other peers' repairs
+        — neither is reclaimable (unlike a death, where cancel_peer
+        releases the whole link).  The owner only accepts the loss after
+        real fetch exchanges against the remaining holders come back
+        short.  A restore is a one-shot event (there is no later round
+        to back off to), so dropped probes are re-sent immediately, up
+        to the retry budget per holder.
+        """
+        pending = self._pending.pop(owner_id, None)
         if pending is not None:
             self._cancel_pending(pending, release_blocks=True)
         # The dead archive's retry state dies with it.
-        self._attempts.pop(owner.peer_id, None)
-        # Restore attempt: the owner only accepts the loss after real
-        # fetch exchanges against the remaining holders come back short.
-        # A restore is a one-shot event (there is no later round to back
-        # off to), so dropped probes are re-sent immediately, up to the
-        # retry budget per holder.
-        for holder_id in list(owner.archive.holders):
-            index = self._manifest.get(owner.peer_id, {}).get(holder_id)
+        self._attempts.pop(owner_id, None)
+        manifest = self._manifest.get(owner_id, {})
+        archive_id = self._archive_id(owner_id)
+        for holder_id in list(self.state.holders[owner_id]):
+            index = manifest.get(holder_id)
             if index is None:
                 continue
             probe = FetchRequest(
-                sender=owner.peer_id,
+                sender=owner_id,
                 recipient=holder_id,
-                archive_id=self._archive_id(owner.peer_id),
+                archive_id=archive_id,
                 block_index=index,
             )
             attempts = 0
@@ -526,14 +539,16 @@ class ProtocolSimulation(SimulationDriver):
                 attempts += 1
                 self.metrics.bump("retries")
         self.metrics.bump("restore_attempts")
-        super()._record_loss(owner, now)
 
-    def _drop_holder(self, owner: Peer, holder: Peer) -> None:
-        super()._drop_holder(owner, holder)
-        if owner.is_observer:
+    def _drop_holder(self, owner_id: int, holder_id: int) -> None:
+        super()._drop_holder(owner_id, holder_id)
+        if owner_id < self.state.n_observers:
             return
-        manifest = self._manifest.get(owner.peer_id)
-        index = manifest.pop(holder.peer_id, None) if manifest else None
+        attach_round = self._attach_round.get(owner_id)
+        if attach_round:
+            attach_round.pop(holder_id, None)
+        manifest = self._manifest.get(owner_id)
+        index = manifest.pop(holder_id, None) if manifest else None
         if index is None:
             return
         # Real release exchange when the holder is reachable; direct
@@ -541,40 +556,40 @@ class ProtocolSimulation(SimulationDriver):
         # on next contact — modelled as immediate for quota accounting).
         _, delivered = self._send(
             ReleaseNotice(
-                sender=owner.peer_id,
-                recipient=holder.peer_id,
-                archive_id=self._archive_id(owner.peer_id),
+                sender=owner_id,
+                recipient=holder_id,
+                archive_id=self._archive_id(owner_id),
                 block_index=index,
             )
         )
         if not delivered:
-            self._release_stored(holder.peer_id, owner.peer_id, index)
+            self._release_stored(holder_id, owner_id, index)
 
     # ------------------------------------------------------------------
     # Transfer mechanics
     # ------------------------------------------------------------------
-    def _collect_blocks(self, owner: Peer) -> List[int]:
+    def _collect_blocks(self, owner_id: int) -> List[int]:
         """Fetch up to ``k`` blocks from visible holders.
 
         Returns the holders that actually served a block — they are the
         repair's download *sources*, whose uplinks the transfer also
         occupies (see :meth:`_begin_transfer`).
         """
-        archive = owner.archive
-        manifest = self._manifest[owner.peer_id]
-        archive_id = self._archive_id(owner.peer_id)
+        online = self.state.online
+        manifest = self._manifest[owner_id]
+        archive_id = self._archive_id(owner_id)
         sources: List[int] = []
-        for holder_id, invisible_since in archive.holders.items():
-            if len(sources) >= self.policy.k:
+        for holder_id in self.state.holders[owner_id]:
+            if len(sources) >= self._k:
                 break
-            if invisible_since is not None:
+            if not online[holder_id]:
                 continue  # invisible holder: not a download source
             index = manifest.get(holder_id)
             if index is None:
                 continue
             reply, delivered = self._send(
                 FetchRequest(
-                    sender=owner.peer_id,
+                    sender=owner_id,
                     recipient=holder_id,
                     archive_id=archive_id,
                     block_index=index,
@@ -589,25 +604,27 @@ class ProtocolSimulation(SimulationDriver):
         return sources
 
     def _store_blocks(
-        self, owner: Peer, now: int, needed: int
+        self, owner_id: int, now: int, needed: int
     ) -> Dict[int, int]:
         """Recruit partners and place blocks on them, as real exchanges.
 
-        Selection and mutual acceptance run through the shared driver
-        (:meth:`SimulationDriver._select_candidates`); each chosen
+        Selection and mutual acceptance run through the core engine
+        (:meth:`SoaSimulation._select_candidates`); each chosen
         candidate then receives a ``StoreRequest`` whose holder-side
         handler enforces quota and the fairness policy.  Returns
         ``holder -> block index`` for every accepted block.
         """
-        owner_id = owner.peer_id
         archive_id = self._archive_id(owner_id)
         manifest = self._manifest[owner_id]
         quota = self.config.quota
+        quota_used = self.state.quota_used
+        chosen = self._select_candidates(owner_id, now, needed)
+        if isinstance(chosen, np.ndarray):
+            chosen = chosen.tolist()
         placed: Dict[int, int] = {}
-        for candidate_id in self._select_candidates(owner, now, needed):
-            holder = self.population.get(candidate_id)
+        for candidate_id in chosen:
             # Quota could have filled between sampling and selection.
-            if not holder.has_free_quota(quota):
+            if quota_used[candidate_id] >= quota:
                 continue
             index = self._next_index[owner_id]
             reply, delivered = self._send(
@@ -634,7 +651,7 @@ class ProtocolSimulation(SimulationDriver):
 
     def _begin_transfer(
         self,
-        owner: Peer,
+        owner_id: int,
         now: int,
         kind: str,
         blocks: Dict[int, int],
@@ -665,7 +682,7 @@ class ProtocolSimulation(SimulationDriver):
         latency = self._latency_pool
         self._latency_pool = 0.0
         transfer = self.links.schedule(
-            owner.peer_id, seconds, now, latency_seconds=latency
+            owner_id, seconds, now, latency_seconds=latency
         )
         delay = transfer.queue_delay(now_second)
         finish_second = transfer.finish_second
@@ -681,10 +698,10 @@ class ProtocolSimulation(SimulationDriver):
             self.links.complete(serve)
         finish = self.links.round_for(finish_second, now)
         handle = self.queue.schedule(
-            finish, Event(EventKind.TRANSFER_DONE, owner.peer_id)
+            finish, Event(EventKind.TRANSFER_DONE, owner_id)
         )
-        self._pending[owner.peer_id] = _PendingTransfer(
-            owner.peer_id, kind, blocks, transfer, handle
+        self._pending[owner_id] = _PendingTransfer(
+            owner_id, kind, blocks, transfer, handle
         )
         self.metrics.bump("transfers_started")
         self.metrics.bump("transfer_seconds", seconds)
@@ -715,96 +732,80 @@ class ProtocolSimulation(SimulationDriver):
         if pending is None:
             return  # cancelled (lazily) before firing
         self.links.complete(pending.transfer)
-        owner = self.population.peers.get(owner_id)
-        if owner is None or not owner.alive:
-            return  # departed owners cancel in the death hook; defensive
-        archive = owner.archive
+        alive = self.state.alive
+        if not alive[owner_id]:
+            return  # departed owners cancel in the death seam; defensive
         attached = 0
-        for holder_id, _index in pending.blocks.items():
+        for holder_id in pending.blocks:
             waiters = self._pending_by_holder.get(holder_id)
             if waiters is not None:
                 waiters.discard(owner_id)
                 if not waiters:
                     del self._pending_by_holder[holder_id]
-            holder = self.population.peers.get(holder_id)
-            if holder is None or not holder.alive:
+            if not alive[holder_id]:
                 continue  # removed on death; defensive
-            self._attach_holder(owner, holder, now)
+            self._attach_holder(owner_id, holder_id, now)
             attached += 1
         self.metrics.bump("transfers_completed")
         if pending.kind == "placement":
-            self._placement_bookkeeping(owner, now)
-            return
-        if attached > 0:
-            archive.repair_count += 1
-            if owner.adaptive is not None:
-                owner.adaptive.on_repair(now)
-            self.metrics.record_repair(
-                now, owner.age(now), attached, owner.observer_name
-            )
+            self._finish_placement(owner_id, now)
         else:
-            if owner.adaptive is not None:
-                owner.adaptive.on_starved(now)
-            self.metrics.record_starved()
-        if len(archive.holders) >= self.policy.n:
-            archive.fully_placed = True
-        if self._needs_repair(owner, archive.visible):
-            self._schedule_check(owner, now + 1)
+            self._finish_repair(owner_id, now, attached)
 
-    def _attach_holder(self, owner: Peer, holder: Peer, now: int) -> None:
+    def _attach_holder(self, owner_id: int, holder_id: int, now: int) -> None:
         """Materialise one transferred block as an archive link.
 
-        Unlike the instantaneous :meth:`_add_holder`, the holder may have
+        Unlike the instantaneous recruitment commit, the holder may have
         gone offline while the transfer was in flight — it then joins
-        as an invisible holder, exactly as if it had toggled right after
-        an instantaneous store.
+        as an invisible holder, invisible from this round on.
         """
-        archive = owner.archive
-        if holder.peer_id in archive.holders:
+        state = self.state
+        row = state.holders[owner_id]
+        if holder_id in row:
             return
-        if holder.online:
-            archive.holders[holder.peer_id] = None
-            archive.visible += 1
+        row.append(holder_id)
+        state.owners_append(holder_id, owner_id)
+        state.quota_used[holder_id] += 1
+        state.quota_np[holder_id] += 1
+        if state.online[holder_id]:
+            state.visible[owner_id] += 1
         else:
-            archive.holders[holder.peer_id] = now
-        archive.alive += 1
-        holder.hosted.add(owner.peer_id)
+            self._attach_round.setdefault(owner_id, {})[holder_id] = now
 
     # ------------------------------------------------------------------
     # Consistency audit, extended to the data plane
     # ------------------------------------------------------------------
     def audit(self) -> List[str]:
-        """Driver audit plus store/manifest/link mirror checks."""
+        """State-table audit plus store/manifest/quota/retry mirror checks."""
         problems = super().audit()
-        for peer in self.population.peers.values():
-            if not peer.alive or peer.is_observer:
+        state = self.state
+        for peer_id in range(state.n_observers, state.count):
+            if not state.alive[peer_id]:
                 continue
-            manifest = self._manifest.get(peer.peer_id, {})
-            pending = self._pending.get(peer.peer_id)
+            manifest = self._manifest.get(peer_id, {})
+            pending = self._pending.get(peer_id)
             pending_holders = set(pending.blocks) if pending else set()
-            for holder_id in peer.archive.holders:
+            row = state.holders[peer_id]
+            for holder_id in row:
                 index = manifest.get(holder_id)
                 if index is None:
                     problems.append(
-                        f"peer {peer.peer_id}: holder {holder_id} has no "
+                        f"peer {peer_id}: holder {holder_id} has no "
                         "manifest entry"
                     )
                     continue
                 store = self._stores.get(holder_id)
                 if store is None or store.fetch(
-                    peer.peer_id, self._archive_id(peer.peer_id), index
+                    peer_id, self._archive_id(peer_id), index
                 ) is None:
                     problems.append(
-                        f"peer {peer.peer_id}: block {index} missing from "
+                        f"peer {peer_id}: block {index} missing from "
                         f"holder {holder_id}'s store"
                     )
             for holder_id in manifest:
-                if (
-                    holder_id not in peer.archive.holders
-                    and holder_id not in pending_holders
-                ):
+                if holder_id not in row and holder_id not in pending_holders:
                     problems.append(
-                        f"peer {peer.peer_id}: manifest entry for "
+                        f"peer {peer_id}: manifest entry for "
                         f"{holder_id} matches neither a link nor a "
                         "pending transfer"
                     )
@@ -815,8 +816,7 @@ class ProtocolSimulation(SimulationDriver):
                     f"({len(store)} > {self.config.quota})"
                 )
         for owner_id in sorted(self._attempts):
-            peer = self.population.peers.get(owner_id)
-            if peer is None or not peer.alive:
+            if not state.alive[owner_id]:
                 problems.append(
                     f"peer {owner_id}: retry state outlived its owner"
                 )

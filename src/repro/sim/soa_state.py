@@ -1,11 +1,10 @@
-"""Structure-of-arrays state tables for the ``abstract_soa`` backend.
+"""Structure-of-arrays state tables: every peer and archive of a run.
 
-The object-graph driver behind ``protocol`` (:mod:`repro.sim.peer`)
-keeps one ``Peer`` plus one ``ArchiveState`` per peer — ~15 heap objects and dict slots per
-simulated participant.  That layout is pleasant to mutate but costs an
-attribute walk per touch and roughly 5 KB per peer, which caps practical
-populations around 10^5.  This module re-lays the same state as parallel
-columns indexed by peer id:
+Both fidelities (``abstract_soa`` and ``protocol``, which subclasses
+it) keep all per-peer and per-archive state here, as parallel columns
+indexed by peer id, instead of one heap object per peer and archive —
+an object graph costs an attribute walk per touch and roughly 5 KB per
+peer, which caps practical populations around 10^5:
 
 * **scalar columns** are plain Python lists (``join``, ``online``,
   ``alive``, ``placed`` ...): the simulation's hot handlers touch a
@@ -46,23 +45,23 @@ cost no memory.
 
 Invariants (checked by ``SoaSimulation.audit``):
 
-* peer ids are allocated monotonically and never recycled — identical
-  to ``Population.new_id``, which is what lets the two backends share a
-  churn trajectory draw for draw;
+* peer ids are allocated monotonically and never recycled, so an id
+  keys the protocol fidelity's side tables (stores, ledgers, manifests)
+  for the peer's whole life and never aliases a later peer;
 * observers occupy ids ``0 .. n_observers-1`` (they are created before
   any JOIN event fires), so "is this peer an observer" is an id
   comparison instead of a column;
 * ``holders`` rows contain **live peers only**: a death removes the
   dead peer from every row it appears in, so a row's length *is* the
-  archive's live-holder count (``ArchiveState.alive`` in the object
-  engine);
+  archive's live-holder count;
 * ``visible[o]`` counts the online entries of ``holders[o]``, updated
   incrementally on toggles, recruitment, drops and deaths;
-* the per-link "invisible since" timestamp of ``ArchiveState.holders``
-  is derived, not stored: links are only ever formed to online peers
-  and die with their holder, so a holder ``h`` is invisible exactly
-  when ``online[h]`` is false, and the round it disappeared is
-  ``last_offline[h]``;
+* the per-link "invisible since" timestamp is derived, not stored: a
+  holder ``h`` is invisible exactly when ``online[h]`` is false, and
+  links die with their holder, so the round it disappeared is
+  ``last_offline[h]`` — for links formed while ``h`` was online, which
+  every instantaneous link is (the protocol fidelity keeps the attach
+  round of links completed to an offline holder on its side);
 * ``quota_used[h]`` counts the links of ``h`` whose owner is a normal
   peer (observer-owned blocks are quota-free, paper section 4.2.2).
 """

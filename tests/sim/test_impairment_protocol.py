@@ -114,7 +114,7 @@ class TestScriptedSchedules:
         # Retry state may straddle the horizon cut, but only for owners
         # still alive to use it (the audit enforces the same hygiene).
         for owner_id in simulation._attempts:
-            assert simulation.population.peers[owner_id].alive
+            assert simulation.state.alive[owner_id]
 
 
 class TestRetryUnderChurn:
@@ -141,8 +141,8 @@ class TestRetryUnderChurn:
         assert result.deaths > 0
         assert simulation.audit() == []
         for owner_id in simulation._attempts:
-            peer = simulation.population.peers.get(owner_id)
-            assert peer is not None and peer.alive
+            assert owner_id < simulation.state.count
+            assert simulation.state.alive[owner_id]
 
 
 class TestImpairedDeterminism:

@@ -1,4 +1,13 @@
-"""Tests for peer state and the population index."""
+"""Tests for per-peer state and the online candidate index.
+
+Peers live in :class:`repro.sim.soa_state.StateTables` columns and the
+engine derives what used to be per-object queries from them: ages
+(``_age``), measured availability and true remaining lifetime
+(``_describe_candidate``), quota accounting (``quota_used``) and the
+online candidate index (``_online_add`` / ``_online_discard`` /
+``_online_items``).  Every index test runs on both representations of
+the index: a list below the vector cut-over, a numpy array above it.
+"""
 
 import math
 
@@ -7,196 +16,305 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.churn.profiles import DURABLE, ERRATIC
-from repro.sim.network import Population, SampleableSet
-from repro.sim.peer import Peer
+from repro.sim.config import ObserverSpec, SimulationConfig
+from repro.sim.engine_soa import SoaSimulation
+from repro.sim.events import Event, EventKind
+
+
+class VectorSimulation(SoaSimulation):
+    """The engine with the swarm-scale (array) representation forced."""
+
+    _VECTOR_POPULATION = 1
+
+
+def make_simulation(vector=False, observers=(), quota=48):
+    config = SimulationConfig(
+        population=8,
+        rounds=100,
+        data_blocks=2,
+        parity_blocks=2,
+        repair_threshold=3,
+        quota=quota,
+        observers=observers,
+    )
+    cls = VectorSimulation if vector else SoaSimulation
+    return cls(config)
+
+
+def both_indexes():
+    """One fresh engine per online-index representation."""
+    return [make_simulation(vector=False), make_simulation(vector=True)]
+
+
+def add_peer(simulation, join_round=0, death_round=None, online=True):
+    """Register one normal peer directly in the tables (no events)."""
+    peer_id = simulation.state.add_peer(0, join_round, death_round)
+    simulation._online_pos.append(-1)
+    simulation._check_events.append(Event(EventKind.REPAIR_CHECK, peer_id))
+    if online:
+        simulation._online_add(peer_id)
+    else:
+        simulation.state.online[peer_id] = 0
+        simulation.state.last_offline[peer_id] = join_round
+    return peer_id
+
+
+def reserve_ids(simulation, count):
+    """Make ids ``0 .. count-1`` addressable by the online index."""
+    simulation._online_pos.extend([-1] * count)
+
+
+def indexed(simulation):
+    """The online index's members, in slot order."""
+    return [int(i) for i in simulation._online_items[: simulation._online_size]]
+
+
+def sample(simulation, u):
+    """The member a selection uniform ``u`` picks, as the pool fill does."""
+    size = simulation._online_size
+    if not size:
+        return None
+    index = int(u * size)
+    return int(simulation._online_items[index if index < size else size - 1])
+
+
+def toggle(simulation, now, *peer_ids):
+    simulation._process_toggle_batch(now, np.array(peer_ids, dtype=np.int64))
 
 
 class TestPeer:
     def test_age_grows_with_rounds(self):
-        peer = Peer(1, ERRATIC, join_round=100)
-        assert peer.age(100) == 0
-        assert peer.age(150) == 50
+        simulation = make_simulation()
+        peer = add_peer(simulation, join_round=100)
+        assert simulation._age(peer, 100) == 0
+        assert simulation._age(peer, 150) == 50
 
     def test_age_never_negative(self):
-        peer = Peer(1, ERRATIC, join_round=100)
-        assert peer.age(50) == 0
+        simulation = make_simulation()
+        peer = add_peer(simulation, join_round=100)
+        assert simulation._age(peer, 50) == 0
 
     def test_observer_age_is_pinned(self):
-        observer = Peer(1, DURABLE, join_round=0, is_observer=True, fixed_age=24)
-        assert observer.age(0) == 24
-        assert observer.age(10_000) == 24
+        simulation = make_simulation(observers=(ObserverSpec("Day", 24),))
+        assert simulation._age(0, 0) == 24
+        assert simulation._age(0, 10_000) == 24
 
     def test_quota_accounting(self):
-        peer = Peer(1, DURABLE, join_round=0)
-        assert peer.has_free_quota(2)
-        peer.hosted.add(10)
-        peer.hosted.add(11)
-        assert not peer.has_free_quota(2)
-        assert peer.stored_blocks() == 2
+        """Hosting for a normal owner charges quota; a full peer is skipped."""
+        simulation = make_simulation(quota=1)
+        owner, holder, spare = (add_peer(simulation) for _ in range(3))
+        assert simulation._recruit(owner, 0, 2) == 2
+        state = simulation.state
+        assert state.quota_used[holder] == state.quota_used[spare] == 1
+        assert int(state.quota_np[holder]) == 1
+        # Both candidates are now at quota: a second owner finds no one.
+        other = add_peer(simulation)
+        assert simulation._recruit(other, 0, 2) == 1  # only ``owner`` is free
+        assert state.holders[other] == [owner]
+        assert simulation.audit() == []
 
     def test_observer_blocks_do_not_count(self):
-        peer = Peer(1, DURABLE, join_round=0)
-        peer.hosted_free.add(99)
-        assert peer.stored_blocks() == 0
-        assert peer.has_free_quota(1)
+        simulation = make_simulation(
+            observers=(ObserverSpec("Day", 24),), quota=1
+        )
+        holder = add_peer(simulation)
+        assert simulation._recruit(0, 0, 1) == 1
+        assert simulation.state.holders[0] == [holder]
+        assert simulation.state.quota_used[holder] == 0
+        assert simulation.audit() == []
 
     def test_remaining_lifetime(self):
-        peer = Peer(1, ERRATIC, join_round=0, death_round=500)
-        assert peer.remaining_lifetime(100) == 400
-        assert peer.remaining_lifetime(600) == 0
+        simulation = make_simulation()
+        simulation._needs_oracle = True
+        peer = add_peer(simulation, join_round=0, death_round=500)
+        simulation.round = 100
+        assert simulation._describe_candidate(peer).true_remaining_lifetime == 400
+        simulation.round = 600
+        assert simulation._describe_candidate(peer).true_remaining_lifetime == 0
 
     def test_remaining_lifetime_durable(self):
-        peer = Peer(1, DURABLE, join_round=0, death_round=None)
-        assert math.isinf(peer.remaining_lifetime(100))
+        simulation = make_simulation()
+        simulation._needs_oracle = True
+        peer = add_peer(simulation, join_round=0, death_round=None)
+        simulation.round = 100
+        remaining = simulation._describe_candidate(peer).true_remaining_lifetime
+        assert math.isinf(remaining)
 
     def test_uptime_accounting(self):
-        peer = Peer(1, ERRATIC, join_round=0)
-        peer.accumulate_uptime(10)      # online 0..10
-        peer.online = False
-        peer.accumulate_uptime(30)      # offline 10..30 (no-op: already folded)
-        assert peer.online_rounds == 10
-        assert peer.measured_availability(30) == pytest.approx(10 / 30)
+        simulation = make_simulation()
+        simulation._needs_availability = simulation._track_uptime = True
+        peer = add_peer(simulation, join_round=0)
+        toggle(simulation, 10, peer)  # online 0..10, then offline
+        assert simulation.state.online_rounds[peer] == 10
+        simulation.round = 30
+        availability = simulation._describe_candidate(peer).availability
+        assert availability == pytest.approx(10 / 30)
 
     def test_measured_availability_includes_current_session(self):
-        peer = Peer(1, ERRATIC, join_round=0)
+        simulation = make_simulation()
+        simulation._needs_availability = simulation._track_uptime = True
+        peer = add_peer(simulation, join_round=0)
         # Still online, never toggled: availability is 1 so far.
-        assert peer.measured_availability(100) == 1.0
+        simulation.round = 100
+        assert simulation._describe_candidate(peer).availability == 1.0
 
     def test_measured_availability_brand_new(self):
-        peer = Peer(1, ERRATIC, join_round=50)
-        assert peer.measured_availability(50) is None
+        simulation = make_simulation()
+        simulation._needs_availability = simulation._track_uptime = True
+        peer = add_peer(simulation, join_round=50)
+        simulation.round = 50
+        assert simulation._describe_candidate(peer).availability is None
 
 
 class TestSampleableSet:
+    """The online index as a set: swap-pop adds and discards."""
+
     def test_add_and_contains(self):
-        s = SampleableSet()
-        s.add(5)
-        assert 5 in s
-        assert len(s) == 1
+        for simulation in both_indexes():
+            reserve_ids(simulation, 8)
+            simulation._online_add(5)
+            assert indexed(simulation) == [5]
+            assert simulation._online_pos[5] == 0
 
     def test_add_idempotent(self):
-        s = SampleableSet()
-        s.add(5)
-        s.add(5)
-        assert len(s) == 1
+        for simulation in both_indexes():
+            reserve_ids(simulation, 8)
+            simulation._online_add(5)
+            simulation._online_add(5)
+            assert simulation._online_size == 1
 
     def test_discard(self):
-        s = SampleableSet()
-        for item in range(10):
-            s.add(item)
-        s.discard(3)
-        assert 3 not in s
-        assert len(s) == 9
-        s.discard(3)  # idempotent
-        assert len(s) == 9
+        for simulation in both_indexes():
+            reserve_ids(simulation, 10)
+            for item in range(10):
+                simulation._online_add(item)
+            simulation._online_discard(3)
+            assert 3 not in indexed(simulation)
+            assert simulation._online_pos[3] == -1
+            # Swap-pop: the tail moved into the vacated slot.
+            assert indexed(simulation)[3] == 9
+            assert simulation._online_size == 9
+            simulation._online_discard(3)  # idempotent
+            assert simulation._online_size == 9
 
     def test_sample_empty(self):
-        assert SampleableSet().sample(np.random.default_rng(0)) is None
+        for simulation in both_indexes():
+            assert sample(simulation, 0.5) is None
+            # The pool fill on an empty index examines nobody.
+            reserve_ids(simulation, 1)
+            assert simulation._fill_pool_small(0, 0, 4, 20) == []
+            assert simulation.metrics.pool_examined == 0
 
     def test_sample_returns_member(self):
-        s = SampleableSet()
-        for item in (10, 20, 30):
-            s.add(item)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            assert s.sample(rng) in {10, 20, 30}
+        for simulation in both_indexes():
+            reserve_ids(simulation, 31)
+            for item in (10, 20, 30):
+                simulation._online_add(item)
+            rng = np.random.default_rng(0)
+            for u in rng.random(20):
+                assert sample(simulation, u) in {10, 20, 30}
 
     def test_sample_is_roughly_uniform(self):
-        s = SampleableSet()
-        for item in range(5):
-            s.add(item)
-        rng = np.random.default_rng(0)
-        counts = {i: 0 for i in range(5)}
-        for _ in range(10_000):
-            counts[s.sample(rng)] += 1
-        for count in counts.values():
-            assert count == pytest.approx(2000, rel=0.15)
+        for simulation in both_indexes():
+            reserve_ids(simulation, 5)
+            for item in range(5):
+                simulation._online_add(item)
+            counts = {i: 0 for i in range(5)}
+            for u in np.random.default_rng(0).random(10_000):
+                counts[sample(simulation, u)] += 1
+            for count in counts.values():
+                assert count == pytest.approx(2000, rel=0.15)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.booleans(), st.integers(0, 30)), max_size=60))
     def test_matches_reference_set(self, operations):
         """Stateful property: behaves exactly like a built-in set."""
-        s = SampleableSet()
-        reference = set()
-        for add, item in operations:
-            if add:
-                s.add(item)
-                reference.add(item)
-            else:
-                s.discard(item)
-                reference.discard(item)
-        assert len(s) == len(reference)
-        assert set(iter(s)) == reference
-        for item in range(31):
-            assert (item in s) == (item in reference)
+        for simulation in both_indexes():
+            reserve_ids(simulation, 31)
+            reference = set()
+            for add, item in operations:
+                if add:
+                    simulation._online_add(item)
+                    reference.add(item)
+                else:
+                    simulation._online_discard(item)
+                    reference.discard(item)
+            assert simulation._online_size == len(reference)
+            assert set(indexed(simulation)) == reference
+            for item in range(31):
+                assert (simulation._online_pos[item] >= 0) == (item in reference)
 
 
 class TestPopulation:
-    def make_peer(self, population, online=True, observer=False):
-        peer = Peer(
-            population.new_id(),
-            DURABLE,
-            join_round=0,
-            is_observer=observer,
-            fixed_age=0 if observer else None,
-        )
-        peer.online = online
-        population.insert(peer)
-        return peer
+    """Membership of the online index as the engine maintains it."""
 
     def test_insert_and_lookup(self):
-        population = Population()
-        peer = self.make_peer(population)
-        assert population.get(peer.peer_id) is peer
-        assert len(population) == 1
+        for simulation in both_indexes():
+            peer = simulation._spawn_peer(0)
+            assert simulation.state.count == 1
+            assert simulation.state.alive[peer]
+            assert indexed(simulation) == [peer]
 
     def test_duplicate_id_rejected(self):
-        population = Population()
-        peer = self.make_peer(population)
+        """Ids are allocated monotonically; observers must come first."""
+        simulation = make_simulation()
+        first = simulation._spawn_peer(0)
+        second = simulation._spawn_peer(0)
+        assert second == first + 1
         with pytest.raises(ValueError):
-            population.insert(peer)
+            simulation.state.add_observer(24, "Late")
 
     def test_online_peers_are_candidates(self):
-        population = Population()
-        peer = self.make_peer(population)
-        assert peer.peer_id in population.online_candidates
+        for simulation in both_indexes():
+            peer = simulation._spawn_peer(0)
+            assert simulation._online_pos[peer] >= 0
 
     def test_observers_never_candidates(self):
-        population = Population()
-        observer = self.make_peer(population, observer=True)
-        assert observer.peer_id not in population.online_candidates
-        assert len(population) == 0  # observers aren't counted
+        for vector in (False, True):
+            simulation = make_simulation(
+                vector=vector, observers=(ObserverSpec("Day", 24),)
+            )
+            assert simulation._online_pos[0] == -1
+            assert simulation._online_size == 0
+            # Observers aren't counted by the census either.
+            uppers = simulation._census_uppers
+            assert simulation.state.census_counts(0, uppers).sum() == 0
 
     def test_offline_toggle_updates_index(self):
-        population = Population()
-        peer = self.make_peer(population)
-        population.mark_offline(peer)
-        assert peer.peer_id not in population.online_candidates
-        population.mark_online(peer)
-        assert peer.peer_id in population.online_candidates
+        for simulation in both_indexes():
+            peer = simulation._spawn_peer(0)
+            toggle(simulation, 5, peer)
+            assert not simulation.state.online[peer]
+            assert simulation._online_pos[peer] == -1
+            toggle(simulation, 9, peer)
+            assert simulation.state.online[peer]
+            assert simulation._online_pos[peer] >= 0
+            assert simulation.audit() == []
 
     def test_remove_clears_everything(self):
-        population = Population()
-        peer = self.make_peer(population)
-        population.remove(peer)
-        assert not peer.alive
-        assert not peer.online
-        assert peer.peer_id not in population.online_candidates
-        assert len(population) == 0
+        for simulation in both_indexes():
+            peer = add_peer(simulation, death_round=10)
+            simulation._handle_death(10, peer)
+            state = simulation.state
+            assert not state.alive[peer]
+            assert not state.online[peer]
+            assert simulation._online_pos[peer] == -1
+            assert state.census_counts(10, simulation._census_uppers).sum() == 0
 
     def test_dead_peer_not_marked_online(self):
-        population = Population()
-        peer = self.make_peer(population)
-        population.remove(peer)
-        population.mark_online(peer)
-        assert peer.peer_id not in population.online_candidates
+        for simulation in both_indexes():
+            peer = add_peer(simulation, death_round=10)
+            simulation._handle_death(10, peer)
+            toggle(simulation, 11, peer)  # a stale toggle for the dead id
+            assert simulation._online_pos[peer] == -1
+            assert not simulation.state.online[peer]
 
     def test_iterators(self):
-        population = Population()
-        normal = self.make_peer(population)
-        observer = self.make_peer(population, observer=True)
-        assert [p.peer_id for p in population.alive_normal_peers()] == [
-            normal.peer_id
-        ]
-        assert [p.peer_id for p in population.observers()] == [observer.peer_id]
+        """Observers take the low ids; the census counts normal peers only."""
+        simulation = make_simulation(observers=(ObserverSpec("Day", 24),))
+        normal = simulation._spawn_peer(0)
+        assert simulation.state.n_observers == 1
+        assert normal == 1
+        assert indexed(simulation) == [normal]
+        counts = simulation.state.census_counts(0, simulation._census_uppers)
+        assert counts.sum() == 1

@@ -26,16 +26,16 @@ from repro.sim.metrics import MetricsCollector
 from repro.sim.protocol import ProtocolSimulation
 
 #: Digests of well-known default-fidelity configs, pinned at cache
-#: schema 2 (before the ``abstract_soa`` engine became the default).
+#: schema 3 (re-pinned by that bump; the configs serialise as before).
 #: If either changes, the on-disk result cache silently orphans every
 #: entry ever written — the exact failure mode invariant 3 of
 #: docs/ARCHITECTURE.md exists to prevent.  Only a deliberate
 #: ``CACHE_SCHEMA_VERSION`` bump may move them.
 PINNED_DEFAULT_DIGEST = (
-    "2e464d0a2e4125cfe77a76f44e7f79d7d053480db4fceddef95021e7c2921431"
+    "65dd2106536717d246ca8093d56bad1d22257b6817b73db6cd91f9aae247616e"
 )
 PINNED_PAPER_DIGEST = (
-    "6d6783ac5adef3f172d94d2a2cec169a70f2c9dfe936a68411bd5e6c8f6b8d9c"
+    "141b708fb24da8ecb1f9248351c363732274c6377ed201e38636c30a65ab6d60"
 )
 
 
@@ -154,6 +154,56 @@ class TestProtocolDeterminism:
         assert protocol.peers_created == default.peers_created
 
 
+class TestVectorKernel:
+    """Protocol on the swarm-scale branch: vector toggles, array fills.
+
+    Forcing ``_VECTOR_POPULATION`` to 1 runs the vectorised toggle
+    kernel, the owner matrix and ``select_arrays`` recruitment on a
+    micro config; the whole result must equal the scalar-kernel run.
+    The impaired cell adds retries and restore probes on top.
+    """
+
+    @pytest.mark.parametrize("impairment", ["clean", "loss10"])
+    def test_matches_the_scalar_kernel(self, impairment, monkeypatch):
+        from repro.scenarios import scenario_by_name
+
+        config = (
+            scenario_by_name("lossy_dsl")
+            .with_population(60)
+            .with_rounds(2000)
+            .with_seed(1)
+            .build()
+        )
+        config = dataclasses.replace(config, impairment_profile=impairment)
+        fast_fills = []
+        fill = SoaSimulation._fill_pool_fast
+
+        def counted(self, *args):
+            fast_fills.append(self._vector_kernel)
+            return fill(self, *args)
+
+        monkeypatch.setattr(SoaSimulation, "_fill_pool_fast", counted)
+
+        def run():
+            simulation = ProtocolSimulation(config)
+            result = simulation.run().to_dict()
+            assert simulation.audit() == []
+            return simulation, result
+
+        scalar_sim, scalar = run()
+        assert not scalar_sim._vector_kernel
+        monkeypatch.setattr(SoaSimulation, "_VECTOR_POPULATION", 1)
+        vector_sim, vector = run()
+        assert vector_sim._vector_kernel
+        assert True in fast_fills, "the vector kernel never ran the array fill"
+        assert vector == scalar
+        protocol = scalar["metrics"]["protocol"]
+        assert protocol["transfers_completed"] > 0
+        if impairment != "clean":
+            assert protocol["retries"] > 0
+            assert protocol["restore_attempts"] > 0
+
+
 class TestProtocolRun:
     def test_places_and_repairs(self):
         result = run_simulation(protocol_config(rounds=800))
@@ -218,7 +268,7 @@ class TestProtocolRun:
         # the horizon cut, one per pending owner.
         assert simulation.links.in_flight() == len(simulation._pending)
         for owner_id in simulation._pending:
-            assert simulation.population.peers[owner_id].alive
+            assert simulation.state.alive[owner_id]
 
     def test_constrained_uplink_produces_queueing(self):
         config = dataclasses.replace(

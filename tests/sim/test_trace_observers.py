@@ -4,11 +4,8 @@ import pytest
 
 from repro.sim.config import PAPER_OBSERVERS, ObserverSpec, SimulationConfig
 from repro.sim.engine import run_simulation
-from repro.sim.observers import (
-    build_observer_peer,
-    observer_table,
-    scaled_observers,
-)
+from repro.sim.engine_soa import SoaSimulation
+from repro.sim.observers import observer_table, scaled_observers
 from repro.sim.trace import (
     category_loss_rows,
     observer_series_rows,
@@ -54,11 +51,19 @@ class TestObserverHelpers:
             scaled_observers(0)
 
     def test_build_observer_peer(self):
-        peer = build_observer_peer(7, ObserverSpec("Senior", 720), join_round=0)
-        assert peer.is_observer
-        assert peer.fixed_age == 720
-        assert peer.death_round is None
-        assert peer.observer_name == "Senior"
+        """The engine builds each observer spec into a pinned, immortal peer."""
+        config = SimulationConfig(
+            population=4, rounds=10, observers=(ObserverSpec("Senior", 720),)
+        )
+        simulation = SoaSimulation(config)
+        state = simulation.state
+        assert state.n_observers == 1
+        assert state.fixed_age[0] == 720
+        assert state.death[0] is None
+        assert state.observer_name[0] == "Senior"
+        assert simulation._observer_name(0) == "Senior"
+        assert simulation._age(0, 5_000) == 720
+        assert simulation._online_pos[0] == -1  # never a candidate
 
 
 class TestTraceExports:
