@@ -243,12 +243,10 @@ class SoaSimulation:
     def _on_spawn(self, peer_id: int) -> None:
         """A normal peer joined and is wired into the tables."""
 
-    def _on_departure(self, peer_id: int, now: int) -> None:
+    def _on_departure(self, peer_id: int) -> None:
         """A peer died: its links are detached, its owners not yet checked."""
 
-    def _on_toggles(
-        self, now: int, went_offline: List[int], went_online: List[int]
-    ) -> None:
+    def _on_toggles(self, went_offline: List[int], went_online: List[int]) -> None:
         """A toggle batch flipped these peers; every check is filed."""
 
     def _census_extras(self, now: int) -> None:
@@ -425,7 +423,7 @@ class SoaSimulation:
         else:
             for owner_id in affected:
                 holders[owner_id].remove(peer_id)
-        self._on_departure(peer_id, now)
+        self._on_departure(peer_id)
         for owner_id in sorted(affected):
             self._after_block_loss(owner_id, now)
 
@@ -603,7 +601,7 @@ class SoaSimulation:
                 peer_id, int(visible[peer_id])
             ):
                 self._schedule_check(peer_id, now)
-        self._on_toggles(now, went_offline, went_online)
+        self._on_toggles(went_offline, went_online)
         # Bulk reschedule: one uniform per non-degenerate duration, in
         # batch (ascending id) order, inverted through the shared
         # geometric kernel.  Means <= 1 round clamp to a single round

@@ -311,16 +311,14 @@ class ProtocolSimulation(SoaSimulation):
         self._next_index[peer_id] = 0
         self.transport.register(peer_id, self._make_handler(peer_id))
 
-    def _on_toggles(
-        self, now: int, went_offline: List[int], went_online: List[int]
-    ) -> None:
+    def _on_toggles(self, went_offline: List[int], went_online: List[int]) -> None:
         set_online = self.transport.set_online
         for peer_id in went_offline:
             set_online(peer_id, False)
         for peer_id in went_online:
             set_online(peer_id, True)
 
-    def _on_departure(self, peer_id: int, now: int) -> None:
+    def _on_departure(self, peer_id: int) -> None:
         # Its own in-flight transfer dies with it, releasing the link
         # (cancel_peer must run before _cancel_pending marks the
         # transfer complete, or the release accounting sees nothing).
@@ -444,14 +442,13 @@ class ProtocolSimulation(SoaSimulation):
         online = state.online
         last_offline = state.last_offline
         attach_round = self._attach_round.get(owner_id, {})
-        dropped = [
-            holder_id
-            for holder_id in row
-            if not online[holder_id]
-            and now
-            - max(last_offline[holder_id], attach_round.get(holder_id, -1))
-            >= grace
-        ]
+        dropped = []
+        for holder_id in row:
+            if online[holder_id]:
+                continue
+            since = max(last_offline[holder_id], attach_round.get(holder_id, -1))
+            if now - since >= grace:
+                dropped.append(holder_id)
         for holder_id in dropped:
             self._drop_holder(owner_id, holder_id)
         # Download phase: fetch any k blocks from visible holders, as
@@ -493,28 +490,24 @@ class ProtocolSimulation(SoaSimulation):
         )
 
     def _record_loss(self, owner_id: int, now: int) -> None:
-        if owner_id >= self.state.n_observers:
-            self._restore_attempt(owner_id)
-        super()._record_loss(owner_id, now)
-
-    def _restore_attempt(self, owner_id: int) -> None:
-        """Abort the dead archive's operation, then probe its holders.
-
-        The owner is still alive, so its link watermark stays: the
-        aborted transfer's bytes were already committed to the wire,
-        and the uplink may also owe serve time to other peers' repairs
-        — neither is reclaimable (unlike a death, where cancel_peer
-        releases the whole link).  The owner only accepts the loss after
-        real fetch exchanges against the remaining holders come back
-        short.  A restore is a one-shot event (there is no later round
-        to back off to), so dropped probes are re-sent immediately, up
-        to the retry budget per holder.
-        """
+        if owner_id < self.state.n_observers:
+            return super()._record_loss(owner_id, now)
+        # A loss aborts any in-flight transfer for the dead archive.
+        # The owner is still alive, so its link watermark stays: the
+        # aborted transfer's bytes were already committed to the wire,
+        # and the uplink may also owe serve time to other peers'
+        # repairs — neither is reclaimable (unlike a death, where
+        # cancel_peer releases the whole link).
         pending = self._pending.pop(owner_id, None)
         if pending is not None:
             self._cancel_pending(pending, release_blocks=True)
         # The dead archive's retry state dies with it.
         self._attempts.pop(owner_id, None)
+        # Restore attempt: the owner only accepts the loss after real
+        # fetch exchanges against the remaining holders come back short.
+        # A restore is a one-shot event (there is no later round to back
+        # off to), so dropped probes are re-sent immediately, up to the
+        # retry budget per holder.
         manifest = self._manifest.get(owner_id, {})
         archive_id = self._archive_id(owner_id)
         for holder_id in list(self.state.holders[owner_id]):
@@ -539,6 +532,7 @@ class ProtocolSimulation(SoaSimulation):
                 attempts += 1
                 self.metrics.bump("retries")
         self.metrics.bump("restore_attempts")
+        super()._record_loss(owner_id, now)
 
     def _drop_holder(self, owner_id: int, holder_id: int) -> None:
         super()._drop_holder(owner_id, holder_id)

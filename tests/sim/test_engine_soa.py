@@ -1,7 +1,7 @@
 """Unit tests for the structure-of-arrays engine itself.
 
-``test_soa_equivalence.py`` pins the backend to the object-graph engine
-metric for metric; this file covers what equivalence cannot see — the
+``test_soa_equivalence.py`` pins both kernel branches to the golden
+digests metric for metric; this file covers what equivalence cannot see — the
 internal consistency of the incremental columns (``audit``), same-seed
 determinism within the backend, and registration through the fidelity
 registry.
@@ -66,12 +66,13 @@ def test_observer_and_category_activity_present():
 
 
 def test_spawn_draws_match_scalar_generator_calls():
-    """Batched spawn draws equal the driver's scalar generator calls.
+    """Batched spawn draws equal the scalar generator calls they replaced.
 
     The engine reads profile choices and lifetimes from block-buffered
-    uniforms; the ``protocol`` driver calls ``Generator.choice(p=...)``
-    and ``Generator.uniform`` once per spawn.  Over the paper profile
-    mix both must give the same profile and death round, peer by peer.
+    uniforms instead of calling ``Generator.choice(p=...)`` and
+    ``Generator.uniform`` once per spawn, as the goldens' recording
+    engine did.  Over the paper profile mix both must give the same
+    profile and death round, peer by peer.
     """
     config = _config(rounds=10)
     simulation = SoaSimulation(config)

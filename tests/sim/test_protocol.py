@@ -230,7 +230,7 @@ class TestProtocolRun:
         simulation = ProtocolSimulation(config)
         result = simulation.run()
         assert simulation.audit() == []
-        # Observers keep the driver's instantaneous path but still
+        # Observers keep the core engine's instantaneous path but still
         # accumulate their figure-3 counters.
         assert set(result.observer_totals()) <= {"Baby", "Elder"}
 
