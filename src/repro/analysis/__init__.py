@@ -29,14 +29,6 @@ from .series import (
     validate_series,
     value_at,
 )
-from .stats import (
-    ConfidenceInterval,
-    bootstrap_mean,
-    difference_interval,
-    dominates,
-    monotone_trend,
-    summarize_ratio,
-)
 from .tuning import ThresholdRecommendation, choose_threshold
 
 __all__ = [
@@ -64,12 +56,6 @@ __all__ = [
     "to_days",
     "validate_series",
     "value_at",
-    "ConfidenceInterval",
-    "bootstrap_mean",
-    "difference_interval",
-    "dominates",
-    "monotone_trend",
-    "summarize_ratio",
     "ThresholdRecommendation",
     "choose_threshold",
 ]

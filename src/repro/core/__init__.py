@@ -33,7 +33,6 @@ from .lifetime import (
     age_is_sufficient_statistic,
     conditional_remaining_curve,
     fit_pareto,
-    fit_pareto_scipy,
     kaplan_meier,
     rank_by_expected_remaining,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "age_is_sufficient_statistic",
     "conditional_remaining_curve",
     "fit_pareto",
-    "fit_pareto_scipy",
     "kaplan_meier",
     "rank_by_expected_remaining",
     "POLICY_PRESETS",

@@ -5,8 +5,7 @@ Bustamante & Qiao [5]): peer lifetimes follow a Pareto distribution, so a
 peer's expected remaining lifetime *increases* with the time it has
 already spent in the system.  This module provides:
 
-* maximum-likelihood Pareto fitting (closed form, cross-checked against
-  ``scipy.stats.pareto.fit``),
+* maximum-likelihood Pareto fitting in closed form,
 * conditional remaining-lifetime estimation under the fitted law,
 * a Kaplan-Meier-style empirical survival estimator for traces that
   include right-censored observations (peers still alive at the end of a
@@ -22,7 +21,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -78,25 +76,6 @@ def fit_pareto(lifetimes: Sequence[float]) -> ParetoFit:
     return ParetoFit(
         shape=shape,
         scale=scale,
-        sample_size=int(samples.size),
-        log_likelihood=log_likelihood,
-    )
-
-
-def fit_pareto_scipy(lifetimes: Sequence[float]) -> ParetoFit:
-    """Pareto fit via ``scipy.stats.pareto`` (floc pinned to 0).
-
-    Kept as an independent cross-check of :func:`fit_pareto`; the two
-    agree on clean Pareto samples (tested).
-    """
-    samples = np.asarray(list(lifetimes), dtype=float)
-    if samples.size < 2:
-        raise ValueError("need at least two lifetime samples to fit a Pareto law")
-    shape, _, scale = stats.pareto.fit(samples, floc=0)
-    log_likelihood = float(np.sum(stats.pareto.logpdf(samples, shape, 0, scale)))
-    return ParetoFit(
-        shape=float(shape),
-        scale=float(scale),
         sample_size=int(samples.size),
         log_likelihood=log_likelihood,
     )

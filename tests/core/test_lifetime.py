@@ -10,7 +10,6 @@ from repro.core.lifetime import (
     age_is_sufficient_statistic,
     conditional_remaining_curve,
     fit_pareto,
-    fit_pareto_scipy,
     kaplan_meier,
     rank_by_expected_remaining,
 )
@@ -48,11 +47,18 @@ class TestFitPareto:
             fit_pareto([7.0, 7.0, 7.0])
 
     def test_agrees_with_scipy(self):
+        """Cross-check the closed form against scipy's numerical fit.
+
+        scipy is not a runtime dependency, so the test skips without it.
+        """
+        stats = pytest.importorskip("scipy.stats")
         samples = pareto_samples(shape=1.8, scale=50.0, count=3000, seed=4)
         ours = fit_pareto(samples)
-        scipys = fit_pareto_scipy(samples)
-        assert ours.shape == pytest.approx(scipys.shape, rel=0.05)
-        assert ours.scale == pytest.approx(scipys.scale, rel=0.05)
+        shape, _, scale = stats.pareto.fit(samples, floc=0)
+        assert ours.shape == pytest.approx(shape, rel=0.05)
+        assert ours.scale == pytest.approx(scale, rel=0.05)
+        log_likelihood = stats.pareto.logpdf(samples, ours.shape, 0, ours.scale).sum()
+        assert ours.log_likelihood == pytest.approx(log_likelihood, rel=1e-9)
 
 
 class TestParetoFitMethods:

@@ -73,9 +73,10 @@ def test_every_preset_matches_abstract(name, seed, vector_kernel):
 #: Cells outside the golden grid -> (config, SHA-256 of the canonical
 #: ``to_dict()`` minus ``config``), the digests recorded with the CSR
 #: owners slab and pair-list recruitment the owner matrix replaced.
-#: ``oracle`` drives ``_fill_pool_generic`` (Candidate descriptors);
-#: ``code48`` (n = 96, quota 1.5 x n) asks for pools of 64 or more, so
-#: the scalar kernel also runs the array fill ``_fill_pool_fast``.
+#: ``oracle`` drives ``_fill_pool_small`` plus ``_describe_candidate``
+#: (Candidate descriptors); ``code48`` (n = 96, quota 1.5 x n) asks for
+#: pools of 64 or more, so the scalar kernel also runs the array fill
+#: ``_fill_pool_fast``.
 EXTRA_CELLS = {
     "oracle": (
         _shrunk("paper").with_selection("oracle").with_seed(0),

@@ -1,7 +1,10 @@
-"""Every module in the package must import cleanly and be documented."""
+"""Every module must import cleanly on numpy alone and be documented."""
 
 import importlib
 import pkgutil
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -34,3 +37,58 @@ def test_public_symbols_are_documented():
             if callable(value) and not getattr(value, "__doc__", None):
                 undocumented.append(f"{package_name}.{symbol}")
     assert not undocumented, undocumented
+
+
+def _run_script(script):
+    """Run ``script`` in a fresh interpreter; returns the completed process."""
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        capture_output=True,
+        text=True,
+    )
+
+
+class TestNumpyOnlyRuntime:
+    """numpy is the only runtime dependency ``pyproject.toml`` declares."""
+
+    def test_runs_with_scipy_absent(self):
+        completed = _run_script(
+            """
+            import importlib.abc, sys
+
+            class ScipyBlocker(importlib.abc.MetaPathFinder):
+                def find_spec(self, name, path=None, target=None):
+                    if name == "scipy" or name.startswith("scipy."):
+                        # What a genuinely absent scipy raises.
+                        raise ModuleNotFoundError(
+                            f"No module named {name!r}", name=name
+                        )
+                    return None
+
+            sys.meta_path.insert(0, ScipyBlocker())
+            import repro
+            import repro.analysis  # noqa: F401
+            from repro.experiments.runner import main
+            assert main(["list"]) == 0
+            from repro import SimulationConfig, run_simulation
+            for fidelity in ("abstract_soa", "protocol"):
+                config = SimulationConfig.scaled(
+                    population=100, rounds=300, fidelity=fidelity
+                )
+                assert run_simulation(config).final_round == 300
+            """
+        )
+        assert completed.returncode == 0, completed.stderr
+
+    def test_scipy_stays_off_the_import_path(self):
+        """Where scipy is installed, the package still never imports it."""
+        completed = _run_script(
+            """
+            import sys
+            import repro
+            import repro.experiments.runner
+            import repro.sim.protocol
+            assert "scipy" not in sys.modules
+            """
+        )
+        assert completed.returncode == 0, completed.stderr
