@@ -2,13 +2,11 @@
 
 Not paper artifacts, but the numbers that bound what the harness can
 simulate: Reed-Solomon encode/decode throughput at the paper's code
-dimensions, simulator event throughput, and the end-to-end byte-level
-backup/restore pipeline.
+dimensions and simulator event throughput.
 """
 
 import numpy as np
 
-from repro.backup import BackupSwarm, BackupTask, RestoreTask
 from repro.erasure import ArchiveCodec, ReedSolomonCode, gf256, matrix
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import run_simulation
@@ -111,22 +109,3 @@ def test_simulator_round_throughput(benchmark):
         run_simulation, args=(config,), iterations=1, rounds=1
     )
     assert result.final_round == 2000
-
-
-def test_backup_restore_pipeline(benchmark):
-    """Full byte-level cycle: swarm, backup, partner loss, restore."""
-
-    def pipeline():
-        swarm = BackupSwarm(
-            data_blocks=8, parity_blocks=8, quota_blocks=64, seed=11
-        )
-        for _ in range(20):
-            swarm.add_node()
-        swarm.tick(24)
-        owner = swarm.nodes[0]
-        files = {f"file-{i}": bytes([i]) * 900 for i in range(6)}
-        BackupTask(owner, archive_size=4096).run(files)
-        report = RestoreTask(swarm, owner.peer_id, owner.user_key).run()
-        return report.files == files
-
-    assert benchmark.pedantic(pipeline, iterations=1, rounds=3)

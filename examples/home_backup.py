@@ -14,7 +14,7 @@ Run:  python examples/home_backup.py
 from repro.analysis.report import format_table
 from repro.churn.profiles import ROUNDS_PER_DAY
 from repro.experiments.common import QUICK
-from repro.net.bandwidth import FTTH, MODERN_DSL, PAPER_DSL, CostModel, MEGABYTE
+from repro.net.bandwidth import FTTH, MODERN_DSL, PAPER_DSL, CostModel
 from repro.sim.engine import run_simulation
 
 

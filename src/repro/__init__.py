@@ -7,9 +7,10 @@ The public API has four layers:
   age categories, lifetime estimation, partner-selection strategies and
   the threshold-repair policy;
 * :mod:`repro.sim` — the round-based simulator used for the evaluation;
-* :mod:`repro.erasure`, :mod:`repro.churn`, :mod:`repro.net` — the
-  substrates (Reed-Solomon coding, churn models, transport/cost/DHT);
-* :mod:`repro.backup` — a byte-level backup client on those substrates;
+* :mod:`repro.erasure`, :mod:`repro.churn`, :mod:`repro.net`,
+  :mod:`repro.backup` — the substrates (Reed-Solomon coding, churn
+  models, transport/cost/impairment, and the per-peer block stores and
+  fairness ledgers of the protocol fidelity);
 * :mod:`repro.experiments` — drivers regenerating every figure and table.
 
 Quick start::

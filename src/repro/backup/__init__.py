@@ -1,68 +1,18 @@
-"""Byte-level backup system: archives, stores, manifests and the three tasks.
+"""Per-peer storage and fairness state of the protocol fidelity.
 
-This package is the runnable realisation of the system described in the
-paper's section 2.2 — the simulator in :mod:`repro.sim` abstracts it to
-logical blocks for the large-scale evaluation.
+:class:`BlockStore` is one peer's quota-bounded block storage and
+:mod:`.fairness` its exchange accounting (paper section 2.2.1); the
+protocol backend (:class:`repro.sim.protocol.ProtocolSimulation`) keeps
+one of each per live peer.
 """
 
-from .archive import (
-    Archive,
-    ArchiveBuilder,
-    ArchiveFormatError,
-    FileEntry,
-    build_metadata_archive,
-    decrypt,
-    encrypt,
-    new_session_key,
-    pack_entries,
-    parse_metadata_archive,
-    unpack_entries,
-)
-from .backup_task import BackupError, BackupReport, BackupTask
-from .client import BackupNode, BackupSwarm
 from .fairness import ExchangeBalance, ExchangeLedger, GlobalFairness
-from .maintenance import MaintenanceReport, MaintenanceTask
-from .manifest import ArchiveRecord, ManifestError, MasterBlock, master_block_key
-from .monitor import AvailabilityMonitor, MonitorLedger
-from .partnership import PartnershipOutcome, PartnershipProtocol, answer_proposal
-from .restore_task import RestoreError, RestoreReport, RestoreTask, restore_files
 from .store import BlockStore, QuotaExceededError, StoredBlock
 
 __all__ = [
-    "Archive",
-    "ArchiveBuilder",
-    "ArchiveFormatError",
-    "FileEntry",
-    "build_metadata_archive",
-    "decrypt",
-    "encrypt",
-    "new_session_key",
-    "pack_entries",
-    "parse_metadata_archive",
-    "unpack_entries",
-    "BackupError",
-    "BackupReport",
-    "BackupTask",
-    "BackupNode",
-    "BackupSwarm",
     "ExchangeBalance",
     "ExchangeLedger",
     "GlobalFairness",
-    "MaintenanceReport",
-    "MaintenanceTask",
-    "ArchiveRecord",
-    "ManifestError",
-    "MasterBlock",
-    "master_block_key",
-    "AvailabilityMonitor",
-    "MonitorLedger",
-    "PartnershipOutcome",
-    "PartnershipProtocol",
-    "answer_proposal",
-    "RestoreError",
-    "RestoreReport",
-    "RestoreTask",
-    "restore_files",
     "BlockStore",
     "QuotaExceededError",
     "StoredBlock",

@@ -11,17 +11,17 @@ This module implements both accountings:
 * :class:`ExchangeLedger` — the pairwise (Samsara-style [7]) view: per
   partner, blocks I store for them vs blocks they store for me, with a
   debt test used to refuse storage to free-riding partners;
-* :class:`GlobalFairness` — the global view: one ratio of contributed vs
-  consumed space per peer across the whole system.
+* :class:`GlobalFairness` — the global view: blocks contributed vs
+  consumed per peer across the whole system.
 
-The byte-level client enforces the pairwise policy when the swarm is
-built with a ``fairness_factor`` (see :class:`repro.backup.client.BackupSwarm`).
+The protocol fidelity (:class:`repro.sim.protocol.ProtocolSimulation`)
+enforces both when ``SimulationConfig.fairness_factor`` is set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict
 
 
 @dataclass
@@ -30,16 +30,6 @@ class ExchangeBalance:
 
     stored_for_partner: int = 0   # blocks I hold for them
     stored_by_partner: int = 0    # blocks they hold for me
-
-    @property
-    def debt(self) -> int:
-        """How many more blocks the partner consumes than it provides.
-
-        The partner consumes my space through ``stored_for_partner`` and
-        provides space through ``stored_by_partner``; positive debt
-        means the partner owes me.
-        """
-        return self.stored_for_partner - self.stored_by_partner
 
 
 class ExchangeLedger:
@@ -101,21 +91,6 @@ class ExchangeLedger:
         ceiling = fairness_factor * balance.stored_by_partner + self.grace_blocks
         return balance.stored_for_partner + extra_blocks > ceiling
 
-    def debtors(self) -> List[Tuple[int, int]]:
-        """Partners sorted by decreasing debt (positive = they owe me)."""
-        entries = [
-            (partner, balance.debt) for partner, balance in self._balances.items()
-        ]
-        return sorted(entries, key=lambda item: -item[1])
-
-    def totals(self) -> ExchangeBalance:
-        """Aggregate balance across all partners."""
-        total = ExchangeBalance()
-        for balance in self._balances.values():
-            total.stored_for_partner += balance.stored_for_partner
-            total.stored_by_partner += balance.stored_by_partner
-        return total
-
 
 @dataclass
 class GlobalFairness:
@@ -131,42 +106,3 @@ class GlobalFairness:
     def record_placement(self, peer_id: int, blocks: int = 1) -> None:
         """``peer_id`` placed ``blocks`` of its own data in the system."""
         self.consumed[peer_id] = self.consumed.get(peer_id, 0) + blocks
-
-    def ratio(self, peer_id: int) -> float:
-        """Contribution ratio: hosted / placed (inf for pure contributors)."""
-        placed = self.consumed.get(peer_id, 0)
-        hosted = self.contributed.get(peer_id, 0)
-        if placed == 0:
-            return float("inf") if hosted else 1.0
-        return hosted / placed
-
-    def free_riders(self, minimum_ratio: float = 1.0) -> List[int]:
-        """Peers contributing less than ``minimum_ratio`` of their usage."""
-        if minimum_ratio <= 0:
-            raise ValueError("minimum_ratio must be positive")
-        riders = []
-        peers = set(self.contributed) | set(self.consumed)
-        for peer_id in peers:
-            if self.ratio(peer_id) < minimum_ratio:
-                riders.append(peer_id)
-        return sorted(riders)
-
-    def gini_coefficient(self) -> float:
-        """Inequality of contribution ratios across peers (0 = equal).
-
-        Infinite ratios are clipped to the largest finite one; an empty
-        or single-peer system reports 0.
-        """
-        peers = sorted(set(self.contributed) | set(self.consumed))
-        if len(peers) < 2:
-            return 0.0
-        ratios = [self.ratio(p) for p in peers]
-        finite = [r for r in ratios if r != float("inf")]
-        ceiling = max(finite) if finite else 1.0
-        values = sorted(min(r, ceiling) for r in ratios)
-        total = sum(values)
-        if total == 0:
-            return 0.0
-        n = len(values)
-        cumulative = sum((index + 1) * value for index, value in enumerate(values))
-        return (2.0 * cumulative) / (n * total) - (n + 1.0) / n

@@ -9,7 +9,7 @@ fetch/store/release requests of the transport-level protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..erasure.codec import CodedBlock
 
@@ -81,17 +81,6 @@ class BlockStore:
             del self._blocks[key]
         return len(keys)
 
-    def blocks_for(self, owner_id: int) -> List[StoredBlock]:
-        """All blocks currently held for one owner."""
-        return [b for key, b in self._blocks.items() if key[0] == owner_id]
-
     def owners(self) -> Iterator[int]:
         """Distinct owners with at least one stored block."""
         return iter({key[0] for key in self._blocks})
-
-    def usage_by_owner(self) -> Dict[int, int]:
-        """Blocks held per owner (fairness/auditing views)."""
-        usage: Dict[int, int] = {}
-        for owner_id, _, _ in self._blocks:
-            usage[owner_id] = usage.get(owner_id, 0) + 1
-        return usage

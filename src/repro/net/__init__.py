@@ -1,4 +1,4 @@
-"""Network substrate: cost model, messages, transport and the master-block DHT."""
+"""Network substrate: cost model, link impairment, messages and transport."""
 
 from .bandwidth import (
     FTTH,
@@ -14,15 +14,10 @@ from .bandwidth import (
     ScheduledTransfer,
     paper_cost_table,
 )
-from .dht import ConsistentHashRing, DhtError, MasterBlockDht
 from .message import (
-    AvailabilityProbe,
-    AvailabilityReport,
     FetchReply,
     FetchRequest,
     Message,
-    PartnershipAnswer,
-    PartnershipProposal,
     ReleaseNotice,
     StoreReply,
     StoreRequest,
@@ -32,7 +27,6 @@ from .transport import (
     Endpoint,
     InMemoryTransport,
     OfflineEndpointError,
-    TrafficStats,
     TransportError,
     UnknownEndpointError,
 )
@@ -50,16 +44,9 @@ __all__ = [
     "RepairCost",
     "ScheduledTransfer",
     "paper_cost_table",
-    "ConsistentHashRing",
-    "DhtError",
-    "MasterBlockDht",
-    "AvailabilityProbe",
-    "AvailabilityReport",
     "FetchReply",
     "FetchRequest",
     "Message",
-    "PartnershipAnswer",
-    "PartnershipProposal",
     "ReleaseNotice",
     "StoreReply",
     "StoreRequest",
@@ -67,7 +54,6 @@ __all__ = [
     "Endpoint",
     "InMemoryTransport",
     "OfflineEndpointError",
-    "TrafficStats",
     "TransportError",
     "UnknownEndpointError",
 ]

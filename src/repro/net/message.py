@@ -1,10 +1,9 @@
 """Message types exchanged by the backup protocol.
 
-The simulator abstracts transfers to whole rounds, but the backup layer
-(and the examples that move real bytes) speak a small message vocabulary
-modelled on section 2.2: store/fetch blocks, partnership negotiation and
-availability probes.  Messages are plain frozen dataclasses so they can
-be logged, asserted on and routed by the in-memory transport.
+The protocol fidelity (:class:`repro.sim.protocol.ProtocolSimulation`)
+speaks a small message vocabulary modelled on section 2.2: store, fetch
+and release one coded block.  Messages are plain frozen dataclasses so
+they can be asserted on and routed by the in-memory transport.
 """
 
 from __future__ import annotations
@@ -66,37 +65,8 @@ class FetchReply(Message):
 
 
 @dataclass(frozen=True)
-class PartnershipProposal(Message):
-    """Offer to become partners; carries the proposer's claimed age."""
-
-    proposer_age: float = 0.0
-
-
-@dataclass(frozen=True)
-class PartnershipAnswer(Message):
-    """Mutual-acceptance outcome from the candidate's side."""
-
-    accepted: bool = False
-
-
-@dataclass(frozen=True)
 class ReleaseNotice(Message):
     """Owner tells a partner it no longer needs the stored block."""
 
     archive_id: str = ""
     block_index: int = 0
-
-
-@dataclass(frozen=True)
-class AvailabilityProbe(Message):
-    """Monitoring ping (the assumed secure monitoring protocol)."""
-
-    window_rounds: int = 0
-
-
-@dataclass(frozen=True)
-class AvailabilityReport(Message):
-    """Measured uptime fraction over the requested window."""
-
-    availability: float = 0.0
-    observed_rounds: int = 0

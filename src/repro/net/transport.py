@@ -11,14 +11,13 @@ endpoints can be impaired: an installed :mod:`repro.net.impairment`
 sampler may drop an exchange (raising :class:`DroppedMessageError`, the
 sender's view of a timeout) or charge it latency, which the transport
 accumulates in :attr:`InMemoryTransport.last_delay_seconds` for the
-caller to fold into transfer finish times.  Optional per-link byte
-accounting feeds the bandwidth cost model.
+caller to fold into transfer finish times.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional
 
 from .message import Message
 
@@ -62,30 +61,12 @@ class DroppedMessageError(TransportError):
 
 
 @dataclass
-class TrafficStats:
-    """Byte and message counters for one endpoint."""
-
-    messages_sent: int = 0
-    messages_received: int = 0
-    bytes_sent: int = 0
-    bytes_received: int = 0
-
-
-def _payload_size(message: Message) -> int:
-    payload = getattr(message, "payload", None)
-    if isinstance(payload, (bytes, bytearray)):
-        return len(payload)
-    return 0
-
-
-@dataclass
 class Endpoint:
     """One addressable protocol participant."""
 
     peer_id: int
     handler: Handler
     online: bool = True
-    stats: TrafficStats = field(default_factory=TrafficStats)
 
 
 class InMemoryTransport:
@@ -94,8 +75,6 @@ class InMemoryTransport:
     def __init__(self):
         self._endpoints: Dict[int, Endpoint] = {}
         self._departed: set = set()
-        self._log: List[Message] = []
-        self.record_log = False
         self._impairment = None
         #: One-way latency charged to the most recent :meth:`send`
         #: (doubled for exchanges that produced a reply).  Callers that
@@ -154,8 +133,8 @@ class InMemoryTransport:
         """Deliver a message and return the recipient's synchronous reply.
 
         Raises a typed :class:`TransportError` subclass when either end
-        cannot deliver — exactly the failure a monitoring probe or block
-        fetch observes under churn: :class:`DepartedEndpointError` for a
+        cannot deliver — exactly the failure a store, fetch or release
+        exchange observes under churn: :class:`DepartedEndpointError` for a
         peer that left the system, :class:`UnknownEndpointError` for an
         address that never existed, :class:`OfflineEndpointError` for a
         peer that is merely disconnected, :class:`DroppedMessageError`
@@ -170,10 +149,6 @@ class InMemoryTransport:
                 f"recipient {message.recipient} is offline"
             )
 
-        size = _payload_size(message)
-        sender.stats.messages_sent += 1
-        sender.stats.bytes_sent += size
-
         self.last_delay_seconds = 0.0
         if self._impairment is not None:
             outcome = self._impairment.sample()
@@ -187,40 +162,12 @@ class InMemoryTransport:
                 )
             self.last_delay_seconds = outcome.delay_seconds
 
-        recipient.stats.messages_received += 1
-        recipient.stats.bytes_received += size
-        if self.record_log:
-            self._log.append(message)
-
         reply = recipient.handler(message)
         if reply is not None:
-            reply_size = _payload_size(reply)
-            recipient.stats.messages_sent += 1
-            recipient.stats.bytes_sent += reply_size
-            sender.stats.messages_received += 1
-            sender.stats.bytes_received += reply_size
-            if self.record_log:
-                self._log.append(reply)
             # The reply rides the same impaired link back: charge the
             # one-way latency once more for the full round trip.
             self.last_delay_seconds *= 2.0
         return reply
-
-    def try_send(self, message: Message) -> Optional[Message]:
-        """Like :meth:`send` but returns ``None`` on delivery failure."""
-        try:
-            return self.send(message)
-        except TransportError:
-            return None
-
-    def stats_for(self, peer_id: int) -> TrafficStats:
-        """Traffic counters of one endpoint."""
-        return self._lookup(peer_id, "endpoint").stats
-
-    @property
-    def log(self) -> List[Message]:
-        """Messages routed so far (only populated when ``record_log``)."""
-        return list(self._log)
 
     def __len__(self) -> int:
         return len(self._endpoints)

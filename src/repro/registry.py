@@ -29,7 +29,7 @@ mean" suggestion.
 from __future__ import annotations
 
 import difflib
-from typing import Callable, Dict, Generic, Iterator, List, Optional, TypeVar
+from typing import Dict, Generic, Iterator, List, Optional, TypeVar
 
 T = TypeVar("T")
 

@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.backup.client import BackupSwarm
-from repro.backup.backup_task import BackupTask
 from repro.backup.fairness import ExchangeLedger, GlobalFairness
 
 
@@ -13,13 +11,13 @@ class TestExchangeLedger:
         balance = ledger.balance_with(5)
         assert balance.stored_for_partner == 0
         assert balance.stored_by_partner == 0
-        assert balance.debt == 0
 
     def test_debt_direction(self):
         ledger = ExchangeLedger()
         ledger.record_stored_for(5, blocks=3)  # they use my space
         ledger.record_stored_by(5, blocks=1)   # I use theirs
-        assert ledger.balance_with(5).debt == 2  # they owe me 2
+        balance = ledger.balance_with(5)
+        assert (balance.stored_for_partner, balance.stored_by_partner) == (3, 1)
 
     def test_releases_clamp_at_zero(self):
         ledger = ExchangeLedger()
@@ -62,131 +60,13 @@ class TestExchangeLedger:
         with pytest.raises(ValueError):
             ExchangeLedger(grace_blocks=-1)
 
-    def test_debtors_sorted(self):
-        ledger = ExchangeLedger()
-        ledger.record_stored_for(1, blocks=5)
-        ledger.record_stored_for(2, blocks=1)
-        ledger.record_stored_by(3, blocks=4)
-        assert [peer for peer, _ in ledger.debtors()] == [1, 2, 3]
-
-    def test_totals(self):
-        ledger = ExchangeLedger()
-        ledger.record_stored_for(1, blocks=2)
-        ledger.record_stored_for(2, blocks=3)
-        ledger.record_stored_by(1, blocks=1)
-        totals = ledger.totals()
-        assert totals.stored_for_partner == 5
-        assert totals.stored_by_partner == 1
-
 
 class TestGlobalFairness:
-    def test_ratio(self):
+    def test_hosting_and_placement_accumulate(self):
         fairness = GlobalFairness()
         fairness.record_hosting(1, blocks=6)
-        fairness.record_placement(1, blocks=3)
-        assert fairness.ratio(1) == 2.0
-
-    def test_pure_contributor_is_infinite(self):
-        fairness = GlobalFairness()
         fairness.record_hosting(1)
-        assert fairness.ratio(1) == float("inf")
-
-    def test_inactive_peer_is_neutral(self):
-        assert GlobalFairness().ratio(42) == 1.0
-
-    def test_free_riders(self):
-        fairness = GlobalFairness()
-        fairness.record_hosting(1, 10)
-        fairness.record_placement(1, 5)
-        fairness.record_hosting(2, 1)
-        fairness.record_placement(2, 10)
-        assert fairness.free_riders(minimum_ratio=1.0) == [2]
-
-    def test_free_riders_validation(self):
-        with pytest.raises(ValueError):
-            GlobalFairness().free_riders(minimum_ratio=0)
-
-    def test_gini_zero_for_equal_system(self):
-        fairness = GlobalFairness()
-        for peer in range(4):
-            fairness.record_hosting(peer, 10)
-            fairness.record_placement(peer, 10)
-        assert fairness.gini_coefficient() == pytest.approx(0.0, abs=1e-9)
-
-    def test_gini_positive_for_skewed_system(self):
-        fairness = GlobalFairness()
-        fairness.record_hosting(0, 100)
-        fairness.record_placement(0, 1)
-        fairness.record_hosting(1, 1)
-        fairness.record_placement(1, 100)
-        assert fairness.gini_coefficient() > 0.3
-
-    def test_gini_trivial_systems(self):
-        assert GlobalFairness().gini_coefficient() == 0.0
-        single = GlobalFairness()
-        single.record_hosting(1, 5)
-        assert single.gini_coefficient() == 0.0
-
-
-class TestClientEnforcement:
-    def test_debtor_gets_refused(self):
-        swarm = BackupSwarm(
-            data_blocks=4, parity_blocks=4, quota_blocks=100, seed=1,
-            fairness_factor=1.0,
-        )
-        nodes = [swarm.add_node() for _ in range(10)]
-        swarm.tick(5)
-        owner = nodes[0]
-        # First backup fits inside the grace allowance per partner.
-        first = BackupTask(owner, archive_size=2048).run({"a": b"x" * 600})
-        assert first.complete
-        # Hammer the same partners without reciprocating: the per-partner
-        # ceiling (grace=4 with factor 1 and zero reciprocity) eventually
-        # refuses.
-        target = next(p for p in first.placements[0].partners if p >= 0)
-        partner = swarm.nodes[target]
-        refusals = 0
-        from repro.net.message import StoreRequest, StoreReply
-        for index in range(10):
-            reply = swarm.transport.send(StoreRequest(
-                sender=owner.peer_id, recipient=target,
-                archive_id=f"extra-{index}", block_index=0, payload=b"y",
-            ))
-            if isinstance(reply, StoreReply) and not reply.accepted:
-                refusals += 1
-        assert refusals > 0
-        assert partner.ledger.balance_with(owner.peer_id).debt > 0
-
-    def test_no_enforcement_without_factor(self):
-        swarm = BackupSwarm(
-            data_blocks=4, parity_blocks=4, quota_blocks=100, seed=1,
-        )
-        nodes = [swarm.add_node() for _ in range(10)]
-        swarm.tick(5)
-        from repro.net.message import StoreRequest, StoreReply
-        accepted = 0
-        for index in range(20):
-            reply = swarm.transport.send(StoreRequest(
-                sender=0, recipient=1,
-                archive_id=f"a-{index}", block_index=0, payload=b"z",
-            ))
-            if isinstance(reply, StoreReply) and reply.accepted:
-                accepted += 1
-        assert accepted == 20
-
-    def test_swarm_validates_factor(self):
-        with pytest.raises(ValueError):
-            BackupSwarm(fairness_factor=0)
-
-    def test_ledgers_symmetric_after_backup(self, small_swarm):
-        owner = small_swarm.nodes[0]
-        report = BackupTask(owner, archive_size=2048).run({"f": b"q" * 700})
-        placement = report.placements[0]
-        for index, partner_id in enumerate(placement.partners):
-            if partner_id < 0:
-                continue
-            partner = small_swarm.nodes[partner_id]
-            held = partner.ledger.balance_with(owner.peer_id).stored_for_partner
-            credited = owner.ledger.balance_with(partner_id).stored_by_partner
-            assert held >= 1
-            assert credited >= 1
+        fairness.record_placement(1, blocks=3)
+        fairness.record_placement(2)
+        assert fairness.contributed == {1: 7}
+        assert fairness.consumed == {1: 3, 2: 1}

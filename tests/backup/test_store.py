@@ -5,7 +5,8 @@ import hashlib
 import pytest
 
 from repro.backup.store import BlockStore, QuotaExceededError
-from repro.erasure.codec import CodedBlock
+from repro.erasure.codec import ArchiveCodec, CodedBlock
+from repro.erasure.reed_solomon import ErasureCodingError
 
 
 def block(index=0, payload=b"data"):
@@ -76,22 +77,43 @@ class TestFetchRelease:
 
 
 class TestViews:
-    def test_blocks_for_owner(self):
-        store = BlockStore(10)
-        store.store(1, "a", block(0))
-        store.store(1, "b", block(0))
-        store.store(2, "a", block(0))
-        assert len(store.blocks_for(1)) == 2
-
     def test_owners(self):
         store = BlockStore(10)
         store.store(1, "a", block(0))
         store.store(2, "a", block(0))
         assert sorted(store.owners()) == [1, 2]
 
-    def test_usage_by_owner(self):
-        store = BlockStore(10)
-        store.store(1, "a", block(0))
-        store.store(1, "a", block(1))
-        store.store(5, "z", block(3))
-        assert store.usage_by_owner() == {1: 2, 5: 1}
+
+class TestByteLevelRestore:
+    """Real Reed-Solomon bytes round-trip through partner stores."""
+
+    K, M = 4, 4
+
+    def _place(self, payload):
+        codec = ArchiveCodec(data_blocks=self.K, parity_blocks=self.M)
+        stores = {holder: BlockStore(quota_blocks=1) for holder in range(codec.n)}
+        for holder, coded in enumerate(codec.split(payload)):
+            stores[holder].store(0, "archive-0", coded)
+        return codec, stores
+
+    def _fetch(self, stores, holders):
+        fetched = {}
+        for holder in holders:
+            coded = stores[holder].fetch(0, "archive-0", holder)
+            fetched[coded.index] = coded
+        return fetched
+
+    def test_restores_byte_exactly_after_losing_m_holders(self):
+        payload = bytes(range(256)) * 7 + b"tail"
+        codec, stores = self._place(payload)
+        for lost in (0, 2, 5, 7):  # any m holders may go
+            del stores[lost]
+        survivors = sorted(stores)
+        assert len(survivors) == codec.k
+        assert codec.reassemble(self._fetch(stores, survivors)) == payload
+
+    def test_fewer_than_k_blocks_fail_to_decode(self):
+        codec, stores = self._place(b"payload bytes")
+        fetched = self._fetch(stores, range(codec.k - 1))
+        with pytest.raises(ErasureCodingError):
+            codec.reassemble(fetched)

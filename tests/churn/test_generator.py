@@ -1,7 +1,5 @@
 """Tests for the standalone churn-trace generator."""
 
-import math
-
 import numpy as np
 import pytest
 

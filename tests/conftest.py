@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backup.client import BackupSwarm
 from repro.sim.config import SimulationConfig
 from repro.sim.engine_soa import SoaSimulation
 from repro.sim.observers import scaled_observers
@@ -54,14 +53,3 @@ def finished_simulation(tiny_config) -> SoaSimulation:
     simulation.run()
     return simulation
 
-
-@pytest.fixture
-def small_swarm() -> BackupSwarm:
-    """A byte-level swarm with 12 nodes, one day old."""
-    swarm = BackupSwarm(
-        data_blocks=4, parity_blocks=4, quota_blocks=40, seed=5
-    )
-    for _ in range(12):
-        swarm.add_node()
-    swarm.tick(24)
-    return swarm

@@ -3,13 +3,9 @@
 import pytest
 
 from repro.net.message import (
-    AvailabilityProbe,
-    AvailabilityReport,
     FetchReply,
     FetchRequest,
     Message,
-    PartnershipAnswer,
-    PartnershipProposal,
     ReleaseNotice,
     StoreReply,
     StoreRequest,
@@ -71,23 +67,8 @@ class TestPayloadMessages:
 
 
 class TestControlMessages:
-    def test_partnership_proposal_carries_age(self):
-        proposal = PartnershipProposal(sender=1, recipient=2, proposer_age=42.0)
-        assert proposal.proposer_age == 42.0
-
-    def test_partnership_answer_default_refuses(self):
-        assert not PartnershipAnswer(sender=2, recipient=1).accepted
-
     def test_release_notice_fields(self):
         notice = ReleaseNotice(
             sender=1, recipient=2, archive_id="a", block_index=5
         )
         assert notice.block_index == 5
-
-    def test_probe_and_report(self):
-        probe = AvailabilityProbe(sender=1, recipient=2, window_rounds=2160)
-        report = AvailabilityReport(
-            sender=2, recipient=1, availability=0.87, observed_rounds=2160
-        )
-        assert probe.window_rounds == 2160
-        assert report.availability == 0.87

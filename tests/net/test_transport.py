@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.message import FetchReply, FetchRequest, Message, StoreRequest
+from repro.net.message import FetchReply, FetchRequest, Message
 from repro.net.transport import (
     DepartedEndpointError,
     InMemoryTransport,
@@ -81,50 +81,9 @@ class TestDelivery:
         with pytest.raises(TransportError):
             transport.send(FetchRequest(sender=1, recipient=2))
 
-    def test_try_send_swallows_failures(self, transport):
-        transport.set_online(2, False)
-        assert transport.try_send(FetchRequest(sender=1, recipient=2)) is None
-
-    def test_try_send_success(self, transport):
-        assert transport.try_send(FetchRequest(sender=1, recipient=2)) is not None
-
     def test_self_message_rejected(self):
         with pytest.raises(ValueError):
             Message(sender=1, recipient=1)
-
-
-class TestAccounting:
-    def test_payload_bytes_counted(self, transport):
-        transport.send(
-            StoreRequest(sender=1, recipient=2, archive_id="a", payload=b"x" * 100)
-        )
-        assert transport.stats_for(1).bytes_sent == 100
-        assert transport.stats_for(2).bytes_received == 100
-
-    def test_reply_bytes_counted_both_ways(self, transport):
-        transport.send(FetchRequest(sender=1, recipient=2))
-        # The 4-byte "echo" reply flows back to peer 1.
-        assert transport.stats_for(2).bytes_sent == 4
-        assert transport.stats_for(1).bytes_received == 4
-
-    def test_message_counts(self, transport):
-        transport.send(FetchRequest(sender=1, recipient=2))
-        assert transport.stats_for(1).messages_sent == 1
-        assert transport.stats_for(2).messages_received == 1
-        assert transport.stats_for(2).messages_sent == 1  # the reply
-
-    def test_stats_unknown_peer(self, transport):
-        with pytest.raises(TransportError):
-            transport.stats_for(42)
-
-    def test_log_disabled_by_default(self, transport):
-        transport.send(FetchRequest(sender=1, recipient=2))
-        assert transport.log == []
-
-    def test_log_records_when_enabled(self, transport):
-        transport.record_log = True
-        transport.send(FetchRequest(sender=1, recipient=2))
-        assert len(transport.log) == 2  # request + reply
 
 
 class TestTypedFailures:
@@ -163,20 +122,9 @@ class TestTypedFailures:
         with pytest.raises(UnknownEndpointError):
             transport.set_online(99, True)
 
-    def test_stats_for_distinguishes_departed(self, transport):
-        transport.unregister(2)
-        with pytest.raises(DepartedEndpointError):
-            transport.stats_for(2)
-        with pytest.raises(UnknownEndpointError):
-            transport.stats_for(42)
-
     def test_departed_peer_is_not_online(self, transport):
         transport.unregister(2)
         assert not transport.is_online(2)
-
-    def test_try_send_swallows_departed(self, transport):
-        transport.unregister(2)
-        assert transport.try_send(FetchRequest(sender=1, recipient=2)) is None
 
     def test_reregistration_clears_departed_state(self, transport):
         transport.unregister(2)

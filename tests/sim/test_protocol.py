@@ -290,6 +290,33 @@ class TestFairnessEnforcement:
         result = run_simulation(protocol_config(rounds=400))
         assert "fairness_refusals" not in result.metrics.protocol
 
+    @pytest.mark.parametrize("impairment", ["clean", "loss10"])
+    @pytest.mark.parametrize("factor", [None, 1.0])
+    def test_ledgers_symmetric_with_stores(self, factor, impairment):
+        """Both sides of every partnership count the blocks actually held."""
+        config = protocol_config(
+            population=120, rounds=1500, seed=1,
+            fairness_factor=factor, impairment_profile=impairment,
+        )
+        simulation = ProtocolSimulation(config)
+        simulation.run()
+        assert simulation.audit() == []
+        pairs = 0
+        for owner_id, manifest in simulation._manifest.items():
+            if not simulation.state.alive[owner_id]:
+                continue
+            for holder_id in manifest:
+                held = sum(
+                    1 for key in simulation._stores[holder_id]._blocks
+                    if key[0] == owner_id
+                )
+                hosted = simulation._ledgers[holder_id].balance_with(owner_id)
+                credited = simulation._ledgers[owner_id].balance_with(holder_id)
+                assert hosted.stored_for_partner == held
+                assert credited.stored_by_partner == held
+                pairs += 1
+        assert pairs > 0
+
 
 @pytest.mark.slow
 class TestExecutorEquivalence:

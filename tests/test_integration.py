@@ -1,8 +1,8 @@
 """Cross-module integration tests.
 
 These tie the layers together: the simulator against the analytic churn
-model, the byte-level client under sustained churn, the public API
-surface, and the examples as executable documentation.
+model, the public API surface, and the examples as executable
+documentation.
 """
 
 import math
@@ -126,43 +126,10 @@ class TestLongRunConsistency:
         assert hosted == sum(len(state.owners_row(peer_id)) for peer_id in alive)
 
 
-class TestByteLevelUnderChurn:
-    def test_survives_rolling_churn(self):
-        """Backup stays restorable through waves of partner failures,
-        provided maintenance runs between waves."""
-        from repro.backup import (
-            BackupSwarm, BackupTask, MaintenanceTask, RestoreTask,
-        )
-
-        swarm = BackupSwarm(
-            data_blocks=4, parity_blocks=4, quota_blocks=60, seed=9
-        )
-        nodes = [swarm.add_node() for _ in range(24)]
-        swarm.tick(10)
-        owner = nodes[0]
-        files = {"data.bin": bytes(range(256)) * 8}
-        BackupTask(owner, archive_size=4096).run(files)
-
-        protected = set(
-            swarm.dht.replica_locations(owner.master.dht_key())
-        ) | {owner.peer_id}
-        rng_victims = [n.peer_id for n in nodes if n.peer_id not in protected]
-        for wave in range(3):
-            # Three partners fail for good each wave.
-            for victim in rng_victims[wave * 3: wave * 3 + 3]:
-                if swarm.nodes[victim].online:
-                    swarm.set_online(victim, False)
-            swarm.tick(24)
-            MaintenanceTask(owner).run()
-
-        restored = RestoreTask(swarm, owner.peer_id, owner.user_key).run()
-        assert restored.files == files
-
-
 @pytest.mark.slow
 @pytest.mark.parametrize(
     "script",
-    ["quickstart.py", "churn_explorer.py"],
+    ["home_backup.py", "churn_explorer.py"],
 )
 def test_examples_run_clean(script):
     """The fast examples are executable documentation: they must pass."""
