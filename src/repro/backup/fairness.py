@@ -12,7 +12,8 @@ This module implements both accountings:
   partner, blocks I store for them vs blocks they store for me, with a
   debt test used to refuse storage to free-riding partners;
 * :class:`GlobalFairness` — the global view: blocks contributed vs
-  consumed per peer across the whole system.
+  consumed per peer across the whole system, with one contribution
+  ratio per peer and the inequality of those ratios.
 
 The protocol fidelity (:class:`repro.sim.protocol.ProtocolSimulation`)
 enforces both when ``SimulationConfig.fairness_factor`` is set.
@@ -21,7 +22,7 @@ enforces both when ``SimulationConfig.fairness_factor`` is set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List
 
 
 @dataclass
@@ -106,3 +107,38 @@ class GlobalFairness:
     def record_placement(self, peer_id: int, blocks: int = 1) -> None:
         """``peer_id`` placed ``blocks`` of its own data in the system."""
         self.consumed[peer_id] = self.consumed.get(peer_id, 0) + blocks
+
+    def ratio(self, peer_id: int) -> float:
+        """Contribution ratio: hosted / placed (inf for pure contributors)."""
+        placed = self.consumed.get(peer_id, 0)
+        hosted = self.contributed.get(peer_id, 0)
+        if placed == 0:
+            return float("inf") if hosted else 1.0
+        return hosted / placed
+
+    def free_riders(self, minimum_ratio: float = 1.0) -> List[int]:
+        """Peers contributing less than ``minimum_ratio`` of their usage."""
+        if minimum_ratio <= 0:
+            raise ValueError("minimum_ratio must be positive")
+        peers = set(self.contributed) | set(self.consumed)
+        return sorted(p for p in peers if self.ratio(p) < minimum_ratio)
+
+    def gini_coefficient(self) -> float:
+        """Inequality of contribution ratios across peers (0 = equal).
+
+        Infinite ratios are clipped to the largest finite one; an empty
+        or single-peer system reports 0.
+        """
+        peers = sorted(set(self.contributed) | set(self.consumed))
+        if len(peers) < 2:
+            return 0.0
+        ratios = [self.ratio(p) for p in peers]
+        finite = [r for r in ratios if r != float("inf")]
+        ceiling = max(finite) if finite else 1.0
+        values = sorted(min(r, ceiling) for r in ratios)
+        total = sum(values)
+        if total == 0:
+            return 0.0
+        n = len(values)
+        cumulative = sum((index + 1) * value for index, value in enumerate(values))
+        return (2.0 * cumulative) / (n * total) - (n + 1.0) / n
