@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
+from repro.core.acceptance import ACCEPTANCE_RULES, AcceptancePolicy
 from repro.exec import config_digest
 from repro.exec.cache import canonical_json
 from repro.scenarios import available_scenarios, scenario_by_name
@@ -70,21 +72,59 @@ def test_every_preset_matches_abstract(name, seed, vector_kernel):
         pytest.fail(f"{key}: {record_goldens.first_divergence(expected, actual)}")
 
 
-#: Cells outside the golden grid -> (config, SHA-256 of the canonical
-#: ``to_dict()`` minus ``config``), the digests recorded with the CSR
-#: owners slab and pair-list recruitment the owner matrix replaced.
-#: ``oracle`` drives ``_fill_pool_small`` plus ``_describe_candidate``
-#: (Candidate descriptors); ``code48`` (n = 96, quota 1.5 x n) asks for
-#: pools of 64 or more, so the scalar kernel also runs the array fill
-#: ``_fill_pool_fast``.
+class _SubclassedAgeRule(AcceptancePolicy):
+    """The paper's rule as a plain subclass: an engine sees a custom rule.
+
+    ``type(rule) is AcceptancePolicy`` is false, so recruitment asks
+    ``decide`` candidate by candidate instead of inlining the bounds.
+    """
+
+
+#: Registry name of :class:`_SubclassedAgeRule`, registered only while
+#: an extra cell runs.
+CUSTOM_RULE = "test-subclassed-age"
+
+
+@contextmanager
+def _custom_rule_registered():
+    ACCEPTANCE_RULES.register(CUSTOM_RULE)(_SubclassedAgeRule)
+    try:
+        yield
+    finally:
+        ACCEPTANCE_RULES.unregister(CUSTOM_RULE)
+
+
+#: Cells outside the golden grid -> (scenario factory, SHA-256 of the
+#: canonical ``to_dict()`` minus ``config``).  ``oracle`` and ``code48``
+#: were recorded with the CSR owners slab and pair-list recruitment the owner
+#: matrix replaced; the other two were recorded before the scalar pool
+#: fill was folded into the array one.  ``oracle`` drives
+#: ``_fill_pool_small`` plus ``_describe_candidate`` (Candidate
+#: descriptors); ``code48`` (n = 96, quota 1.5 x n) asks for pools of 64
+#: or more, so the scalar kernel also runs the array fill
+#: ``_fill_pool_fast``; ``uniform-random`` is the baselines' pairing
+#: (:mod:`repro.baselines.comparison`), which takes no acceptance draws;
+#: ``custom-rule`` drives the per-candidate ``decide`` path (the rule is
+#: the paper's, so its digest is the plain ``paper`` cell's).
 EXTRA_CELLS = {
     "oracle": (
-        _shrunk("paper").with_selection("oracle").with_seed(0),
+        lambda: _shrunk("paper").with_selection("oracle").with_seed(0),
         "0d22e3a8b4aa08042503e52310f5c9fde2dd5ac71df8e81eac87b07490f9c31d",
     ),
     "code48": (
-        _shrunk("paper").with_code(48, 48).with_quota(144).with_seed(0),
+        lambda: _shrunk("paper").with_code(48, 48).with_quota(144).with_seed(0),
         "eb8f2b7ce4afc36747f7366b802b2c52e952cd3af739f36b521a25529e7a20d4",
+    ),
+    "uniform-random": (
+        lambda: _shrunk("paper")
+        .with_acceptance("uniform")
+        .with_selection("random")
+        .with_seed(0),
+        "cae8829dc7a30d9b6d1a1356fb3d3d384f700682ee96d9526142b32b161ec912",
+    ),
+    "custom-rule": (
+        lambda: _shrunk("paper").with_acceptance(CUSTOM_RULE).with_seed(0),
+        "67288294e50983abf516a668705930e54d76ff608012e704b7866b4272ef36ba",
     ),
 }
 
@@ -98,8 +138,7 @@ def _run_audited(config):
 
 @pytest.mark.parametrize("name", sorted(EXTRA_CELLS))
 def test_extra_cell_matches_on_both_kernels(name, monkeypatch):
-    scenario, expected = EXTRA_CELLS[name]
-    config = scenario.build()
+    make_scenario, expected = EXTRA_CELLS[name]
     fast_fills = []
     fill = SoaSimulation._fill_pool_fast
 
@@ -108,11 +147,13 @@ def test_extra_cell_matches_on_both_kernels(name, monkeypatch):
         return fill(self, *args)
 
     monkeypatch.setattr(SoaSimulation, "_fill_pool_fast", counted)
-    scalar = _run_audited(config)
-    if name == "code48":
-        assert False in fast_fills, "the scalar kernel never ran the array fill"
-    monkeypatch.setattr(SoaSimulation, "_VECTOR_POPULATION", 1)
-    assert _run_audited(config) == scalar
+    with _custom_rule_registered():
+        config = make_scenario().build()
+        scalar = _run_audited(config)
+        if name == "code48":
+            assert False in fast_fills, "the scalar kernel never ran the array fill"
+        monkeypatch.setattr(SoaSimulation, "_VECTOR_POPULATION", 1)
+        assert _run_audited(config) == scalar
     del scalar["config"]
     digest = hashlib.sha256(canonical_json(scalar).encode("utf-8")).hexdigest()
     assert digest == expected
