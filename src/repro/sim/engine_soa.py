@@ -13,7 +13,8 @@ committed golden digests in ``tests/golden/results.json``
 (``scripts/record_goldens.py`` regenerates them).
 
 What makes it fast (the layout that lets 10^6-peer populations fit in
-memory, and gives sub-second ``paper`` default-scale runs):
+memory, and runs ``paper`` at default scale, 800 peers x 14 000
+rounds, in about a second):
 
 * session toggles — the dominant event kind — are not dispatched one
   event at a time: the queue keeps each round's toggles in a dense
@@ -25,8 +26,9 @@ memory, and gives sub-second ``paper`` default-scale runs):
   scatter-add on the ``visible`` column, one masked threshold compare,
   and one vectorised geometric draw for all reschedules
   (:func:`repro.sim.rng.geometric_from_uniforms`);
-* swarm-scale recruitment stays in arrays end to end: the pool fill
-  returns ``(ids, ages)`` vectors, the strategy orders them with
+* recruitment stays in arrays end to end: the pool fill evaluates
+  whole sample chunks as numpy expressions and returns ``(ids, ages)``
+  vectors, the strategy orders them with
   :meth:`repro.core.selection.SelectionStrategy.select_arrays`, and the
   chosen partners are committed with one quota mask and one
   fancy-index write into the owner matrix
@@ -34,17 +36,14 @@ memory, and gives sub-second ``paper`` default-scale runs):
 * the remaining scalar handlers (checks, deaths, repair bookkeeping)
   touch C-backed list slots instead of attribute-walking per-peer heap
   objects;
-* the recruitment loop inlines the :class:`repro.sim.rng.BatchedDraws`
-  buffer arithmetic (one bounds check + one index per draw, no method
-  calls) while consuming the exact same draw sequence;
 * the periodic census is one vectorised mask/searchsorted/bincount over
   the numpy mirror columns instead of a Python loop over every peer;
 * per-peer ``SessionProcess``/lifetime/``Event`` objects are replaced
   by per-profile constants and bare ids in the queue's toggle buckets —
   the draws are issued in the same order, from the same streams.
 
-Both kernel branches (scalar and vectorised) and both pool fills
-(scalar and array) are draw-identical, which leans on the event queue
+Both toggle-kernel branches (scalar and vectorised) are
+draw-identical, which leans on the event queue
 canonicalising each round's bucket before shuffling
 (:meth:`repro.sim.events.EventQueue._activate`): execution order
 depends only on bucket *content*, never on the order events were filed.
@@ -90,14 +89,6 @@ class SoaSimulation:
     #: (class attribute so tests can force either branch on micro
     #: populations).
     _VECTOR_POPULATION = 50_000
-
-    #: pool-size cut-over between the scalar and vectorised pool fills
-    #: (both are draw-identical, so the cut is purely a speed knob).
-    #: Measured at default scale: numpy dispatch overhead loses to the
-    #: scalar loop for every ordinary pool size, so only swarm-scale
-    #: populations (which take the vector kernel anyway) fill with
-    #: arrays.
-    _SCALAR_POOL_TARGET = 64
 
     def __init__(self, config: SimulationConfig):
         self.config = config
@@ -171,21 +162,17 @@ class SoaSimulation:
         # the identical passes, so the cut is invisible to results.
         self._vector_kernel = config.population >= self._VECTOR_POPULATION
         # The online candidate index: a swap-pop set (``_online_items``
-        # holds the members, ``_online_pos`` each id's slot or -1), so
-        # uniform sampling is one index per draw and the item layout is
-        # a pure function of the add/discard sequence.  Adaptive like
-        # the state columns: a numpy array at swarm scale, where the
-        # pool fill gathers whole candidate chunks in one fancy index; a
-        # plain list below it, where scalar indexing dominates.
+        # holds the members in an ``int64`` array, ``_online_pos`` each
+        # id's slot or -1), so uniform sampling is one index per draw,
+        # the pool fill gathers a whole candidate chunk in one fancy
+        # index, and the item layout is a pure function of the
+        # add/discard sequence.
         capacity = config.population + len(config.observers) + 16
-        if self._vector_kernel:
-            self._online_items = np.zeros(capacity, dtype=np.int64)
-        else:
-            self._online_items = []
+        self._online_items = np.zeros(capacity, dtype=np.int64)
         self._online_size = 0
         self._online_pos: List[int] = []
         #: scratch column for the pool fill's skip-set (all False
-        #: between fills; see ``_fill_pool_fast``).
+        #: between fills; see ``_fill_pool``).
         self._pool_marks = np.zeros(capacity, dtype=bool)
         # Owner rows are bounded by the quota plus one quota-free slot
         # per observer (see soa_state's owner-matrix notes).
@@ -286,14 +273,11 @@ class SoaSimulation:
             return
         size = self._online_size
         items = self._online_items
-        if self._vector_kernel:
-            if size >= len(items):
-                bigger = np.zeros(len(items) * 2, dtype=np.int64)
-                bigger[:size] = items
-                self._online_items = items = bigger
-            items[size] = peer_id
-        else:
-            items.append(peer_id)
+        if size >= len(items):
+            bigger = np.zeros(len(items) * 2, dtype=np.int64)
+            bigger[:size] = items
+            self._online_items = items = bigger
+        items[size] = peer_id
         self._online_pos[peer_id] = size
         self._online_size = size + 1
 
@@ -304,16 +288,10 @@ class SoaSimulation:
             return
         size = self._online_size - 1
         items = self._online_items
-        if self._vector_kernel:
-            tail = int(items[size])
-            if tail != peer_id:
-                items[position] = tail
-                self._online_pos[tail] = position
-        else:
-            tail = items.pop()
-            if tail != peer_id:
-                items[position] = tail
-                self._online_pos[tail] = position
+        tail = items.item(size)
+        if tail != peer_id:
+            items[position] = tail
+            self._online_pos[tail] = position
         self._online_pos[peer_id] = -1
         self._online_size = size
 
@@ -746,86 +724,71 @@ class SoaSimulation:
         quota = self.config.quota
         quota_used = state.quota_used
         row = state.holders[owner_id]
-        if isinstance(chosen, np.ndarray):
-            # The array fill's partners (distinct ids), committed in one
-            # pass: the same per-candidate quota test, link and counter
-            # updates as the loop below, as masks and fancy indexes.
-            if check_quota:
-                quota_np = state.quota_np
-                chosen = chosen[quota_np[chosen] < quota]
-            added = len(chosen)
-            if not added:
-                return 0
-            ids = chosen.tolist()
-            row.extend(ids)
-            state.visible[owner_id] += added
-            if check_quota:
-                quota_np[chosen] += 1
-                for candidate_id in ids:
-                    quota_used[candidate_id] += 1
-            state.owners_append_many(chosen, owner_id)
-            return added
-        added = 0
-        for candidate_id in chosen:
-            # Quota could have filled between sampling and selection.
-            if check_quota and quota_used[candidate_id] >= quota:
-                continue
-            row.append(candidate_id)
-            state.visible[owner_id] += 1
-            state.owners_append(candidate_id, owner_id)
-            if check_quota:
+        # The chosen partners (distinct ids), committed in one pass: a
+        # quota mask (quota could have filled between sampling and
+        # selection), then the links and counters as fancy indexes.
+        if check_quota:
+            quota_np = state.quota_np
+            chosen = chosen[quota_np[chosen] < quota]
+        added = len(chosen)
+        if not added:
+            return 0
+        ids = chosen.tolist()
+        row.extend(ids)
+        state.visible[owner_id] += added
+        if check_quota:
+            quota_np[chosen] += 1
+            for candidate_id in ids:
                 quota_used[candidate_id] += 1
-                state.quota_np[candidate_id] += 1
-            added += 1
+        state.owners_append_many(chosen, owner_id)
         return added
 
-    def _select_candidates(self, owner_id: int, now: int, needed: int):
+    def _select_candidates(
+        self, owner_id: int, now: int, needed: int
+    ) -> np.ndarray:
         """Pool-build then strategy-select the best ``needed`` partner ids.
 
-        Large pools of the built-in rules, and every pool under the
-        vector kernel, fill as arrays (``_fill_pool_fast``) and are
-        ordered by ``select_arrays``; the rest fill candidate by
-        candidate (``_fill_pool_small``).  The two fills are
-        draw-identical, so the cut is purely a speed knob.  The
-        ``(id, age)`` pairs become :class:`Candidate` descriptors only
-        when the strategy declares data needs.
+        The pool fill returns the accepted ``(ids, ages)`` vectors.
+        Strategies without data needs order them with ``select_arrays``;
+        the rest rank :class:`Candidate` descriptors through ``select``.
+        Either way the chosen ids come back as an ``int64`` vector, most
+        preferred first.
         """
         pool_target = int(math.ceil(self.config.pool_factor * needed))
         max_examined = int(self.config.max_examined_factor * needed) + 16
-        if (
-            self._fast_candidates
-            and self._acceptance_kind != "custom"
-            and (self._vector_kernel or pool_target >= self._SCALAR_POOL_TARGET)
-        ):
-            ids, ages = self._fill_pool_fast(
-                owner_id, now, pool_target, max_examined
-            )
+        ids, ages = self._fill_pool(owner_id, now, pool_target, max_examined)
+        if self._fast_candidates:
             return self.strategy.select_arrays(
                 ids, ages, needed, self.rng.selection
             )
-        pool = self._fill_pool_small(owner_id, now, pool_target, max_examined)
-        if self._fast_candidates:
-            return self.strategy.select_pairs(pool, needed, self.rng.selection)
-        return self.strategy.select(
-            [self._describe_candidate(candidate_id) for candidate_id, _ in pool],
+        describe = self._describe_candidate
+        chosen = self.strategy.select(
+            [describe(candidate_id) for candidate_id in ids.tolist()],
             needed,
             self.rng.selection,
         )
+        return np.array(chosen, dtype=np.int64)
 
-    def _fill_pool_fast(
+    def _fill_pool(
         self, owner_id: int, now: int, target_size: int, max_examined: int
     ):
-        """Swarm-scale recruitment: whole chunks as array operations.
+        """Fused candidate sampling and mutual acceptance (section 3.2).
 
-        Replays ``_fill_pool_small`` draw for draw — same chunk sizes
-        from the same ``BatchedDraws`` buffers — but the dedup, the
-        eligibility filters and the mutual-acceptance comparisons run
-        once per chunk as numpy expressions instead of once per
-        candidate as interpreted bytecode.  The acceptance bounds are
-        all-integer arithmetic, so the results (and therefore the
-        accepted set) are bit-identical.  Built-in rules only.  Returns
-        the accepted ``(ids, ages)`` as two ``int64`` vectors in
-        acceptance order.
+        Draws are consumed in *chunks*: each pass takes ``chunk_size``
+        selection uniforms up front, filters the sampled candidates
+        (first occurrence only, not the owner, not already a holder,
+        quota not exhausted), then consumes exactly two acceptance
+        uniforms per filtered candidate — unconditionally, even when the
+        owner's own draw already rejected — unless the rule is uniform.
+        Chunked consumption makes the draw count a pure function of the
+        chunk's content, so the dedup, the filters and the built-in
+        rules' comparisons run once per chunk as numpy expressions; a
+        custom rule's ``decide`` is asked candidate by candidate over
+        the same draws.  Candidate *evaluation* (and the ``examined``
+        count) stops at the candidate that fills the pool, so the pool
+        statistics keep one-at-a-time semantics; the loop bounds are
+        re-checked only between chunks.  Returns the accepted
+        ``(ids, ages)`` as two ``int64`` vectors in acceptance order.
         """
         state = self.state
         n_online = self._online_size
@@ -837,11 +800,6 @@ class SoaSimulation:
             selection_take = self._selection_draws.take_array
             acceptance_take = self._acceptance_draws.take_array
             online_items = self._online_items
-            if not self._vector_kernel:
-                # The adaptive online index is a list at this scale;
-                # one bulk conversion per fill keeps the chunk gathers
-                # below as fancy indexes.
-                online_items = np.array(online_items, dtype=np.int64)
             sample_budget = 8 * n_online + 64
             owner_age = self._age(owner_id, now)
             holder_row = state.holders[owner_id]
@@ -849,16 +807,17 @@ class SoaSimulation:
             quota = self.config.quota
             join_np = state._join_np
             quota_np = state.quota_np
-            by_age = self._acceptance_kind == "age"
-            if by_age:
+            rule = self._acceptance_kind
+            if rule == "age":
                 cap = self.acceptance.age_cap
                 s_owner = owner_age if owner_age < cap else cap
+            elif rule == "custom":
+                decide = self.acceptance.decide
             # One reusable boolean column marks every id this fill must
             # skip — the owner, current holders, and every id already
-            # sampled this fill (the scalar fill's `seen` set).  A gather
-            # against it replaces per-chunk np.isin sort-merges; the
-            # marks are unset before returning so the column stays
-            # all-False between fills.
+            # sampled this fill.  A gather against it replaces per-chunk
+            # np.isin sort-merges; the marks are unset before returning
+            # so the column stays all-False between fills.
             marks = self._pool_marks
             if len(marks) < state.count:
                 grown = np.zeros(
@@ -902,7 +861,7 @@ class SoaSimulation:
                 marks[cand] = True
                 fresh = cand[keep]
                 ages = now - join_np[fresh]  # candidates are never observers
-                if by_age:
+                if rule == "age":
                     # Inlined AcceptancePolicy: accept iff
                     # u < (L - s1 + s2 + 1)/L (min(p, 1) is free, u < 1).
                     # The scalar terms are pre-folded; all-integer
@@ -913,26 +872,33 @@ class SoaSimulation:
                     ok = (pairs[0::2] * cap < s_cand + (cap - s_owner + 1)) & (
                         pairs[1::2] * cap < (cap + s_owner + 1) - s_cand
                     )
-                    # Evaluation stops at the candidate that fills the
-                    # pool (the scalar fill breaks out of its loop
-                    # there), so `examined` keeps one-at-a-time
-                    # semantics although the draws cover the chunk.
-                    cum = np.cumsum(ok)
-                    if len(cum) and cum[-1] >= needed:
-                        cut = int(np.searchsorted(cum, needed)) + 1
-                        examined += cut
-                        ok = ok[:cut]
-                        fresh = fresh[:cut]
-                        ages = ages[:cut]
+                    # Evaluation stops at the acceptance that fills the
+                    # pool, although the draws cover the chunk.
+                    hits = ok.nonzero()[0]
+                    if len(hits) >= needed:
+                        hits = hits[:needed]
+                        examined += int(hits[-1]) + 1
                     else:
                         examined += len(fresh)
-                    fresh = fresh[ok]
-                    ages = ages[ok]
-                else:
+                    fresh, ages = fresh[hits], ages[hits]
+                elif rule == "uniform":
                     if len(fresh) > needed:
                         fresh = fresh[:needed]
                         ages = ages[:needed]
                     examined += len(fresh)
+                else:
+                    pairs = acceptance_take(2 * len(fresh)).tolist()
+                    hits = []
+                    for position, age in enumerate(ages.tolist()):
+                        if len(hits) >= needed:
+                            break
+                        examined += 1
+                        if not decide(owner_age, age, pairs[2 * position]):
+                            continue  # owner rejects
+                        if not decide(age, owner_age, pairs[2 * position + 1]):
+                            continue  # candidate rejects
+                        hits.append(position)
+                    fresh, ages = fresh[hits], ages[hits]
                 accepted_ids.append(fresh)
                 accepted_ages.append(ages)
                 n_accepted += len(fresh)
@@ -947,122 +913,6 @@ class SoaSimulation:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
         return np.concatenate(accepted_ids), np.concatenate(accepted_ages)
-
-    def _fill_pool_small(
-        self, owner_id: int, now: int, target_size: int, max_examined: int
-    ) -> List:
-        """Fused candidate sampling and mutual acceptance (section 3.2).
-
-        Draws are consumed in *chunks*: each pass takes ``chunk_size``
-        selection uniforms up front, filters the sampled candidates
-        (first occurrence only, not the owner, not already a holder,
-        quota not exhausted), then consumes exactly two acceptance
-        uniforms per filtered candidate — unconditionally, even when the
-        owner's own draw already rejected — unless the rule is uniform.
-        Chunked consumption makes the draw count a pure function of the
-        chunk's content, which is what lets ``_fill_pool_fast`` evaluate
-        whole chunks as array operations while replaying the identical
-        stream.  Candidate *evaluation* (and the ``examined`` count)
-        stops at the candidate that fills the pool, so the pool
-        statistics keep one-at-a-time semantics; the loop bounds are
-        re-checked only between chunks.  Returns the accepted
-        ``(id, age)`` pairs in acceptance order.
-        """
-        state = self.state
-        n_online = self._online_size
-        accepted: List = []
-        examined = 0
-        if n_online:
-            selection = self._selection_draws
-            acceptance_take = self._acceptance_draws.take
-            online_items = self._online_items
-            vector = self._vector_kernel
-            sample_budget = 8 * n_online + 64
-            check_quota = owner_id >= state.n_observers
-            quota = self.config.quota
-            quota_used = state.quota_used
-            join = state.join
-            rule = self._acceptance_kind
-            owner_age = self._age(owner_id, now)
-            if rule == "age":
-                cap = self.acceptance.age_cap
-                s_owner = owner_age if owner_age < cap else cap
-            seen = set(state.holders[owner_id])
-            seen.add(owner_id)
-            last = n_online - 1
-            while (
-                sample_budget > 0
-                and examined < max_examined
-                and len(accepted) < target_size
-            ):
-                chunk_size = pool_chunk_size(target_size - len(accepted))
-                if chunk_size > sample_budget:
-                    chunk_size = sample_budget
-                sample_budget -= chunk_size
-                if vector:
-                    # Gather the chunk from the array index in one fancy
-                    # index (``astype`` truncates like ``int``).
-                    indices = (selection.take_array(chunk_size) * n_online).astype(
-                        np.intp
-                    )
-                    np.minimum(indices, last, out=indices)
-                    chunk = online_items[indices].tolist()
-                else:
-                    chunk = [
-                        online_items[index if index < last else last]
-                        for index in [
-                            int(u * n_online) for u in selection.take(chunk_size)
-                        ]
-                    ]
-                fresh: List[int] = []
-                for candidate_id in chunk:
-                    if candidate_id in seen:
-                        continue
-                    seen.add(candidate_id)
-                    if check_quota and quota_used[candidate_id] >= quota:
-                        continue
-                    fresh.append(candidate_id)
-                if rule == "age":
-                    # Inlined AcceptancePolicy: accept iff
-                    # u < (L - s1 + s2 + 1)/L (min(p, 1) is free, u < 1),
-                    # with the scalar terms pre-folded as in the array fill.
-                    pairs = acceptance_take(2 * len(fresh))
-                    for position, candidate_id in enumerate(fresh):
-                        if len(accepted) >= target_size:
-                            break
-                        examined += 1
-                        age = now - join[candidate_id]
-                        s_cand = age if age < cap else cap
-                        if pairs[2 * position] * cap >= s_cand + (
-                            cap - s_owner + 1
-                        ):
-                            continue  # owner rejects
-                        if pairs[2 * position + 1] * cap >= (
-                            cap + s_owner + 1
-                        ) - s_cand:
-                            continue  # candidate rejects
-                        accepted.append((candidate_id, age))
-                elif rule == "uniform":
-                    for candidate_id in fresh:
-                        if len(accepted) >= target_size:
-                            break
-                        examined += 1
-                        accepted.append((candidate_id, now - join[candidate_id]))
-                else:
-                    decide = self.acceptance.decide
-                    pairs = acceptance_take(2 * len(fresh))
-                    for position, candidate_id in enumerate(fresh):
-                        if len(accepted) >= target_size:
-                            break
-                        examined += 1
-                        age = now - join[candidate_id]
-                        if not decide(owner_age, age, pairs[2 * position]):
-                            continue
-                        if not decide(age, owner_age, pairs[2 * position + 1]):
-                            continue
-                        accepted.append((candidate_id, age))
-        self.metrics.record_pool(examined, len(accepted))
-        return accepted
 
     def _describe_candidate(self, candidate_id: int) -> Candidate:
         state = self.state

@@ -64,8 +64,6 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Dict, List, Optional, Set
 
-import numpy as np
-
 from ..backup.fairness import ExchangeLedger, GlobalFairness
 from ..backup.store import BlockStore
 from ..erasure.codec import CodedBlock
@@ -612,9 +610,7 @@ class ProtocolSimulation(SoaSimulation):
         manifest = self._manifest[owner_id]
         quota = self.config.quota
         quota_used = self.state.quota_used
-        chosen = self._select_candidates(owner_id, now, needed)
-        if isinstance(chosen, np.ndarray):
-            chosen = chosen.tolist()
+        chosen = self._select_candidates(owner_id, now, needed).tolist()
         placed: Dict[int, int] = {}
         for candidate_id in chosen:
             # Quota could have filled between sampling and selection.

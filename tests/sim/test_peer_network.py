@@ -4,9 +4,8 @@ Peers live in :class:`repro.sim.soa_state.StateTables` columns and the
 engine derives what used to be per-object queries from them: ages
 (``_age``), measured availability and true remaining lifetime
 (``_describe_candidate``), quota accounting (``quota_used``) and the
-online candidate index (``_online_add`` / ``_online_discard`` /
-``_online_items``).  Every index test runs on both representations of
-the index: a list below the vector cut-over, a numpy array above it.
+online candidate index (``_online_add`` / ``_online_discard`` over
+the ``int64`` array ``_online_items``).
 """
 
 import math
@@ -21,13 +20,7 @@ from repro.sim.engine_soa import SoaSimulation
 from repro.sim.events import Event, EventKind
 
 
-class VectorSimulation(SoaSimulation):
-    """The engine with the swarm-scale (array) representation forced."""
-
-    _VECTOR_POPULATION = 1
-
-
-def make_simulation(vector=False, observers=(), quota=48):
+def make_simulation(observers=(), quota=48):
     config = SimulationConfig(
         population=8,
         rounds=100,
@@ -37,13 +30,7 @@ def make_simulation(vector=False, observers=(), quota=48):
         quota=quota,
         observers=observers,
     )
-    cls = VectorSimulation if vector else SoaSimulation
-    return cls(config)
-
-
-def both_indexes():
-    """One fresh engine per online-index representation."""
-    return [make_simulation(vector=False), make_simulation(vector=True)]
+    return SoaSimulation(config)
 
 
 def add_peer(simulation, join_round=0, death_round=None, online=True):
@@ -170,90 +157,93 @@ class TestSampleableSet:
     """The online index as a set: swap-pop adds and discards."""
 
     def test_add_and_contains(self):
-        for simulation in both_indexes():
-            reserve_ids(simulation, 8)
-            simulation._online_add(5)
-            assert indexed(simulation) == [5]
-            assert simulation._online_pos[5] == 0
+        simulation = make_simulation()
+        reserve_ids(simulation, 8)
+        simulation._online_add(5)
+        assert indexed(simulation) == [5]
+        assert simulation._online_pos[5] == 0
 
     def test_add_idempotent(self):
-        for simulation in both_indexes():
-            reserve_ids(simulation, 8)
-            simulation._online_add(5)
-            simulation._online_add(5)
-            assert simulation._online_size == 1
+        simulation = make_simulation()
+        reserve_ids(simulation, 8)
+        simulation._online_add(5)
+        simulation._online_add(5)
+        assert simulation._online_size == 1
 
     def test_discard(self):
-        for simulation in both_indexes():
-            reserve_ids(simulation, 10)
-            for item in range(10):
-                simulation._online_add(item)
-            simulation._online_discard(3)
-            assert 3 not in indexed(simulation)
-            assert simulation._online_pos[3] == -1
-            # Swap-pop: the tail moved into the vacated slot.
-            assert indexed(simulation)[3] == 9
-            assert simulation._online_size == 9
-            simulation._online_discard(3)  # idempotent
-            assert simulation._online_size == 9
+        simulation = make_simulation()
+        reserve_ids(simulation, 10)
+        for item in range(10):
+            simulation._online_add(item)
+        simulation._online_discard(3)
+        assert 3 not in indexed(simulation)
+        assert simulation._online_pos[3] == -1
+        # Swap-pop: the tail moved into the vacated slot.
+        assert indexed(simulation)[3] == 9
+        assert simulation._online_size == 9
+        simulation._online_discard(3)  # idempotent
+        assert simulation._online_size == 9
 
     def test_sample_empty(self):
-        for simulation in both_indexes():
-            assert sample(simulation, 0.5) is None
-            # The pool fill on an empty index examines nobody.
-            reserve_ids(simulation, 1)
-            assert simulation._fill_pool_small(0, 0, 4, 20) == []
-            assert simulation.metrics.pool_examined == 0
+        simulation = make_simulation()
+        assert sample(simulation, 0.5) is None
+        # The pool fill on an empty index examines nobody.
+        reserve_ids(simulation, 1)
+        ids, ages = simulation._fill_pool(0, 0, 4, 20)
+        for column in (ids, ages):
+            assert column.dtype == np.int64
+            assert len(column) == 0
+        assert simulation.metrics.pool_examined == 0
 
     def test_sample_returns_member(self):
-        for simulation in both_indexes():
-            reserve_ids(simulation, 31)
-            for item in (10, 20, 30):
-                simulation._online_add(item)
-            rng = np.random.default_rng(0)
-            for u in rng.random(20):
-                assert sample(simulation, u) in {10, 20, 30}
+        simulation = make_simulation()
+        reserve_ids(simulation, 31)
+        for item in (10, 20, 30):
+            simulation._online_add(item)
+        rng = np.random.default_rng(0)
+        for u in rng.random(20):
+            assert sample(simulation, u) in {10, 20, 30}
 
     def test_sample_is_roughly_uniform(self):
-        for simulation in both_indexes():
-            reserve_ids(simulation, 5)
-            for item in range(5):
-                simulation._online_add(item)
-            counts = {i: 0 for i in range(5)}
-            for u in np.random.default_rng(0).random(10_000):
-                counts[sample(simulation, u)] += 1
-            for count in counts.values():
-                assert count == pytest.approx(2000, rel=0.15)
+        simulation = make_simulation()
+        reserve_ids(simulation, 5)
+        for item in range(5):
+            simulation._online_add(item)
+        counts = {i: 0 for i in range(5)}
+        for u in np.random.default_rng(0).random(10_000):
+            counts[sample(simulation, u)] += 1
+        for count in counts.values():
+            assert count == pytest.approx(2000, rel=0.15)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.booleans(), st.integers(0, 30)), max_size=60))
     def test_matches_reference_set(self, operations):
         """Stateful property: behaves exactly like a built-in set."""
-        for simulation in both_indexes():
-            reserve_ids(simulation, 31)
-            reference = set()
-            for add, item in operations:
-                if add:
-                    simulation._online_add(item)
-                    reference.add(item)
-                else:
-                    simulation._online_discard(item)
-                    reference.discard(item)
-            assert simulation._online_size == len(reference)
-            assert set(indexed(simulation)) == reference
-            for item in range(31):
-                assert (simulation._online_pos[item] >= 0) == (item in reference)
+        simulation = make_simulation()
+        reserve_ids(simulation, 31)
+        reference = set()
+        for add, item in operations:
+            if add:
+                simulation._online_add(item)
+                reference.add(item)
+            else:
+                simulation._online_discard(item)
+                reference.discard(item)
+        assert simulation._online_size == len(reference)
+        assert set(indexed(simulation)) == reference
+        for item in range(31):
+            assert (simulation._online_pos[item] >= 0) == (item in reference)
 
 
 class TestPopulation:
     """Membership of the online index as the engine maintains it."""
 
     def test_insert_and_lookup(self):
-        for simulation in both_indexes():
-            peer = simulation._spawn_peer(0)
-            assert simulation.state.count == 1
-            assert simulation.state.alive[peer]
-            assert indexed(simulation) == [peer]
+        simulation = make_simulation()
+        peer = simulation._spawn_peer(0)
+        assert simulation.state.count == 1
+        assert simulation.state.alive[peer]
+        assert indexed(simulation) == [peer]
 
     def test_duplicate_id_rejected(self):
         """Ids are allocated monotonically; observers must come first."""
@@ -265,49 +255,46 @@ class TestPopulation:
             simulation.state.add_observer(24, "Late")
 
     def test_online_peers_are_candidates(self):
-        for simulation in both_indexes():
-            peer = simulation._spawn_peer(0)
-            assert simulation._online_pos[peer] >= 0
+        simulation = make_simulation()
+        peer = simulation._spawn_peer(0)
+        assert simulation._online_pos[peer] >= 0
 
     def test_observers_never_candidates(self):
-        for vector in (False, True):
-            simulation = make_simulation(
-                vector=vector, observers=(ObserverSpec("Day", 24),)
-            )
-            assert simulation._online_pos[0] == -1
-            assert simulation._online_size == 0
-            # Observers aren't counted by the census either.
-            uppers = simulation._census_uppers
-            assert simulation.state.census_counts(0, uppers).sum() == 0
+        simulation = make_simulation(observers=(ObserverSpec("Day", 24),))
+        assert simulation._online_pos[0] == -1
+        assert simulation._online_size == 0
+        # Observers aren't counted by the census either.
+        uppers = simulation._census_uppers
+        assert simulation.state.census_counts(0, uppers).sum() == 0
 
     def test_offline_toggle_updates_index(self):
-        for simulation in both_indexes():
-            peer = simulation._spawn_peer(0)
-            toggle(simulation, 5, peer)
-            assert not simulation.state.online[peer]
-            assert simulation._online_pos[peer] == -1
-            toggle(simulation, 9, peer)
-            assert simulation.state.online[peer]
-            assert simulation._online_pos[peer] >= 0
-            assert simulation.audit() == []
+        simulation = make_simulation()
+        peer = simulation._spawn_peer(0)
+        toggle(simulation, 5, peer)
+        assert not simulation.state.online[peer]
+        assert simulation._online_pos[peer] == -1
+        toggle(simulation, 9, peer)
+        assert simulation.state.online[peer]
+        assert simulation._online_pos[peer] >= 0
+        assert simulation.audit() == []
 
     def test_remove_clears_everything(self):
-        for simulation in both_indexes():
-            peer = add_peer(simulation, death_round=10)
-            simulation._handle_death(10, peer)
-            state = simulation.state
-            assert not state.alive[peer]
-            assert not state.online[peer]
-            assert simulation._online_pos[peer] == -1
-            assert state.census_counts(10, simulation._census_uppers).sum() == 0
+        simulation = make_simulation()
+        peer = add_peer(simulation, death_round=10)
+        simulation._handle_death(10, peer)
+        state = simulation.state
+        assert not state.alive[peer]
+        assert not state.online[peer]
+        assert simulation._online_pos[peer] == -1
+        assert state.census_counts(10, simulation._census_uppers).sum() == 0
 
     def test_dead_peer_not_marked_online(self):
-        for simulation in both_indexes():
-            peer = add_peer(simulation, death_round=10)
-            simulation._handle_death(10, peer)
-            toggle(simulation, 11, peer)  # a stale toggle for the dead id
-            assert simulation._online_pos[peer] == -1
-            assert not simulation.state.online[peer]
+        simulation = make_simulation()
+        peer = add_peer(simulation, death_round=10)
+        simulation._handle_death(10, peer)
+        toggle(simulation, 11, peer)  # a stale toggle for the dead id
+        assert simulation._online_pos[peer] == -1
+        assert not simulation.state.online[peer]
 
     def test_iterators(self):
         """Observers take the low ids; the census counts normal peers only."""

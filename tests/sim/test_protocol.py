@@ -155,11 +155,12 @@ class TestProtocolDeterminism:
 
 
 class TestVectorKernel:
-    """Protocol on the swarm-scale branch: vector toggles, array fills.
+    """Protocol on the swarm-scale branch: vector toggles, one pool fill.
 
     Forcing ``_VECTOR_POPULATION`` to 1 runs the vectorised toggle
-    kernel, the owner matrix and ``select_arrays`` recruitment on a
-    micro config; the whole result must equal the scalar-kernel run.
+    kernel over the numpy state columns on a micro config, with the
+    same ``_fill_pool`` recruitment; the whole result must equal the
+    scalar-kernel run.
     The impaired cell adds retries and restore probes on top.
     """
 
@@ -175,14 +176,14 @@ class TestVectorKernel:
             .build()
         )
         config = dataclasses.replace(config, impairment_profile=impairment)
-        fast_fills = []
-        fill = SoaSimulation._fill_pool_fast
+        fills = []
+        fill = SoaSimulation._fill_pool
 
         def counted(self, *args):
-            fast_fills.append(self._vector_kernel)
+            fills.append(self._vector_kernel)
             return fill(self, *args)
 
-        monkeypatch.setattr(SoaSimulation, "_fill_pool_fast", counted)
+        monkeypatch.setattr(SoaSimulation, "_fill_pool", counted)
 
         def run():
             simulation = ProtocolSimulation(config)
@@ -195,7 +196,8 @@ class TestVectorKernel:
         monkeypatch.setattr(SoaSimulation, "_VECTOR_POPULATION", 1)
         vector_sim, vector = run()
         assert vector_sim._vector_kernel
-        assert True in fast_fills, "the vector kernel never ran the array fill"
+        assert False in fills, "the scalar kernel never ran the pool fill"
+        assert True in fills, "the vector kernel never ran the pool fill"
         assert vector == scalar
         protocol = scalar["metrics"]["protocol"]
         assert protocol["transfers_completed"] > 0

@@ -8,10 +8,10 @@ default engine as it runs at those sizes — the scalar toggle kernel.
 This module forces the vectorised swarm-scale branch
 (``_VECTOR_POPULATION = 1``) through the same default-fidelity cells,
 so both kernel branches stay pinned to the recorded results of the
-engine they replaced.  A few cells outside the grid pin paths the grid
-never reaches — a data-needing strategy under the vector kernel, and
-the array pool fill under the scalar kernel (pools of 64 or more).  It
-also keeps the cache contract of the switch: a default config
+engine they replaced.  A few cells outside the grid pin recruitment
+paths the grid never reaches — a data-needing strategy, large pools,
+the baselines' uniform acceptance and a custom acceptance rule — on
+both kernels.  It also keeps the cache contract of the switch: a default config
 serialises exactly as an ``abstract`` config did.
 """
 
@@ -96,16 +96,15 @@ def _custom_rule_registered():
 
 #: Cells outside the golden grid -> (scenario factory, SHA-256 of the
 #: canonical ``to_dict()`` minus ``config``).  ``oracle`` and ``code48``
-#: were recorded with the CSR owners slab and pair-list recruitment the owner
-#: matrix replaced; the other two were recorded before the scalar pool
-#: fill was folded into the array one.  ``oracle`` drives
-#: ``_fill_pool_small`` plus ``_describe_candidate`` (Candidate
-#: descriptors); ``code48`` (n = 96, quota 1.5 x n) asks for pools of 64
-#: or more, so the scalar kernel also runs the array fill
-#: ``_fill_pool_fast``; ``uniform-random`` is the baselines' pairing
-#: (:mod:`repro.baselines.comparison`), which takes no acceptance draws;
-#: ``custom-rule`` drives the per-candidate ``decide`` path (the rule is
-#: the paper's, so its digest is the plain ``paper`` cell's).
+#: were recorded with the CSR owners slab and pair-list recruitment the
+#: owner matrix replaced; the other two were recorded with the scalar
+#: pool fill that ``_fill_pool`` absorbed.  ``oracle`` drives
+#: ``_describe_candidate`` (Candidate descriptors); ``code48`` (n = 96,
+#: quota 1.5 x n) asks for pools of 64 or more; ``uniform-random`` is
+#: the baselines' pairing (:mod:`repro.baselines.comparison`), which
+#: takes no acceptance draws; ``custom-rule`` drives the per-candidate
+#: ``decide`` path (the rule is the paper's, so its digest is the plain
+#: ``paper`` cell's).
 EXTRA_CELLS = {
     "oracle": (
         lambda: _shrunk("paper").with_selection("oracle").with_seed(0),
@@ -139,21 +138,21 @@ def _run_audited(config):
 @pytest.mark.parametrize("name", sorted(EXTRA_CELLS))
 def test_extra_cell_matches_on_both_kernels(name, monkeypatch):
     make_scenario, expected = EXTRA_CELLS[name]
-    fast_fills = []
-    fill = SoaSimulation._fill_pool_fast
+    fills = []
+    fill = SoaSimulation._fill_pool
 
     def counted(self, *args):
-        fast_fills.append(self._vector_kernel)
+        fills.append(self._vector_kernel)
         return fill(self, *args)
 
-    monkeypatch.setattr(SoaSimulation, "_fill_pool_fast", counted)
+    monkeypatch.setattr(SoaSimulation, "_fill_pool", counted)
     with _custom_rule_registered():
         config = make_scenario().build()
         scalar = _run_audited(config)
-        if name == "code48":
-            assert False in fast_fills, "the scalar kernel never ran the array fill"
+        assert False in fills, "the scalar kernel never ran the pool fill"
         monkeypatch.setattr(SoaSimulation, "_VECTOR_POPULATION", 1)
         assert _run_audited(config) == scalar
+        assert True in fills, "the vector kernel never ran the pool fill"
     del scalar["config"]
     digest = hashlib.sha256(canonical_json(scalar).encode("utf-8")).hexdigest()
     assert digest == expected
