@@ -129,7 +129,7 @@ class TestAcceptancePolicy:
 
 
 class TestMutualAcceptance:
-    """Both sides' ``decide`` calls, as the engines' pool fills make them."""
+    """Both sides' ``decide`` calls, as the engine's pool fill makes them."""
 
     @staticmethod
     def mutual_accepts(policy, owner_age, candidate_age, trials, seed):
