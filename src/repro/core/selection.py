@@ -95,12 +95,13 @@ class SelectionStrategy(ABC):
     ) -> List[int]:
         """Fast-path selection over plain ``(peer_id, age)`` pairs.
 
-        The engine uses this when the strategy declares no extra data
-        needs (neither availability nor oracle knowledge), skipping
-        :class:`Candidate` construction for the hot recruitment loop.
-        The default implementation wraps the pairs into Candidates and
-        defers to :meth:`select`, so third-party strategies keep working
-        unchanged; the built-in age-only strategies override it.
+        For strategies that declare no extra data needs (neither
+        availability nor oracle knowledge), skipping :class:`Candidate`
+        construction; the default :meth:`select_arrays`, which the
+        engine calls, defers here.  The default implementation wraps the
+        pairs into Candidates and defers to :meth:`select`, so
+        third-party strategies keep working unchanged; the built-in
+        age-only strategies override it.
         """
         candidates = [Candidate(peer_id=i, age=a) for i, a in pairs]
         return self.select(candidates, count, rng)
@@ -112,7 +113,7 @@ class SelectionStrategy(ABC):
         count: int,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Array twin of :meth:`select_pairs`, for swarm-scale pools.
+        """Array twin of :meth:`select_pairs`, for the engine's pool fill.
 
         ``ids`` and ``ages`` are parallel ``int64`` vectors; the result
         is the chosen ids as an ``int64`` vector, most preferred first.
