@@ -9,6 +9,8 @@ core module, and sweep several scenarios as one cached experiment axis.
 Run:  PYTHONPATH=src python examples/scenario_lab.py
 """
 
+import numpy as np
+
 from repro.churn.profiles import Profile, register_mix
 from repro.core.selection import SELECTION_STRATEGIES, SelectionStrategy
 from repro.exec import ExperimentSpec, SweepExecutor
@@ -25,15 +27,12 @@ class MiddleAgedSelection(SelectionStrategy):
 
     name = "middle_aged"
 
-    def rank(self, candidates, rng):
-        jitter = rng.random(len(candidates))
-        ages = sorted(candidate.age for candidate in candidates)
-        median = ages[len(ages) // 2] if ages else 0.0
-        order = sorted(
-            range(len(candidates)),
-            key=lambda i: (abs(candidates[i].age - median), jitter[i]),
-        )
-        return [candidates[i].peer_id for i in order]
+    def order(self, pool, rng):
+        # Pool positions, closest to the median age first; lexsort's
+        # primary key is the last one, a random jitter breaks ties.
+        jitter = rng.random(len(pool.ids))
+        median = np.sort(pool.ages)[len(pool.ages) // 2] if len(pool.ages) else 0
+        return np.lexsort((jitter, np.abs(pool.ages - median)))
 
 
 def main() -> None:

@@ -30,7 +30,7 @@ try:
     from .core import (
         AcceptancePolicy,
         AgeSelection,
-        Candidate,
+        CandidatePool,
         RepairPolicy,
         acceptance_probability,
         fit_pareto,
@@ -67,7 +67,7 @@ __version__ = "1.0.0"
 _ALL_CANDIDATES = [
     "AcceptancePolicy",
     "AgeSelection",
-    "Candidate",
+    "CandidatePool",
     "RepairPolicy",
     "acceptance_probability",
     "fit_pareto",

@@ -41,7 +41,7 @@ from .selection import (
     SELECTION_STRATEGIES,
     AgeSelection,
     AvailabilitySelection,
-    Candidate,
+    CandidatePool,
     OracleSelection,
     RandomSelection,
     SelectionStrategy,
@@ -82,7 +82,7 @@ __all__ = [
     "SELECTION_STRATEGIES",
     "AgeSelection",
     "AvailabilitySelection",
-    "Candidate",
+    "CandidatePool",
     "OracleSelection",
     "RandomSelection",
     "SelectionStrategy",

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..churn.profiles import ROUNDS_PER_DAY
 from ..registry import Registry
 
@@ -30,9 +32,11 @@ DEFAULT_AGE_CAP = 90 * ROUNDS_PER_DAY
 
 #: Registry of acceptance rules.  A rule is registered as a factory
 #: accepting an ``age_cap`` keyword and returning an object with the
-#: :class:`AcceptancePolicy` interface (``probability`` / ``decide`` /
-#: ``mutual_probability``); ``SimulationConfig.acceptance_rule`` names
-#: are resolved here.
+#: :class:`AcceptancePolicy` interface: the engine's pool fill calls
+#: ``accepts`` over a whole chunk of candidates, handing it
+#: ``draws_per_candidate`` uniforms per candidate; ``probability`` and
+#: ``mutual_probability`` state the rule as a formula.
+#: ``SimulationConfig.acceptance_rule`` names are resolved here.
 ACCEPTANCE_RULES: Registry[type] = Registry("acceptance rule")
 
 
@@ -79,15 +83,29 @@ class AcceptancePolicy:
         """``f(p1, p2)`` for this policy's cap."""
         return acceptance_probability(own_age, candidate_age, self.age_cap)
 
-    def decide(self, own_age: float, candidate_age: float, uniform: float) -> bool:
-        """Accept/reject given a pre-drawn uniform sample in ``[0, 1)``.
+    #: Uniforms :meth:`accepts` consumes per candidate: one per side.
+    draws_per_candidate = 2
 
-        Taking the random draw as an argument keeps the policy pure and
-        the simulation deterministic under a seeded RNG.
+    def accepts(
+        self, owner_age: float, candidate_ages: np.ndarray, uniforms: np.ndarray
+    ) -> np.ndarray:
+        """Mutual decisions for a chunk of candidates, as a bool mask.
+
+        ``uniforms`` holds two pre-drawn samples in ``[0, 1)`` per
+        candidate, interleaved: the owner's at even positions, the
+        candidate's at odd ones.  Taking the draws as an argument keeps
+        the rule pure and the simulation deterministic under a seeded
+        RNG.  Each side accepts iff ``u * L < L - (s1 - s2) + 1``, which
+        is ``u < f(p1, p2)`` multiplied through by ``L`` (``min(f, 1)``
+        is free since ``u < 1``): all-integer right-hand sides, so any
+        evaluation order gives bit-identical results.
         """
-        if not 0.0 <= uniform < 1.0:
-            raise ValueError(f"uniform sample must be in [0, 1), got {uniform}")
-        return uniform < self.probability(own_age, candidate_age)
+        cap = self.age_cap
+        s_owner = owner_age if owner_age < cap else cap
+        s_candidates = np.minimum(candidate_ages, cap)
+        return (uniforms[0::2] * cap < s_candidates + (cap - s_owner + 1)) & (
+            uniforms[1::2] * cap < (cap + s_owner + 1) - s_candidates
+        )
 
     def mutual_probability(self, age_a: float, age_b: float) -> float:
         """Probability that two *independent* decisions both accept.
@@ -117,11 +135,14 @@ class UniformAcceptancePolicy:
             raise ValueError("ages cannot be negative")
         return 1.0
 
-    def decide(self, own_age: float, candidate_age: float, uniform: float) -> bool:
-        """Always accept (the uniform draw is validated but unused)."""
-        if not 0.0 <= uniform < 1.0:
-            raise ValueError(f"uniform sample must be in [0, 1), got {uniform}")
-        return True
+    #: No draws: every proposal is accepted.
+    draws_per_candidate = 0
+
+    def accepts(
+        self, owner_age: float, candidate_ages: np.ndarray, uniforms: np.ndarray
+    ) -> np.ndarray:
+        """Accept every candidate (``uniforms`` is empty)."""
+        return np.ones(len(candidate_ages), dtype=bool)
 
     def mutual_probability(self, age_a: float, age_b: float) -> float:
         """Always 1."""

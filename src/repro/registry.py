@@ -1,9 +1,12 @@
 """Typed, named component registries — the simulator's extension points.
 
 Every swappable component of the reproduction (selection strategies,
-acceptance rules, lifetime models, repair-policy presets, erasure codec
-backends, churn mixes, scenarios) is published in a :class:`Registry`
-under a short stable name.  Configuration objects keep carrying plain
+acceptance rules, repair-policy presets, erasure codec backends, churn
+mixes, scenarios) is published in a :class:`Registry` under a short
+stable name.  ``LIFETIME_MODELS`` is a registry too but not a simulator
+extension point: no config field reads it (the engine draws lifetimes
+from ``Profile.life_expectancy``); it serves only the offline churn
+analysis.  Configuration objects keep carrying plain
 strings — which is what keeps :meth:`SimulationConfig.to_dict`
 serialization and the sweep executor's cache keys byte-identical — and
 every consumer resolves those strings through a registry instead of a
@@ -11,13 +14,14 @@ local if/else ladder.
 
 Registering a new component therefore requires **no core edits**::
 
+    import numpy as np
     from repro.core.selection import SELECTION_STRATEGIES, SelectionStrategy
 
     @SELECTION_STRATEGIES.register("youngest")
     class YoungestFirst(SelectionStrategy):
         name = "youngest"
-        def rank(self, candidates, rng):
-            return [c.peer_id for c in sorted(candidates, key=lambda c: c.age)]
+        def order(self, pool, rng):  # pool positions, youngest first
+            return np.argsort(pool.ages, kind="stable")
 
     config = SimulationConfig(selection_strategy="youngest")
 

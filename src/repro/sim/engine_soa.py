@@ -27,10 +27,11 @@ rounds, in about a second):
   and one vectorised geometric draw for all reschedules
   (:func:`repro.sim.rng.geometric_from_uniforms`);
 * recruitment stays in arrays end to end: the pool fill evaluates
-  whole sample chunks as numpy expressions and returns ``(ids, ages)``
-  vectors, the strategy orders them with
-  :meth:`repro.core.selection.SelectionStrategy.select_arrays`, and the
-  chosen partners are committed with one quota mask and one
+  whole sample chunks as numpy expressions — the acceptance rule's
+  :meth:`repro.core.acceptance.AcceptancePolicy.accepts` included — and
+  returns ``(ids, ages)`` vectors, the strategy orders them with
+  :meth:`repro.core.selection.SelectionStrategy.order`, and the chosen
+  partners are committed with one quota mask and one
   fancy-index write into the owner matrix
   (:meth:`repro.sim.soa_state.StateTables.owners_append_many`);
 * the remaining scalar handlers (checks, deaths, repair bookkeeping)
@@ -57,14 +58,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.acceptance import (
-    AcceptancePolicy,
-    UniformAcceptancePolicy,
-    acceptance_rule,
-)
+from ..core.acceptance import acceptance_rule
 from ..churn.availability import session_duration_params
 from ..core.adaptive import AdaptiveThreshold
-from ..core.selection import Candidate, strategy_by_name
+from ..core.selection import CandidatePool, strategy_by_name
 from .config import SimulationConfig
 from .events import Event, EventKind, EventQueue
 from .fidelity import FIDELITY_BACKENDS
@@ -112,13 +109,6 @@ class SoaSimulation:
         self._needs_availability = bool(
             getattr(self.strategy, "needs_availability", False)
         )
-        self._fast_candidates = not (self._needs_oracle or self._needs_availability)
-        if type(self.acceptance) is AcceptancePolicy:
-            self._acceptance_kind = "age"
-        elif type(self.acceptance) is UniformAcceptancePolicy:
-            self._acceptance_kind = "uniform"
-        else:
-            self._acceptance_kind = "custom"
         self._repair_threshold = self.policy.repair_threshold
         self._n = self.policy.n
         self._k = self.policy.k
@@ -374,17 +364,15 @@ class SoaSimulation:
         self._online_discard(peer_id)
         state.mark_dead(peer_id)
         holders = state.holders
-        quota_used = state.quota_used
 
         # The departed peer's own blocks disappear from its partners
         # (the dying peer is never an observer, so its links all counted
         # against their holders' quotas).
         row = holders[peer_id]
         if row:
-            state.quota_np[row] -= 1
+            state.quota_used[row] -= 1
         for holder_id in row:
             state.owners_remove(holder_id, peer_id)
-            quota_used[holder_id] -= 1
         row.clear()
 
         # Blocks it hosted for others vanish "immediately" (section 4.1):
@@ -440,7 +428,6 @@ class SoaSimulation:
             state.visible[owner_id] -= 1
         if owner_id >= state.n_observers:
             state.quota_used[holder_id] -= 1
-            state.quota_np[holder_id] -= 1
 
     # ------------------------------------------------------------------
     # Session toggles (the most frequent event kind, batched per round)
@@ -721,25 +708,19 @@ class SoaSimulation:
         chosen = self._select_candidates(owner_id, now, needed)
         state = self.state
         check_quota = owner_id >= state.n_observers
-        quota = self.config.quota
         quota_used = state.quota_used
-        row = state.holders[owner_id]
         # The chosen partners (distinct ids), committed in one pass: a
         # quota mask (quota could have filled between sampling and
         # selection), then the links and counters as fancy indexes.
         if check_quota:
-            quota_np = state.quota_np
-            chosen = chosen[quota_np[chosen] < quota]
+            chosen = chosen[quota_used[chosen] < self.config.quota]
         added = len(chosen)
         if not added:
             return 0
-        ids = chosen.tolist()
-        row.extend(ids)
+        state.holders[owner_id].extend(chosen.tolist())
         state.visible[owner_id] += added
         if check_quota:
-            quota_np[chosen] += 1
-            for candidate_id in ids:
-                quota_used[candidate_id] += 1
+            quota_used[chosen] += 1
         state.owners_append_many(chosen, owner_id)
         return added
 
@@ -748,26 +729,22 @@ class SoaSimulation:
     ) -> np.ndarray:
         """Pool-build then strategy-select the best ``needed`` partner ids.
 
-        The pool fill returns the accepted ``(ids, ages)`` vectors.
-        Strategies without data needs order them with ``select_arrays``;
-        the rest rank :class:`Candidate` descriptors through ``select``.
-        Either way the chosen ids come back as an ``int64`` vector, most
+        The pool fill returns the accepted ``(ids, ages)`` vectors; the
+        columns the strategy declares a need for are added, and its
+        :meth:`~repro.core.selection.SelectionStrategy.order` ranks the
+        pool.  The chosen ids come back as an ``int64`` vector, most
         preferred first.
         """
         pool_target = int(math.ceil(self.config.pool_factor * needed))
         max_examined = int(self.config.max_examined_factor * needed) + 16
         ids, ages = self._fill_pool(owner_id, now, pool_target, max_examined)
-        if self._fast_candidates:
-            return self.strategy.select_arrays(
-                ids, ages, needed, self.rng.selection
-            )
-        describe = self._describe_candidate
-        chosen = self.strategy.select(
-            [describe(candidate_id) for candidate_id in ids.tolist()],
-            needed,
-            self.rng.selection,
+        pool = CandidatePool(
+            ids,
+            ages,
+            self._availability(ids, now) if self._needs_availability else None,
+            self._remaining(ids, now) if self._needs_oracle else None,
         )
-        return np.array(chosen, dtype=np.int64)
+        return ids[self.strategy.order(pool, self.rng.selection)[:needed]]
 
     def _fill_pool(
         self, owner_id: int, now: int, target_size: int, max_examined: int
@@ -777,14 +754,14 @@ class SoaSimulation:
         Draws are consumed in *chunks*: each pass takes ``chunk_size``
         selection uniforms up front, filters the sampled candidates
         (first occurrence only, not the owner, not already a holder,
-        quota not exhausted), then consumes exactly two acceptance
-        uniforms per filtered candidate — unconditionally, even when the
-        owner's own draw already rejected — unless the rule is uniform.
-        Chunked consumption makes the draw count a pure function of the
-        chunk's content, so the dedup, the filters and the built-in
-        rules' comparisons run once per chunk as numpy expressions; a
-        custom rule's ``decide`` is asked candidate by candidate over
-        the same draws.  Candidate *evaluation* (and the ``examined``
+        quota not exhausted), then consumes the rule's
+        ``draws_per_candidate`` acceptance uniforms per filtered
+        candidate — two for the paper's rule, taken unconditionally even
+        when the owner's own draw already rejected; none for the uniform
+        rule.  Chunked consumption makes the draw
+        count a pure function of the chunk's content, so the dedup, the
+        filters and the rule's ``accepts`` run once per chunk as numpy
+        expressions.  Candidate *evaluation* (and the ``examined``
         count) stops at the candidate that fills the pool, so the pool
         statistics keep one-at-a-time semantics; the loop bounds are
         re-checked only between chunks.  Returns the accepted
@@ -806,13 +783,9 @@ class SoaSimulation:
             check_quota = owner_id >= state.n_observers
             quota = self.config.quota
             join_np = state._join_np
-            quota_np = state.quota_np
-            rule = self._acceptance_kind
-            if rule == "age":
-                cap = self.acceptance.age_cap
-                s_owner = owner_age if owner_age < cap else cap
-            elif rule == "custom":
-                decide = self.acceptance.decide
+            quota_used = state.quota_used
+            accepts = self.acceptance.accepts
+            draws = self.acceptance.draws_per_candidate
             # One reusable boolean column marks every id this fill must
             # skip — the owner, current holders, and every id already
             # sampled this fill.  A gather against it replaces per-chunk
@@ -857,48 +830,20 @@ class SoaSimulation:
                 keep[order] = first_sorted
                 keep &= ~marks[cand]
                 if check_quota:
-                    keep &= quota_np[cand] < quota
+                    keep &= quota_used[cand] < quota
                 marks[cand] = True
                 fresh = cand[keep]
                 ages = now - join_np[fresh]  # candidates are never observers
-                if rule == "age":
-                    # Inlined AcceptancePolicy: accept iff
-                    # u < (L - s1 + s2 + 1)/L (min(p, 1) is free, u < 1).
-                    # The scalar terms are pre-folded; all-integer
-                    # arithmetic, so any evaluation order gives
-                    # bit-identical right-hand sides.
-                    pairs = acceptance_take(2 * len(fresh))
-                    s_cand = np.minimum(ages, cap)
-                    ok = (pairs[0::2] * cap < s_cand + (cap - s_owner + 1)) & (
-                        pairs[1::2] * cap < (cap + s_owner + 1) - s_cand
-                    )
-                    # Evaluation stops at the acceptance that fills the
-                    # pool, although the draws cover the chunk.
-                    hits = ok.nonzero()[0]
-                    if len(hits) >= needed:
-                        hits = hits[:needed]
-                        examined += int(hits[-1]) + 1
-                    else:
-                        examined += len(fresh)
-                    fresh, ages = fresh[hits], ages[hits]
-                elif rule == "uniform":
-                    if len(fresh) > needed:
-                        fresh = fresh[:needed]
-                        ages = ages[:needed]
-                    examined += len(fresh)
+                ok = accepts(owner_age, ages, acceptance_take(draws * len(fresh)))
+                # Evaluation stops at the acceptance that fills the pool,
+                # although the draws cover the chunk.
+                hits = ok.nonzero()[0]
+                if len(hits) >= needed:
+                    hits = hits[:needed]
+                    examined += int(hits[-1]) + 1
                 else:
-                    pairs = acceptance_take(2 * len(fresh)).tolist()
-                    hits = []
-                    for position, age in enumerate(ages.tolist()):
-                        if len(hits) >= needed:
-                            break
-                        examined += 1
-                        if not decide(owner_age, age, pairs[2 * position]):
-                            continue  # owner rejects
-                        if not decide(age, owner_age, pairs[2 * position + 1]):
-                            continue  # candidate rejects
-                        hits.append(position)
-                    fresh, ages = fresh[hits], ages[hits]
+                    examined += len(fresh)
+                fresh, ages = fresh[hits], ages[hits]
                 accepted_ids.append(fresh)
                 accepted_ages.append(ages)
                 n_accepted += len(fresh)
@@ -914,30 +859,27 @@ class SoaSimulation:
             return empty, empty
         return np.concatenate(accepted_ids), np.concatenate(accepted_ages)
 
-    def _describe_candidate(self, candidate_id: int) -> Candidate:
+    def _availability(self, ids: np.ndarray, now: int) -> np.ndarray:
+        """Measured uptime fraction of each id (NaN before its first round)."""
         state = self.state
-        now = self.round
-        availability = None
-        remaining = None
-        if self._needs_availability:
-            span = now - state.join[candidate_id]
-            if span > 0:
-                online_rounds = state.online_rounds[candidate_id]
-                if state.online[candidate_id]:
-                    online_rounds += now - state.last_state_change[candidate_id]
-                availability = min(online_rounds / span, 1.0)
-        if self._needs_oracle:
-            death_round = state.death[candidate_id]
-            remaining = (
-                math.inf
-                if death_round is None
-                else float(max(death_round - now, 0))
-            )
-        return Candidate(
-            peer_id=candidate_id,
-            age=self._age(candidate_id, now),
-            availability=availability,
-            true_remaining_lifetime=remaining,
+        measured = []
+        for peer_id in ids.tolist():
+            span = now - state.join[peer_id]
+            uptime = state.online_rounds[peer_id]
+            if state.online[peer_id]:
+                uptime += now - state.last_state_change[peer_id]
+            measured.append(min(uptime / span, 1.0) if span > 0 else math.nan)
+        return np.array(measured, dtype=np.float64)
+
+    def _remaining(self, ids: np.ndarray, now: int) -> np.ndarray:
+        """True remaining lifetime of each id (``inf`` for durable peers)."""
+        death = self.state.death
+        return np.array(
+            [
+                math.inf if death[peer_id] is None else max(death[peer_id] - now, 0)
+                for peer_id in ids.tolist()
+            ],
+            dtype=np.float64,
         )
 
     # ------------------------------------------------------------------
@@ -1061,11 +1003,6 @@ class SoaSimulation:
                 problems.append(
                     f"peer {peer_id}: quota counter {state.quota_used[peer_id]} "
                     f"!= recount {quota_links}"
-                )
-            if int(state.quota_np[peer_id]) != state.quota_used[peer_id]:
-                problems.append(
-                    f"peer {peer_id}: quota mirror {int(state.quota_np[peer_id])} "
-                    f"!= column {state.quota_used[peer_id]}"
                 )
             if quota_links > quota:
                 problems.append(

@@ -41,7 +41,7 @@ import heapq
 import operator
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -263,28 +263,16 @@ class EventQueue:
         return None
 
     def _activate(self, round_number: int) -> None:
-        """Make ``round_number``'s bucket the current (shuffled) round."""
+        """Make ``round_number``'s bucket the current (shuffled) round.
+
+        Called by :meth:`pop_until` only once the previous round is
+        fully drained (no remainder, no undelivered toggle batch).
+        """
         heapq.heappop(self._round_heap)  # == round_number by construction
         bucket = self._buckets.pop(round_number, None)
         toggles = self._toggle_buckets.pop(round_number, None)
         previous = self._current_round
-        push_back = False
-        if self._current:
-            # An earlier round was scheduled while ``previous`` was still
-            # executing: push the remainder back as a future bucket (it
-            # is re-shuffled on reactivation, which keeps the intra-round
-            # order uniform).
-            self._buckets[previous] = self._current
-            push_back = True
-        if self._current_toggles is not None:
-            # Same preemption case for an undelivered toggle batch: it
-            # returns to the dense lane untouched (re-sorted on
-            # reactivation, which is a no-op).
-            self._toggle_buckets[previous] = self._current_toggles
-            push_back = True
-        if push_back:
-            heapq.heappush(self._round_heap, previous)
-        elif previous is not None and self._live.get(previous) == 0:
+        if previous is not None and self._live.get(previous) == 0:
             del self._live[previous]
         if bucket is None:
             bucket = []
@@ -310,47 +298,21 @@ class EventQueue:
         self._current_toggles = toggles
         self._current_round = round_number
 
-    def pop(self) -> Optional[Tuple[int, Event]]:
-        """Remove and return the next live event as ``(round, event)``.
-
-        A round with a dense toggle bucket yields one ``TOGGLE_BATCH``
-        sentinel *before* its generic events; the caller must drain it
-        with :meth:`pop_round_batch` before popping again.
-        """
-        while True:
-            upcoming = self._next_bucket_round()
-            current = self._current
-            in_round = self._current_toggles is not None or bool(current)
-            if in_round and (upcoming is None or self._current_round <= upcoming):
-                if self._current_toggles is not None:
-                    return self._current_round, _TOGGLE_BATCH_EVENT
-                handle = current.pop()
-                if handle.cancelled:
-                    continue
-                handle.cancelled = True  # consumed: late cancel() is a no-op
-                self._size -= 1
-                self._live[handle.round] -= 1
-                return handle.round, handle.event
-            if upcoming is None:
-                return None
-            self._activate(upcoming)
-
     def pop_until(self, last_round: int) -> Optional[Tuple[int, Event]]:
         """Pop the next live event, or ``None`` if it is past ``last_round``.
 
-        Fuses :meth:`peek_round` and :meth:`pop` for the engines' main
-        loops, and skips the earliest-bucket lookup entirely while the
-        current round still has events: buckets are keyed by the round
-        they will execute in, and :meth:`schedule` only ever files into
-        the current round's remainder (``d == 0``) or a future bucket
-        (``d >= 1``), so while the current round is non-empty every
-        bucket in the heap is strictly later than the current round.
-        (Scheduling into a *past* round mid-execution would break this;
-        use :meth:`pop` for that exotic case.)  Events past
+        The engines' main loops drain the queue through this one method.
+        It skips the earliest-bucket lookup entirely while the current
+        round still has events: buckets are keyed by the round they will
+        execute in, and the engines only ever schedule into the current
+        round's remainder or a future bucket, so while the current round
+        is non-empty every bucket in the heap is strictly later than the
+        current round.  (An event filed into a *past* round would run
+        after the current round's remainder.)  Events past
         ``last_round`` stay in the queue untouched.
 
-        Like :meth:`pop`, a round with dense toggles yields one
-        ``TOGGLE_BATCH`` sentinel first; the caller must drain it with
+        A round with dense toggles yields one ``TOGGLE_BATCH`` sentinel
+        before its generic events; the caller must drain it with
         :meth:`pop_round_batch` before the next ``pop_until`` call.
         """
         live = self._live
@@ -378,7 +340,7 @@ class EventQueue:
     def pop_round_batch(self) -> np.ndarray:
         """Drain the delivered toggle batch as one sorted id array.
 
-        Valid right after :meth:`pop` / :meth:`pop_until` returned the
+        Valid right after :meth:`pop_until` returned the
         ``TOGGLE_BATCH`` sentinel; returns an empty array when no batch
         is pending.  The ids are ascending and unique (at most one
         pending toggle per peer, an engine invariant).
@@ -389,24 +351,6 @@ class EventQueue:
         self._current_toggles = None
         self._size -= len(toggles)
         return np.array(toggles, dtype=np.int64)
-
-    def peek_round(self) -> Optional[int]:
-        """Round of the next live event without removing it."""
-        upcoming = self._next_bucket_round()
-        if self._current_toggles is not None or (
-            self._current and self._live.get(self._current_round, 0) > 0
-        ):
-            if upcoming is None or self._current_round <= upcoming:
-                return self._current_round
-        return upcoming
-
-    def drain_until(self, last_round: int) -> Iterator[Tuple[int, Event]]:
-        """Yield events up to and including ``last_round``, in order."""
-        while True:
-            item = self.pop_until(last_round)
-            if item is None:
-                return
-            yield item
 
     def __len__(self) -> int:
         return self._size

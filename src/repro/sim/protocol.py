@@ -756,7 +756,6 @@ class ProtocolSimulation(SoaSimulation):
         row.append(holder_id)
         state.owners_append(holder_id, owner_id)
         state.quota_used[holder_id] += 1
-        state.quota_np[holder_id] += 1
         if state.online[holder_id]:
             state.visible[owner_id] += 1
         else:

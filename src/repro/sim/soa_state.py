@@ -29,7 +29,10 @@ peer, which caps practical populations around 10^5:
 * **census mirrors** (``join_np`` / ``census_alive``) are numpy arrays
   maintained alongside the lists so the periodic metrics census is one
   vectorised mask-subtract-searchsorted instead of a Python loop over
-  the whole population.
+  the whole population;
+* **the quota column** ``quota_used`` is numpy at every scale: the pool
+  fill gathers it for a whole sample chunk and recruitment commits a
+  batch of links with one fancy-index add.
 
 Owner matrix mechanics: the quota rule bounds every row.  A peer hosts
 at most ``quota`` blocks for normal peers, and at most one block per
@@ -98,7 +101,6 @@ class StateTables:
         "last_offline",
         "last_state_change",
         "online_rounds",
-        "quota_used",
         # archive columns (visible/placed are numpy: the toggle kernel
         # scatter-adds visible and mask-compares both in bulk)
         "visible",
@@ -118,12 +120,12 @@ class StateTables:
         # observer side tables (indexed by id < n_observers)
         "fixed_age",
         "observer_name",
-        # numpy mirrors (grown amortised): join rounds + census flags
+        # numpy columns (grown amortised): join rounds + census flags
         # feed the vectorised census; quota feeds the vectorised pool
-        # filter (kept in lockstep with ``quota_used`` by the engine).
+        # filter and the batched recruitment commit.
         "_join_np",
         "_census_alive",
-        "quota_np",
+        "quota_used",
         "_capacity",
     )
 
@@ -144,7 +146,6 @@ class StateTables:
         self.last_offline: List[int] = []
         self.last_state_change: List[int] = []
         self.online_rounds: List[int] = []
-        self.quota_used: List[int] = []
         self.fully_placed: List[int] = []
         self.pending_check: List[int] = []
         self.check_scheduled: List[Optional[int]] = []
@@ -155,7 +156,7 @@ class StateTables:
         capacity = max(int(initial_capacity), 16)
         self._join_np = np.zeros(capacity, dtype=np.int64)
         self._census_alive = np.zeros(capacity, dtype=bool)
-        self.quota_np = np.zeros(capacity, dtype=np.int64)
+        self.quota_used = np.zeros(capacity, dtype=np.int64)
         # ``visible``/``placed`` carry the toggle kernel's state.  At
         # swarm scale they are numpy columns (the kernel scatter-adds
         # and mask-compares whole batches); at ordinary populations the
@@ -196,8 +197,8 @@ class StateTables:
             join_np[: self._capacity] = self._join_np
             census = np.zeros(capacity, dtype=bool)
             census[: self._capacity] = self._census_alive
-            quota_np = np.zeros(capacity, dtype=np.int64)
-            quota_np[: self._capacity] = self.quota_np
+            quota_used = np.zeros(capacity, dtype=np.int64)
+            quota_used[: self._capacity] = self.quota_used
             if self.vector_columns:
                 visible = np.zeros(capacity, dtype=np.int64)
                 visible[: self._capacity] = self.visible
@@ -215,7 +216,7 @@ class StateTables:
                 self._own_len = own_len
             self._join_np = join_np
             self._census_alive = census
-            self.quota_np = quota_np
+            self.quota_used = quota_used
             self._capacity = capacity
         self.count = peer_id + 1
         self.join.append(join_round)
@@ -224,7 +225,6 @@ class StateTables:
         self.last_offline.append(-1)
         self.last_state_change.append(join_round)
         self.online_rounds.append(0)
-        self.quota_used.append(0)
         if not self.vector_columns:
             self.visible.append(0)
             self.placed.append(0)

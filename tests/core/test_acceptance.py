@@ -103,19 +103,27 @@ class TestPaperProperties:
         )
 
 
+def one(policy, owner_age, candidate_age, u_owner, u_candidate):
+    """``accepts`` for a single candidate, as a Python bool."""
+    uniforms = np.array([u_owner, u_candidate])
+    return bool(policy.accepts(owner_age, np.array([candidate_age]), uniforms)[0])
+
+
 class TestAcceptancePolicy:
     def test_decide_threshold_behaviour(self):
         policy = AcceptancePolicy(age_cap=100)
         probability = policy.probability(60, 10)
-        assert policy.decide(60, 10, probability - 1e-9)
-        assert not policy.decide(60, 10, probability + 1e-9)
-
-    def test_decide_validates_uniform(self):
-        policy = AcceptancePolicy()
-        with pytest.raises(ValueError):
-            policy.decide(1, 1, 1.0)
-        with pytest.raises(ValueError):
-            policy.decide(1, 1, -0.1)
+        # The candidate's side, f(10, 60) = 1, accepts any draw.
+        assert one(policy, 60, 10, probability - 1e-9, 0.999)
+        assert not one(policy, 60, 10, probability + 1e-9, 0.0)
+        # The owner's side, f(10, 60) = 1, accepts any draw too.
+        assert one(policy, 10, 60, 0.999, probability - 1e-9)
+        assert not one(policy, 10, 60, 0.0, probability + 1e-9)
+        # A draw equal to f rejects: f(3, 0) = 1/2 exactly when L = 4.
+        small = AcceptancePolicy(age_cap=4)
+        assert small.probability(3, 0) == 0.5
+        assert not one(small, 3, 0, 0.5, 0.0)
+        assert not one(small, 0, 3, 0.0, 0.5)
 
     def test_mutual_probability(self):
         policy = AcceptancePolicy(age_cap=100)
@@ -128,17 +136,46 @@ class TestAcceptancePolicy:
             AcceptancePolicy(age_cap=0)
 
 
+class TestAcceptsMatchesFormula:
+    """``accepts`` is ``(u1 < f(o, c)) & (u2 < f(c, o))``.
+
+    ``accepts`` compares ``u * L`` against an integer bound, while the
+    formula divides by ``L`` first; the two forms can differ only when a
+    uniform lies within one ulp of ``f``, which seeded uniform draws
+    never hit.
+    """
+
+    @pytest.mark.parametrize("cap", [1, 7, 100, DEFAULT_AGE_CAP])
+    def test_matches_acceptance_probability(self, cap):
+        policy = AcceptancePolicy(age_cap=cap)
+        assert policy.draws_per_candidate == 2
+        draws = np.random.default_rng(cap)
+        for _ in range(50):
+            owner_age = float(draws.integers(0, 3 * cap + 2))
+            candidate_ages = draws.integers(0, 3 * cap + 2, size=200)
+            uniforms = draws.random(2 * len(candidate_ages))
+            expected = [
+                u_owner < acceptance_probability(owner_age, age, cap)
+                and u_candidate < acceptance_probability(age, owner_age, cap)
+                for age, u_owner, u_candidate in zip(
+                    candidate_ages.tolist(),
+                    uniforms[0::2].tolist(),
+                    uniforms[1::2].tolist(),
+                )
+            ]
+            mask = policy.accepts(owner_age, candidate_ages, uniforms)
+            assert mask.dtype == bool
+            assert mask.tolist() == expected
+
+
 class TestMutualAcceptance:
-    """Both sides' ``decide`` calls, as the engine's pool fill makes them."""
+    """Both sides' decisions, through ``accepts`` as the pool fill calls it."""
 
     @staticmethod
     def mutual_accepts(policy, owner_age, candidate_age, trials, seed):
-        uniforms = np.random.default_rng(seed).random((trials, 2))
-        return sum(
-            policy.decide(owner_age, candidate_age, float(u_owner))
-            and policy.decide(candidate_age, owner_age, float(u_candidate))
-            for u_owner, u_candidate in uniforms
-        )
+        uniforms = np.random.default_rng(seed).random(2 * trials)
+        candidate_ages = np.full(trials, candidate_age)
+        return int(policy.accepts(owner_age, candidate_ages, uniforms).sum())
 
     def test_mutual_acceptance_probability_statistics(self):
         """Acceptance frequency matches the analytic mutual probability."""
@@ -152,10 +189,14 @@ class TestMutualAcceptance:
     def test_old_candidates_always_accepted_by_young_owner(self):
         policy = AcceptancePolicy(age_cap=100)
         uniforms = np.random.default_rng(8).random(200)
+        zeros = np.zeros(200)
+        elders = np.full(200, 200)
         # Owner side f(0, 200) = 1: the newborn accepts every elder ...
-        assert all(policy.decide(0, 200, float(u)) for u in uniforms)
+        owner_side = np.column_stack((uniforms, zeros)).ravel()
+        assert policy.accepts(0, elders, owner_side).all()
         # ... while the elder's side f(200, 0) = 1/L refuses most of them.
-        refusals = sum(not policy.decide(200, 0, float(u)) for u in uniforms)
+        elder_side = np.column_stack((zeros, uniforms)).ravel()
+        refusals = int((~policy.accepts(0, elders, elder_side)).sum())
         assert refusals > 150
 
 
@@ -163,15 +204,14 @@ class TestUniformAcceptance:
     def test_always_accepts(self):
         policy = UniformAcceptancePolicy()
         assert policy.probability(1e6, 0) == 1.0
-        assert policy.decide(1e6, 0, 0.999999)
+        assert policy.draws_per_candidate == 0
+        assert policy.accepts(1e6, np.array([0, 5, 10**6]), np.empty(0)).all()
         assert policy.mutual_probability(5, 500) == 1.0
 
     def test_still_validates_inputs(self):
         policy = UniformAcceptancePolicy()
         with pytest.raises(ValueError):
             policy.probability(-1, 0)
-        with pytest.raises(ValueError):
-            policy.decide(1, 1, 1.5)
 
 
 class TestAcceptanceRule:

@@ -1,12 +1,14 @@
 """Tests for partner-selection strategies."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core.selection import (
     AgeSelection,
     AvailabilitySelection,
-    Candidate,
+    CandidatePool,
     OracleSelection,
     RandomSelection,
     SelectionStrategy,
@@ -20,93 +22,91 @@ def rng():
     return np.random.default_rng(17)
 
 
-def make_candidates():
-    return [
-        Candidate(peer_id=1, age=10, availability=0.2, true_remaining_lifetime=5),
-        Candidate(peer_id=2, age=500, availability=0.9, true_remaining_lifetime=100),
-        Candidate(peer_id=3, age=100, availability=0.5, true_remaining_lifetime=5000),
-        Candidate(peer_id=4, age=2000, availability=None, true_remaining_lifetime=None),
-    ]
+def make_pool():
+    return CandidatePool(
+        ids=np.array([1, 2, 3, 4], dtype=np.int64),
+        ages=np.array([10, 500, 100, 2000], dtype=np.int64),
+        availability=np.array([0.2, 0.9, 0.5, math.nan]),
+        remaining=np.array([5.0, 100.0, 5000.0, math.inf]),
+    )
+
+
+def pool_of(ids, ages, availability=None, remaining=None):
+    return CandidatePool(
+        np.asarray(ids, dtype=np.int64),
+        np.asarray(ages, dtype=np.int64),
+        None if availability is None else np.asarray(availability, dtype=float),
+        None if remaining is None else np.asarray(remaining, dtype=float),
+    )
+
+
+def ranked(strategy, pool, rng):
+    """Pool ids, most preferred first."""
+    return pool.ids[strategy.order(pool, rng)].tolist()
+
+
+_EMPTY = np.empty(0, dtype=np.int64)
+_EMPTY_POOL = CandidatePool(_EMPTY, _EMPTY, np.empty(0), np.empty(0))
 
 
 class TestCandidate:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Candidate(peer_id=1, age=-1)
-        with pytest.raises(ValueError):
-            Candidate(peer_id=1, age=1, availability=1.5)
-
     def test_optional_fields_default_none(self):
-        candidate = Candidate(peer_id=1, age=0)
-        assert candidate.availability is None
-        assert candidate.true_remaining_lifetime is None
+        pool = CandidatePool(ids=_EMPTY, ages=_EMPTY)
+        assert pool.availability is None
+        assert pool.remaining is None
 
 
 class TestAgeSelection:
     def test_orders_by_age_descending(self, rng):
-        ranked = AgeSelection().rank(make_candidates(), rng)
-        assert ranked == [4, 2, 3, 1]
+        assert ranked(AgeSelection(), make_pool(), rng) == [4, 2, 3, 1]
 
     def test_ties_broken_randomly_not_by_id(self):
-        candidates = [Candidate(peer_id=i, age=50) for i in range(40)]
+        pool = pool_of(range(40), [50] * 40)
         first_positions = set()
         for seed in range(10):
-            ranked = AgeSelection().rank(candidates, np.random.default_rng(seed))
-            first_positions.add(ranked[0])
+            order = ranked(AgeSelection(), pool, np.random.default_rng(seed))
+            first_positions.add(order[0])
         assert len(first_positions) > 1
 
     def test_select_respects_count(self, rng):
-        chosen = AgeSelection().select(make_candidates(), 2, rng)
-        assert chosen == [4, 2]
+        """The engine's cut at ``count`` keeps the oldest."""
+        pool = make_pool()
+        assert pool.ids[AgeSelection().order(pool, rng)[:2]].tolist() == [4, 2]
 
     def test_select_with_scarce_candidates(self, rng):
-        chosen = AgeSelection().select(make_candidates(), 99, rng)
-        assert len(chosen) == 4
-
-    def test_select_negative_count(self, rng):
-        with pytest.raises(ValueError):
-            AgeSelection().select(make_candidates(), -1, rng)
+        pool = make_pool()
+        assert len(AgeSelection().order(pool, rng)[:99]) == 4
 
 
 class TestRandomSelection:
     def test_is_a_permutation(self, rng):
-        candidates = make_candidates()
-        ranked = RandomSelection().rank(candidates, rng)
-        assert sorted(ranked) == [1, 2, 3, 4]
+        assert sorted(ranked(RandomSelection(), make_pool(), rng)) == [1, 2, 3, 4]
 
     def test_varies_with_seed(self):
-        candidates = [Candidate(peer_id=i, age=i) for i in range(30)]
-        a = RandomSelection().rank(candidates, np.random.default_rng(1))
-        b = RandomSelection().rank(candidates, np.random.default_rng(2))
+        pool = pool_of(range(30), range(30))
+        a = ranked(RandomSelection(), pool, np.random.default_rng(1))
+        b = ranked(RandomSelection(), pool, np.random.default_rng(2))
         assert a != b
 
 
 class TestAvailabilitySelection:
     def test_orders_by_availability(self, rng):
-        ranked = AvailabilitySelection().rank(make_candidates(), rng)
         # 0.9 > 0.5 > 0.2 > unmeasured.
-        assert ranked == [2, 3, 1, 4]
+        assert ranked(AvailabilitySelection(), make_pool(), rng) == [2, 3, 1, 4]
 
     def test_age_breaks_ties(self, rng):
-        candidates = [
-            Candidate(peer_id=1, age=10, availability=0.5),
-            Candidate(peer_id=2, age=99, availability=0.5),
-        ]
-        assert AvailabilitySelection().rank(candidates, rng)[0] == 2
+        pool = pool_of([1, 2], [10, 99], availability=[0.5, 0.5])
+        assert ranked(AvailabilitySelection(), pool, rng)[0] == 2
 
 
 class TestOracleSelection:
     def test_orders_by_true_remaining(self, rng):
-        ranked = OracleSelection().rank(make_candidates(), rng)
-        # None -> inf first, then 5000, 100, 5.
-        assert ranked == [4, 3, 2, 1]
+        # inf first, then 5000, 100, 5.
+        assert ranked(OracleSelection(), make_pool(), rng) == [4, 3, 2, 1]
 
     def test_infinite_remaining_sorts_first(self, rng):
-        candidates = [
-            Candidate(peer_id=1, age=0, true_remaining_lifetime=float("inf")),
-            Candidate(peer_id=2, age=0, true_remaining_lifetime=10.0),
-        ]
-        assert OracleSelection().rank(candidates, rng)[0] == 1
+        pool = pool_of([1, 2], [0, 0], remaining=[math.inf, 10.0])
+        assert ranked(OracleSelection(), pool, rng)[0] == 1
 
 
 class TestRegistry:
@@ -123,68 +123,107 @@ class TestRegistry:
 
     def test_empty_candidate_list(self, rng):
         for name in available_strategies():
-            assert strategy_by_name(name).rank([], rng) == []
+            assert strategy_by_name(name).order(_EMPTY_POOL, rng).tolist() == []
+
+
+def brute_force_order(name, pool, rng):
+    """Pool positions by a Python ``sorted`` over each strategy's key.
+
+    Consumes the same draws as the strategy: one jitter uniform per
+    candidate, or one permutation for the random strategy.
+    """
+    size = len(pool.ids)
+    if name == "random":
+        return rng.permutation(size).tolist()
+    jitter = rng.random(size).tolist()
+    ids = pool.ids.tolist()
+    ages = pool.ages.tolist()
+    if name == "age":
+        keys = list(zip([-a for a in ages], jitter, ids))
+    elif name == "availability":
+        measured = [1.0 if math.isnan(a) else -a for a in pool.availability]
+        keys = list(zip(measured, [-a for a in ages], jitter))
+    elif name == "oracle":
+        keys = list(zip([-r for r in pool.remaining.tolist()], jitter))
+    elif name == "youngest":
+        keys = list(zip(ages, jitter))
+    return sorted(range(size), key=keys.__getitem__)
+
+
+def random_pool(draws, size):
+    """A pool with heavy ties, NaN availability and durable peers."""
+    ids = draws.permutation(10 * size + 1)[:size].astype(np.int64)
+    ages = draws.integers(4, size=size).astype(np.int64)
+    availability = draws.integers(4, size=size) / 4.0
+    availability[draws.random(size) < 0.3] = math.nan
+    remaining = draws.integers(3, size=size).astype(float)
+    remaining[draws.random(size) < 0.3] = math.inf
+    return CandidatePool(ids, ages, availability, remaining)
 
 
 class TestSelectPairs:
-    """The (peer_id, age) fast path must agree with the Candidate path."""
+    """Each strategy's array ``order`` agrees with a per-candidate sort.
 
-    PAIRS = [(1, 5.0), (2, 40.0), (3, 40.0), (4, 0.0), (5, 17.0)]
+    Seeded random pools (ties in every key, unmeasured availability,
+    infinite remaining lifetime) are ordered by the strategy and by a
+    brute-force Python ``sorted`` over its documented key, from twin
+    generators: same positions, same draws consumed.
+    """
 
-    def as_candidates(self):
-        return [Candidate(peer_id=i, age=a) for i, a in self.PAIRS]
+    PAIRS = [(1, 5), (2, 40), (3, 40), (4, 0), (5, 17)]
 
     @pytest.mark.parametrize("name", ["age", "random", "availability", "oracle"])
     def test_matches_candidate_selection(self, name):
-        import numpy as np
-
         strategy = strategy_by_name(name)
-        chosen_pairs = strategy.select_pairs(
-            self.PAIRS, 3, np.random.default_rng(7)
-        )
-        chosen_candidates = strategy.select(
-            self.as_candidates(), 3, np.random.default_rng(7)
-        )
-        assert chosen_pairs == chosen_candidates
+        draws = np.random.default_rng(2024)
+        for seed in range(300):
+            pool = random_pool(draws, int(draws.integers(0, 40)))
+            order_rng = np.random.default_rng(seed)
+            reference_rng = np.random.default_rng(seed)
+            order = strategy.order(pool, order_rng)
+            assert order.tolist() == brute_force_order(name, pool, reference_rng)
+            assert (
+                order_rng.bit_generator.state == reference_rng.bit_generator.state
+            )
 
     def test_age_prefers_oldest(self, rng):
-        chosen = strategy_by_name("age").select_pairs(self.PAIRS, 2, rng)
-        assert set(chosen) == {2, 3}
-
-    def test_count_zero_and_negative(self, rng):
-        strategy = strategy_by_name("age")
-        assert strategy.select_pairs(self.PAIRS, 0, rng) == []
-        with pytest.raises(ValueError):
-            strategy.select_pairs(self.PAIRS, -1, rng)
-        with pytest.raises(ValueError):
-            strategy_by_name("random").select_pairs(self.PAIRS, -1, rng)
+        ids, ages = zip(*self.PAIRS)
+        pool = pool_of(ids, ages)
+        chosen = pool.ids[strategy_by_name("age").order(pool, rng)[:2]]
+        assert set(chosen.tolist()) == {2, 3}
 
     def test_empty_pairs(self, rng):
         for name in ("age", "random", "availability", "oracle"):
-            assert strategy_by_name(name).select_pairs([], 3, rng) == []
+            assert len(strategy_by_name(name).order(_EMPTY_POOL, rng)) == 0
 
 
 class TestSelectArrays:
-    """The array path picks the select_pairs ids with the same draws."""
+    """Selection as the engine runs it: ``ids[order(pool)[:count]]``.
+
+    Checked against ``select_pairs`` below, a brute-force selection over
+    plain ``(peer_id, age)`` pairs that replays the same draws, for the
+    built-in age-only strategies and a third-party one.
+    """
 
     class Youngest(SelectionStrategy):
-        """A third-party strategy that only implements ``rank``."""
+        """A third-party strategy: youngest first, jitter on ties."""
 
         name = "youngest"
 
-        def rank(self, candidates, rng):
-            jitter = rng.random(len(candidates))
-            order = sorted(
-                range(len(candidates)),
-                key=lambda i: (candidates[i].age, jitter[i]),
-            )
-            return [candidates[i].peer_id for i in order]
+        def order(self, pool, rng):
+            return np.lexsort((rng.random(len(pool.ids)), pool.ages))
 
     class ConstantJitter:
         """A generator stub whose uniforms all tie, so ids decide."""
 
         def random(self, size):
             return np.zeros(size)
+
+    @staticmethod
+    def select_pairs(strategy, pairs, count, rng):
+        pool = pool_of([i for i, _ in pairs], [a for _, a in pairs])
+        order = brute_force_order(strategy.name, pool, rng)
+        return [pairs[i][0] for i in order[:count]]
 
     @staticmethod
     def pool(size, distinct_ages, seed=5):
@@ -196,10 +235,10 @@ class TestSelectArrays:
     def check(self, strategy, ids, ages, count, seed):
         pairs_rng = np.random.default_rng(seed)
         arrays_rng = np.random.default_rng(seed)
-        expected = strategy.select_pairs(
-            list(zip(ids.tolist(), ages.tolist())), count, pairs_rng
+        expected = self.select_pairs(
+            strategy, list(zip(ids.tolist(), ages.tolist())), count, pairs_rng
         )
-        chosen = strategy.select_arrays(ids, ages, count, arrays_rng)
+        chosen = ids[strategy.order(CandidatePool(ids, ages), arrays_rng)[:count]]
         assert chosen.dtype == np.int64
         assert chosen.tolist() == expected
         assert (
@@ -230,17 +269,8 @@ class TestSelectArrays:
         ids, ages = self.pool(50, distinct_ages=2)
         strategy = AgeSelection()
         pairs = list(zip(ids.tolist(), ages.tolist()))
-        expected = strategy.select_pairs(pairs, 20, self.ConstantJitter())
-        chosen = strategy.select_arrays(ids, ages, 20, self.ConstantJitter())
-        assert chosen.tolist() == expected
+        expected = self.select_pairs(strategy, pairs, 20, self.ConstantJitter())
+        order = strategy.order(CandidatePool(ids, ages), self.ConstantJitter())
+        assert ids[order[:20]].tolist() == expected
         oldest = ids[ages == ages.max()]
         assert expected[: len(oldest)] == sorted(oldest.tolist())[:20]
-
-    def test_negative_count(self, rng):
-        ids, ages = self.pool(10, distinct_ages=4)
-        for strategy in (AgeSelection(), RandomSelection()):
-            with pytest.raises(ValueError):
-                strategy.select_arrays(ids, ages, -1, rng)
-
-
-_EMPTY = np.empty(0, dtype=np.int64)

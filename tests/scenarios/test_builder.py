@@ -1,5 +1,6 @@
 """Tests for the chainable Scenario builder."""
 
+import numpy as np
 import pytest
 
 from repro.churn.profiles import CHURN_MIXES, Profile
@@ -113,13 +114,8 @@ class TestUserRegisteredComponents:
         class YoungestFirst(SelectionStrategy):
             name = "test-youngest"
 
-            def rank(self, candidates, rng):
-                jitter = rng.random(len(candidates))
-                order = sorted(
-                    range(len(candidates)),
-                    key=lambda i: (candidates[i].age, jitter[i]),
-                )
-                return [candidates[i].peer_id for i in order]
+            def order(self, pool, rng):
+                return np.lexsort((rng.random(len(pool.ids)), pool.ages))
 
         try:
             result = (

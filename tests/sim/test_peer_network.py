@@ -2,8 +2,9 @@
 
 Peers live in :class:`repro.sim.soa_state.StateTables` columns and the
 engine derives what used to be per-object queries from them: ages
-(``_age``), measured availability and true remaining lifetime
-(``_describe_candidate``), quota accounting (``quota_used``) and the
+(``_age``), the candidate pool's measured availability and true
+remaining lifetime columns (``_availability`` / ``_remaining``), quota
+accounting (``quota_used``) and the
 online candidate index (``_online_add`` / ``_online_discard`` over
 the ``int64`` array ``_online_items``).
 """
@@ -65,6 +66,10 @@ def sample(simulation, u):
     return int(simulation._online_items[index if index < size else size - 1])
 
 
+def ids(*peer_ids):
+    return np.array(peer_ids, dtype=np.int64)
+
+
 def toggle(simulation, now, *peer_ids):
     simulation._process_toggle_batch(now, np.array(peer_ids, dtype=np.int64))
 
@@ -93,7 +98,6 @@ class TestPeer:
         assert simulation._recruit(owner, 0, 2) == 2
         state = simulation.state
         assert state.quota_used[holder] == state.quota_used[spare] == 1
-        assert int(state.quota_np[holder]) == 1
         # Both candidates are now at quota: a second owner finds no one.
         other = add_peer(simulation)
         assert simulation._recruit(other, 0, 2) == 1  # only ``owner`` is free
@@ -112,20 +116,14 @@ class TestPeer:
 
     def test_remaining_lifetime(self):
         simulation = make_simulation()
-        simulation._needs_oracle = True
         peer = add_peer(simulation, join_round=0, death_round=500)
-        simulation.round = 100
-        assert simulation._describe_candidate(peer).true_remaining_lifetime == 400
-        simulation.round = 600
-        assert simulation._describe_candidate(peer).true_remaining_lifetime == 0
+        assert simulation._remaining(ids(peer), 100).tolist() == [400.0]
+        assert simulation._remaining(ids(peer), 600).tolist() == [0.0]
 
     def test_remaining_lifetime_durable(self):
         simulation = make_simulation()
-        simulation._needs_oracle = True
         peer = add_peer(simulation, join_round=0, death_round=None)
-        simulation.round = 100
-        remaining = simulation._describe_candidate(peer).true_remaining_lifetime
-        assert math.isinf(remaining)
+        assert math.isinf(simulation._remaining(ids(peer), 100)[0])
 
     def test_uptime_accounting(self):
         simulation = make_simulation()
@@ -133,8 +131,7 @@ class TestPeer:
         peer = add_peer(simulation, join_round=0)
         toggle(simulation, 10, peer)  # online 0..10, then offline
         assert simulation.state.online_rounds[peer] == 10
-        simulation.round = 30
-        availability = simulation._describe_candidate(peer).availability
+        availability = simulation._availability(ids(peer), 30)[0]
         assert availability == pytest.approx(10 / 30)
 
     def test_measured_availability_includes_current_session(self):
@@ -142,15 +139,13 @@ class TestPeer:
         simulation._needs_availability = simulation._track_uptime = True
         peer = add_peer(simulation, join_round=0)
         # Still online, never toggled: availability is 1 so far.
-        simulation.round = 100
-        assert simulation._describe_candidate(peer).availability == 1.0
+        assert simulation._availability(ids(peer), 100).tolist() == [1.0]
 
     def test_measured_availability_brand_new(self):
         simulation = make_simulation()
         simulation._needs_availability = simulation._track_uptime = True
         peer = add_peer(simulation, join_round=50)
-        simulation.round = 50
-        assert simulation._describe_candidate(peer).availability is None
+        assert math.isnan(simulation._availability(ids(peer), 50)[0])
 
 
 class TestSampleableSet:

@@ -8,6 +8,24 @@ from hypothesis import strategies as st
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.rng import BatchedDraws, STREAM_NAMES, RngStreams
 
+#: A bound past every round these tests schedule.
+FOREVER = 10**9
+
+
+def pop(queue):
+    """The next live event, whatever its round."""
+    return queue.pop_until(FOREVER)
+
+
+def drain(queue, last_round):
+    """Pop events up to and including ``last_round``, in order."""
+    drained = []
+    while True:
+        item = queue.pop_until(last_round)
+        if item is None:
+            return drained
+        drained.append(item)
+
 
 class TestRngStreams:
     def test_all_streams_exist(self):
@@ -56,7 +74,7 @@ class TestEventQueue:
         queue.schedule(5, Event(EventKind.DEATH, 1))
         queue.schedule(1, Event(EventKind.JOIN))
         queue.schedule(3, Event(EventKind.TOGGLE, 2))
-        rounds = [queue.pop()[0] for _ in range(3)]
+        rounds = [pop(queue)[0] for _ in range(3)]
         assert rounds == [1, 3, 5]
 
     def test_same_round_order_is_randomised(self):
@@ -65,7 +83,7 @@ class TestEventQueue:
             queue = EventQueue(np.random.default_rng(seed))
             for peer in range(6):
                 queue.schedule(1, Event(EventKind.TOGGLE, peer))
-            order = tuple(queue.pop()[1].peer_id for _ in range(6))
+            order = tuple(pop(queue)[1].peer_id for _ in range(6))
             orders.add(order)
         assert len(orders) > 1
 
@@ -74,9 +92,9 @@ class TestEventQueue:
         drop = queue.schedule(1, Event(EventKind.DEATH, 9))
         queue.cancel(drop)
         assert len(queue) == 1
-        round_number, event = queue.pop()
+        round_number, event = pop(queue)
         assert event.kind == EventKind.JOIN
-        assert queue.pop() is None
+        assert pop(queue) is None
         del keep
 
     def test_cancel_twice_is_safe(self, queue):
@@ -89,40 +107,49 @@ class TestEventQueue:
         """Cancelling an executed handle must not corrupt accounting."""
         executed = queue.schedule(1, Event(EventKind.JOIN))
         live = queue.schedule(1, Event(EventKind.DEATH, 3))
-        first = queue.pop()
+        first = pop(queue)
         handle = executed if first[1].kind == EventKind.JOIN else live
         queue.cancel(handle)  # already popped: no-op
         assert len(queue) == 1
-        assert queue.pop() is not None
-        assert queue.pop() is None
+        assert pop(queue) is not None
+        assert pop(queue) is None
         assert len(queue) == 0
 
     def test_pop_empty(self, queue):
-        assert queue.pop() is None
+        assert pop(queue) is None
         assert not queue
 
     def test_peek_round(self, queue):
-        assert queue.peek_round() is None
+        """``pop_until`` short of the next round leaves it queued."""
+        assert queue.pop_until(6) is None
         queue.schedule(7, Event(EventKind.SAMPLE))
-        assert queue.peek_round() == 7
+        assert queue.pop_until(6) is None
+        assert len(queue) == 1
+        assert queue.pop_until(7)[0] == 7
 
     def test_peek_skips_cancelled(self, queue):
         entry = queue.schedule(2, Event(EventKind.SAMPLE))
         queue.schedule(9, Event(EventKind.JOIN))
         queue.cancel(entry)
-        assert queue.peek_round() == 9
+        assert queue.pop_until(8) is None
+        assert queue.pop_until(9)[0] == 9
 
     def test_drain_until_respects_bound(self, queue):
         for round_number in (1, 5, 10, 15):
             queue.schedule(round_number, Event(EventKind.SAMPLE))
-        drained = list(queue.drain_until(10))
+        drained = drain(queue, 10)
         assert [r for r, _ in drained] == [1, 5, 10]
-        assert queue.peek_round() == 15
+        assert len(queue) == 1
+        assert pop(queue)[0] == 15
 
     def test_drain_processes_events_scheduled_during_drain(self, queue):
         queue.schedule(1, Event(EventKind.JOIN))
         seen = []
-        for round_number, event in queue.drain_until(10):
+        while True:
+            item = queue.pop_until(10)
+            if item is None:
+                break
+            round_number, event = item
             seen.append((round_number, event.kind))
             if event.kind == EventKind.JOIN and round_number == 1:
                 queue.schedule(1, Event(EventKind.REPAIR_CHECK, 1))
@@ -144,25 +171,12 @@ class TestEventQueue:
         """An event scheduled for the round being drained still fires."""
         queue.schedule(3, Event(EventKind.JOIN))
         queue.schedule(5, Event(EventKind.SAMPLE))
-        round_number, _ = queue.pop()
+        round_number, _ = pop(queue)
         assert round_number == 3
         queue.schedule(3, Event(EventKind.DEATH, 7))
-        round_number, event = queue.pop()
+        round_number, event = pop(queue)
         assert round_number == 3
         assert event.kind == EventKind.DEATH
-
-    def test_earlier_round_scheduled_mid_drain_runs_first(self, queue):
-        """Scheduling behind the active round preempts its remainder."""
-        for peer in range(4):
-            queue.schedule(9, Event(EventKind.TOGGLE, peer))
-        queue.pop()  # activates round 9
-        queue.schedule(2, Event(EventKind.JOIN))
-        round_number, event = queue.pop()
-        assert round_number == 2
-        assert event.kind == EventKind.JOIN
-        remaining = [queue.pop()[0] for _ in range(3)]
-        assert remaining == [9, 9, 9]
-        assert queue.pop() is None
 
 
 class TestBatchedDraws:
@@ -220,7 +234,7 @@ class TestCalendarQueueProperties:
 
         drained = []
         while True:
-            item = queue.pop()
+            item = pop(queue)
             if item is None:
                 break
             drained.append(item)
@@ -243,10 +257,10 @@ class TestCalendarQueueProperties:
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
     def test_intra_round_shuffle_is_deterministic_by_seed(self, rounds, seed):
-        def drain(queue_seed):
+        def run(queue_seed):
             queue = EventQueue(np.random.default_rng(queue_seed))
             for index, round_number in enumerate(rounds):
                 queue.schedule(round_number, Event(EventKind.TOGGLE, index))
-            return list(queue.drain_until(10))
+            return drain(queue, 10)
 
-        assert drain(seed) == drain(seed)
+        assert run(seed) == run(seed)

@@ -73,10 +73,10 @@ def test_every_preset_matches_abstract(name, seed, vector_kernel):
 
 
 class _SubclassedAgeRule(AcceptancePolicy):
-    """The paper's rule as a plain subclass: an engine sees a custom rule.
+    """The paper's rule as a plain subclass, registered under a new name.
 
-    ``type(rule) is AcceptancePolicy`` is false, so recruitment asks
-    ``decide`` candidate by candidate instead of inlining the bounds.
+    Recruitment runs the ``accepts`` it inherits, so a rule resolved
+    through the registry draws and decides exactly like the built-in.
     """
 
 
@@ -98,13 +98,13 @@ def _custom_rule_registered():
 #: canonical ``to_dict()`` minus ``config``).  ``oracle`` and ``code48``
 #: were recorded with the CSR owners slab and pair-list recruitment the
 #: owner matrix replaced; the other two were recorded with the scalar
-#: pool fill that ``_fill_pool`` absorbed.  ``oracle`` drives
-#: ``_describe_candidate`` (Candidate descriptors); ``code48`` (n = 96,
+#: pool fill that ``_fill_pool`` absorbed.  ``oracle`` fills the pool's
+#: true-remaining-lifetime column (``_remaining``); ``code48`` (n = 96,
 #: quota 1.5 x n) asks for pools of 64 or more; ``uniform-random`` is
 #: the baselines' pairing (:mod:`repro.baselines.comparison`), which
-#: takes no acceptance draws; ``custom-rule`` drives the per-candidate
-#: ``decide`` path (the rule is the paper's, so its digest is the plain
-#: ``paper`` cell's).
+#: takes no acceptance draws; ``custom-rule`` runs a registered subclass
+#: of the paper's rule (the rule is the paper's, so its digest is the
+#: plain ``paper`` cell's).
 EXTRA_CELLS = {
     "oracle": (
         lambda: _shrunk("paper").with_selection("oracle").with_seed(0),

@@ -23,6 +23,10 @@ from repro.sim.fidelity import simulation_for
 from repro.sim.rng import seeded_generator
 
 
+#: A bound past every round these tests schedule.
+FOREVER = 10**9
+
+
 def _queue(seed: int = 0) -> EventQueue:
     return EventQueue(seeded_generator(seed))
 
@@ -35,18 +39,18 @@ class TestDenseToggleLane:
         queue.schedule(3, Event(EventKind.REPAIR_CHECK, peer_id=9))
         queue.schedule_toggle(3, 7)
         queue.schedule_toggle(3, 2)
-        now, event = queue.pop()
+        now, event = queue.pop_until(FOREVER)
         assert (now, event.kind) == (3, EventKind.TOGGLE_BATCH)
         assert queue.pop_round_batch().tolist() == [2, 7]
-        now, event = queue.pop()
+        now, event = queue.pop_until(FOREVER)
         assert (now, event.kind) == (3, EventKind.REPAIR_CHECK)
-        assert queue.pop() is None
+        assert queue.pop_until(FOREVER) is None
 
     def test_batch_ids_ascending_regardless_of_filing_order(self):
         queue = _queue()
         for peer_id in (5, 1, 4, 2, 3):
             queue.schedule_toggle(1, peer_id)
-        assert queue.pop() == (1, Event(EventKind.TOGGLE_BATCH))
+        assert queue.pop_until(FOREVER) == (1, Event(EventKind.TOGGLE_BATCH))
         assert queue.pop_round_batch().tolist() == [1, 2, 3, 4, 5]
 
     def test_pop_round_batch_without_pending_batch_is_empty(self):
@@ -68,7 +72,7 @@ class TestDenseToggleLane:
         bulk.schedule_toggle_batch(rounds, peer_ids)
         assert len(scalar) == len(bulk) == 120
         while True:
-            a, b = scalar.pop(), bulk.pop()
+            a, b = scalar.pop_until(FOREVER), bulk.pop_until(FOREVER)
             assert a == b
             if a is None:
                 break
@@ -79,7 +83,7 @@ class TestDenseToggleLane:
     def test_toggle_into_executing_round_rejected(self):
         queue = _queue()
         queue.schedule_toggle(2, 1)
-        assert queue.pop() == (2, Event(EventKind.TOGGLE_BATCH))
+        assert queue.pop_until(FOREVER) == (2, Event(EventKind.TOGGLE_BATCH))
         with pytest.raises(ValueError):
             queue.schedule_toggle(2, 8)
         with pytest.raises(ValueError):
@@ -90,22 +94,21 @@ class TestDenseToggleLane:
         dead-bucket purge (toggles carry no cancellation accounting)."""
         queue = _queue()
         queue.schedule_toggle(5, 3)
-        assert queue.peek_round() == 5
         assert len(queue) == 1 and bool(queue)
+        assert queue.pop_until(4) is None
         assert queue.pop_until(5) == (5, Event(EventKind.TOGGLE_BATCH))
         assert queue.pop_round_batch().tolist() == [3]
         assert len(queue) == 0 and not queue
-        assert queue.pop() is None
+        assert queue.pop_until(FOREVER) is None
 
     def test_cancelled_generics_do_not_kill_a_toggle_round(self):
         queue = _queue()
         handle = queue.schedule(4, Event(EventKind.REPAIR_CHECK, peer_id=1))
         queue.schedule_toggle(4, 6)
         queue.cancel(handle)
-        assert queue.peek_round() == 4
-        assert queue.pop() == (4, Event(EventKind.TOGGLE_BATCH))
+        assert queue.pop_until(4) == (4, Event(EventKind.TOGGLE_BATCH))
         assert queue.pop_round_batch().tolist() == [6]
-        assert queue.pop() is None
+        assert queue.pop_until(FOREVER) is None
 
     def test_pop_until_holds_future_batches(self):
         queue = _queue()

@@ -116,7 +116,7 @@ class TestLongRunConsistency:
         simulation.run()
         state = simulation.state
         alive = [peer_id for peer_id in range(state.count) if state.alive[peer_id]]
-        hosted = sum(state.quota_used[peer_id] for peer_id in alive)
+        hosted = int(state.quota_used[alive].sum())
         held = sum(
             len(state.holders[peer_id])
             for peer_id in alive
@@ -129,7 +129,9 @@ class TestLongRunConsistency:
 @pytest.mark.slow
 @pytest.mark.parametrize(
     "script",
-    ["home_backup.py", "churn_explorer.py"],
+    # scenario_lab.py is the one example of a user-registered strategy;
+    # threshold_sweep.py is left out for its run time.
+    ["home_backup.py", "churn_explorer.py", "scenario_lab.py"],
 )
 def test_examples_run_clean(script):
     """The fast examples are executable documentation: they must pass."""
