@@ -4,7 +4,9 @@ Not a paper artifact — this measures the execution subsystem itself:
 the parallel speedup the process-pool and distributed backends buy on
 a multi-core host, and that they buy it without changing a single byte
 of the results.  The workload is a small threshold sweep (4 cells) of
-the event-driven simulator, the same cell shape every figure runs.
+the event-driven simulator, the same cell shape every figure runs, plus
+a suite of one-cell specs planned on one executor (``all`` in
+miniature).
 """
 
 import multiprocessing
@@ -46,6 +48,38 @@ def test_sweep_executor_two_workers(run_once):
     sweep = run_once(SweepExecutor(workers=2).run, _bench_spec())
     assert len(sweep) == 4
     assert sweep.stats.simulated == 4
+
+
+def _suite_specs():
+    """Three one-cell specs and a repeat of the first (a shared cell)."""
+    base = SimulationConfig.scaled(
+        population=250, rounds=2500, data_blocks=16, parity_blocks=16
+    )
+    specs = [
+        ExperimentSpec(
+            name=f"bench-suite-{threshold}",
+            build=lambda params, threshold=threshold: base.with_threshold(
+                threshold
+            ),
+            seeds=(0,),
+        )
+        for threshold in CELL_THRESHOLDS + (22,)
+    ]
+    return specs + specs[:1]
+
+
+def _planned_suite():
+    executor = SweepExecutor(workers=2)
+    specs = _suite_specs()
+    executor.plan(specs)
+    return [executor.run(spec) for spec in specs]
+
+
+def test_sweep_executor_planned_specs_two_workers(run_once):
+    """Planned one-cell specs share one pool pass; run one by one, each
+    would simulate its single cell in-process."""
+    sweeps = run_once(_planned_suite)
+    assert [sweep.stats.simulated for sweep in sweeps] == [1, 1, 1, 0]
 
 
 def _drain_bench_cells(cache_dir: str) -> None:

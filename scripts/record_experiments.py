@@ -2,45 +2,63 @@
 """Run the recorded experiment suite and dump raw results for EXPERIMENTS.md.
 
 Default scale, every figure and ablation, all through one
-:class:`~repro.exec.SweepExecutor`: ``--workers N`` fans simulation
-cells over a process pool, figures 1 and 2 (identical threshold sweeps)
-cost one set of simulations through the executor's cell memo, and the
-on-disk result cache means re-running the script only simulates what
-changed.  Output is plain text on stdout.
+:class:`~repro.exec.SweepExecutor`: the whole suite is planned up front,
+so ``--workers N`` runs every simulation cell in one process-pool pass,
+figures 1 and 2 (identical threshold sweeps) cost one set of
+simulations through the executor's cell memo, and the on-disk result
+cache means re-running the script only simulates what changed.  Output
+is plain text on stdout.
 """
 
 import argparse
 import time
 
-from repro.exec import ResultCache, SweepExecutor
+from repro.exec import ResultCache, SweepExecutor, run_experiment
 from repro.experiments.runner import _positive_int
 from repro.experiments.ablation_adaptive import (
+    ablation_adaptive_spec,
     check_shape as check_a5,
-    run_ablation_adaptive,
 )
-from repro.experiments.ablation_grace import run_ablation_grace
-from repro.experiments.ablation_proactive import run_ablation_proactive
-from repro.experiments.ablation_quota import run_ablation_quota
+from repro.experiments.ablation_grace import ablation_grace_spec
+from repro.experiments.ablation_proactive import ablation_proactive_spec
+from repro.experiments.ablation_quota import ablation_quota_spec
 from repro.experiments.ablation_selection import (
+    ablation_selection_spec,
     check_shape as check_a1,
-    run_ablation_selection,
 )
 from repro.experiments.common import DEFAULT
 from repro.experiments.fig1_repairs_by_threshold import (
     check_shape as check_fig1,
-    run_figure1,
+    figure1_spec,
 )
 from repro.experiments.fig2_losses_by_threshold import (
     check_shape as check_fig2,
-    run_figure2,
+    figure2_spec,
 )
 from repro.experiments.fig3_observer_repairs import (
     check_shape as check_fig3,
-    run_figure3,
+    figure3_spec,
 )
 from repro.experiments.fig4_cumulative_losses import (
     check_shape as check_fig4,
-    run_figure4,
+    figure4_spec,
+)
+
+#: The suite in print order: (banner, label, spec builder, seeds, shape
+#: check).  Empty seeds mean the scale's own; F2 repeats F1's cells, so
+#: the executor's memo serves it without a simulation, cache or no cache.
+SUITE = (
+    ("F1 — threshold sweep, repairs", "fig1", figure1_spec, (), check_fig1),
+    ("F2 — threshold sweep, losses", "fig2", figure2_spec, (), check_fig2),
+    ("F3 — observers", "fig3", figure3_spec, (), check_fig3),
+    ("F4 — cumulative losses", "fig4", figure4_spec, (), check_fig4),
+    ("A1 — selection strategies", "a1", ablation_selection_spec, (0,),
+     check_a1),
+    ("A2 — quota", "a2", ablation_quota_spec, (0,), None),
+    ("A3 — grace", "a3", ablation_grace_spec, (0,), None),
+    ("A4 — proactive", "a4", ablation_proactive_spec, (0,), None),
+    ("A5 — adaptive thresholds", "a5", ablation_adaptive_spec, (0,),
+     check_a5),
 )
 
 
@@ -62,50 +80,15 @@ def main():
     scale = DEFAULT
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     executor = SweepExecutor(workers=args.workers, cache=cache)
-
-    banner("F1 — threshold sweep, repairs")
-    fig1 = run_figure1(scale=scale, executor=executor)
-    print(fig1.render())
-    print("fig1 shape:", check_fig1(fig1) or "OK", flush=True)
-
-    # Identical sweep cells: the executor's memo means F2 simulates
-    # nothing new, cache or no cache.
-    banner("F2 — threshold sweep, losses")
-    fig2 = run_figure2(scale=scale, executor=executor)
-    print(fig2.render())
-    print("fig2 shape:", check_fig2(fig2) or "OK", flush=True)
-
-    banner("F3 — observers")
-    fig3 = run_figure3(scale=scale, executor=executor)
-    print(fig3.render())
-    print("fig3 shape:", check_fig3(fig3) or "OK", flush=True)
-
-    banner("F4 — cumulative losses")
-    fig4 = run_figure4(scale=scale, executor=executor)
-    print(fig4.render())
-    print("fig4 shape:", check_fig4(fig4) or "OK", flush=True)
-
-    banner("A1 — selection strategies")
-    a1 = run_ablation_selection(scale=scale, seeds=(0,), executor=executor)
-    print(a1.render())
-    print("a1 shape:", check_a1(a1) or "OK", flush=True)
-
-    banner("A2 — quota")
-    print(run_ablation_quota(scale=scale, seeds=(0,),
-                             executor=executor).render(), flush=True)
-
-    banner("A3 — grace")
-    print(run_ablation_grace(scale=scale, seeds=(0,),
-                             executor=executor).render(), flush=True)
-
-    banner("A4 — proactive")
-    print(run_ablation_proactive(scale=scale, seeds=(0,),
-                                 executor=executor).render(), flush=True)
-
-    banner("A5 — adaptive thresholds")
-    a5 = run_ablation_adaptive(scale=scale, seeds=(0,), executor=executor)
-    print(a5.render())
-    print("a5 shape:", check_a5(a5) or "OK", flush=True)
+    specs = [build(scale, seeds=seeds) for _, _, build, seeds, _ in SUITE]
+    # The first run executes every cell of the suite in one pass.
+    executor.plan(specs)
+    for (title, label, _, _, check), spec in zip(SUITE, specs):
+        banner(title)
+        artifact = run_experiment(spec, executor)
+        print(artifact.render(), flush=check is None)
+        if check is not None:
+            print(f"{label} shape:", check(artifact) or "OK", flush=True)
 
     stats = executor.stats
     print(f"\n[executor] {stats.cells} cells: {stats.simulated} simulated, "

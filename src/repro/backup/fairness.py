@@ -53,7 +53,10 @@ class ExchangeLedger:
 
     def balance_with(self, partner_id: int) -> ExchangeBalance:
         """Fetch-or-create the balance with one partner."""
-        return self._balances.setdefault(partner_id, ExchangeBalance())
+        balance = self._balances.get(partner_id)
+        if balance is None:
+            balance = self._balances[partner_id] = ExchangeBalance()
+        return balance
 
     def record_stored_for(self, partner_id: int, blocks: int = 1) -> None:
         """I accepted ``blocks`` of the partner's data."""

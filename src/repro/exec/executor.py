@@ -33,7 +33,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..registry import Registry
 from ..sim.config import SimulationConfig
@@ -168,7 +168,9 @@ class SweepExecutor:
         other channel.
     progress:
         Optional callback invoked after every finished cell with
-        ``(done, total, cell, source)``.
+        ``(done, total, cell, source)``.  Cells that a planned pass
+        (see :meth:`plan`) executes for a later run are reported when
+        that run collects them.
     backend:
         Execution backend name (see :data:`EXECUTION_BACKENDS`).
         ``None`` (default) picks ``process`` when ``workers > 1`` and
@@ -189,7 +191,9 @@ class SweepExecutor:
     Independently of the on-disk cache, the executor memoises every
     cell it runs for its own lifetime, so sweeps sharing cells within
     one executor (figures 1 and 2 run the same threshold grid) cost one
-    set of simulations even with the disk cache disabled.
+    set of simulations even with the disk cache disabled.  Commands
+    that run several specs announce them with :meth:`plan`, and the
+    first run executes all of their cells in one backend pass.
     """
 
     def __init__(
@@ -225,6 +229,11 @@ class SweepExecutor:
         self.stats = ExecutionStats()
         # In-process memo (digest -> payload) for this executor's lifetime.
         self._memo: Dict[str, Dict[str, Any]] = {}
+        # Specs announced by plan() that no run() has executed yet.
+        self._planned: List[ExperimentSpec] = []
+        # digest -> source of cells a planned pass finished that no
+        # run() has collected yet.
+        self._unclaimed: Dict[str, str] = {}
 
     @property
     def backend_name(self) -> str:
@@ -234,43 +243,36 @@ class SweepExecutor:
         return "process" if self.workers > 1 else "serial"
 
     # ------------------------------------------------------------------
+    def plan(self, specs: Iterable[ExperimentSpec]) -> None:
+        """Announce specs that later :meth:`run` calls will execute.
+
+        The next ``run`` executes the pending cells of its own spec and
+        of every planned spec in one backend pass (one process pool, one
+        distributed drain), so no worker idles while another finishes
+        the last cell of one experiment before the next one starts.
+        ``run`` calls for the planned specs are then served from the
+        memo.  Each cell still counts as simulated in the first run
+        that collects it, so per-run and cumulative stats read the same
+        as unplanned runs.
+        """
+        self._planned.extend(specs)
+
     def run(self, spec: ExperimentSpec) -> SweepResult:
         """Execute every cell of ``spec`` and return the aligned results."""
         started = time.perf_counter()
         cells = spec.cells()
         total = len(cells)
+        # The first run after plan() also executes the planned specs'
+        # cells; they come after this spec's own, in plan order.
+        planned, self._planned = self._planned, []
+        batch = cells + [cell for other in planned for cell in other.cells()]
         payloads: List[Optional[Dict[str, Any]]] = [None] * total
         run_stats = ExecutionStats()
         done = 0
 
-        pending: List[int] = []
-        digests: Dict[int, str] = {}
-        for i, cell in enumerate(cells):
-            digest = config_digest(cell.config)
-            digests[i] = digest
-            payload = self._memo.get(digest)
-            if payload is None and self.cache is not None:
-                payload = self.cache.load(digest)
-            if payload is not None:
-                payloads[i] = payload
-                self._memo[digest] = payload
-                run_stats.cache_hits += 1
-                done += 1
-                self._notify(done, total, cell, "cache")
-                continue
-            pending.append(i)
-
-        def finish(
-            i: int,
-            payload: Dict[str, Any],
-            source: str = "run",
-            store: bool = True,
-        ) -> None:
+        def collect(i: int, payload: Dict[str, Any], source: str) -> None:
             nonlocal done
             payloads[i] = payload
-            self._memo[digests[i]] = payload
-            if store and self.cache is not None:
-                self.cache.store(digests[i], payload)
             if source == "run":
                 run_stats.simulated += 1
             else:
@@ -278,9 +280,50 @@ class SweepExecutor:
             done += 1
             self._notify(done, total, cells[i], source)
 
-        backend = EXECUTION_BACKENDS.get(self.backend_name)()
-        backend.execute(self, cells, pending, digests, finish)
+        pending: List[int] = []
+        digests: Dict[int, str] = {}
+        queued = set()
+        for i, cell in enumerate(batch):
+            digest = config_digest(cell.config)
+            digests[i] = digest
+            if digest in queued:
+                continue  # a duplicate of a pending cell: collected below
+            payload = self._memo.get(digest)
+            source = "cache"
+            if payload is not None:
+                if i < total:
+                    source = self._unclaimed.pop(digest, source)
+            elif self.cache is not None:
+                payload = self.cache.load(digest)
+                if payload is not None:
+                    self._memo[digest] = payload
+            if payload is None:
+                queued.add(digest)
+                pending.append(i)
+            elif i < total:
+                collect(i, payload, source)
 
+        def finish(
+            i: int,
+            payload: Dict[str, Any],
+            source: str = "run",
+            store: bool = True,
+        ) -> None:
+            self._memo[digests[i]] = payload
+            if store and self.cache is not None:
+                self.cache.store(digests[i], payload)
+            if i < total:
+                collect(i, payload, source)
+            else:
+                self._unclaimed[digests[i]] = source
+
+        if pending:
+            backend = EXECUTION_BACKENDS.get(self.backend_name)()
+            backend.execute(self, batch, pending, digests, finish)
+
+        for i in range(total):
+            if payloads[i] is None:
+                collect(i, self._memo[digests[i]], "cache")
         results = [
             SimulationResult.from_dict(payload) for payload in payloads
         ]

@@ -82,8 +82,10 @@ _SIMULATION_EXPERIMENTS = {
                        fig_impairment.check_shape),
 }
 
-#: Spec builders for the ``worker`` command: name -> (scale, seeds) -> spec.
-#: Workers enumerate cells from the spec alone — no artifact rendering.
+#: Spec builders: name -> (scale, seeds) -> spec.  ``all`` and
+#: ``worker`` plan their whole spec list up front, so the executor runs
+#: every experiment's cells in one backend pass; workers enumerate cells
+#: from the specs alone — no artifact rendering.
 _SPEC_BUILDERS = {
     "fig1": fig1_repairs_by_threshold.figure1_spec,
     "fig2": fig2_losses_by_threshold.figure2_spec,
@@ -738,12 +740,13 @@ def _run_worker(args: argparse.Namespace) -> int:
     """The ``worker`` command: drain distributed cells, publish, exit.
 
     The worker rebuilds the same specs the coordinating sweep runs
-    (same scale, same seeds), then executes them through the
-    ``distributed`` backend: cells already published are skipped, free
-    cells are leased and simulated, and cells being computed elsewhere
-    are left alone unless their lease expires.  The worker exits once
-    every cell of its spec list has a published result, so it is safe
-    to start workers before, alongside or after the coordinator.
+    (same scale, same seeds), then drains all of their cells in one
+    pass of the ``distributed`` backend: cells already published are
+    skipped, free cells are leased and simulated, and cells being
+    computed elsewhere are left alone unless their lease expires.  The
+    worker exits once every cell of its spec list has a published
+    result, so it is safe to start workers before, alongside or after
+    the coordinator.
     """
     scale = scale_by_name(args.scale)
     names = args.experiments or sorted(_SIMULATION_EXPERIMENTS)
@@ -756,8 +759,9 @@ def _run_worker(args: argparse.Namespace) -> int:
         worker_id=worker_id,
         lease_ttl=args.lease_ttl,
     )
-    for name in names:
-        spec = _SPEC_BUILDERS[name](scale=scale, seeds=seeds)
+    specs = [_SPEC_BUILDERS[name](scale=scale, seeds=seeds) for name in names]
+    executor.plan(specs)
+    for name, spec in zip(names, specs):
         print(f"[worker {worker_id}] {name}: {spec.cell_count} cells")
         sweep = executor.run(spec)
         print(
@@ -820,6 +824,10 @@ def _run_sweeps(args: argparse.Namespace) -> int:
         sorted(_SIMULATION_EXPERIMENTS)
         if args.experiment == "all"
         else [args.experiment]
+    )
+    seeds = tuple(args.seeds) if args.seeds else ()
+    executor.plan(
+        _SPEC_BUILDERS[name](scale=scale, seeds=seeds) for name in names
     )
     failures: List[str] = []
     for name in names:

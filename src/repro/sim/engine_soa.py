@@ -542,16 +542,17 @@ class SoaSimulation:
             if len(on_owners):
                 np.add.at(visible, on_owners, 1)
             if len(off_owners):
-                owners = np.unique(off_owners)
                 if adaptive is None:
-                    hits = owners[
-                        (placed[owners] != 0)
-                        & (visible[owners] < self._repair_threshold)
+                    # Mask before deduplicating: the test reads only
+                    # per-owner state, so it commutes with np.unique.
+                    hits = off_owners[
+                        (placed[off_owners] != 0)
+                        & (visible[off_owners] < self._repair_threshold)
                     ]
-                    for owner_id in hits.tolist():
+                    for owner_id in np.unique(hits).tolist():
                         self._schedule_check(owner_id, now + 1)
                 else:
-                    for owner_id in owners.tolist():
+                    for owner_id in np.unique(off_owners).tolist():
                         if placed[owner_id] and adaptive[owner_id].needs_repair(
                             int(visible[owner_id])
                         ):

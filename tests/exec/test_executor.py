@@ -245,3 +245,107 @@ class TestProgressAndReduce:
         sweep = SweepExecutor().run(small_spec())
         with pytest.raises(ValueError):
             sweep.by_axis("quota")
+
+
+def overlapping_spec():
+    """Shares threshold 11 with :func:`small_spec`, adds threshold 13."""
+    base = small_config()
+    return ExperimentSpec(
+        name="exec-test-overlap",
+        build=lambda params: base.with_threshold(params["threshold"]),
+        grid={"threshold": (11, 13)},
+        seeds=(0, 1),
+    )
+
+
+@pytest.fixture
+def recorded_passes():
+    """Pending digests of every ``execute`` call of the ``recording`` backend."""
+    passes = []
+
+    @EXECUTION_BACKENDS.register("recording")
+    class Recording(ExecutionBackend):
+        name = "recording"
+
+        def execute(self, executor, cells, pending, digests, finish):
+            passes.append([digests[i] for i in pending])
+            EXECUTION_BACKENDS.get("serial")().execute(
+                executor, cells, pending, digests, finish
+            )
+
+    yield passes
+    EXECUTION_BACKENDS.unregister("recording")
+
+
+class TestPlannedPass:
+    # Figures 1 and 2 run the same cells: the second small_spec() is that
+    # case; overlapping_spec() shares half of its cells with them.
+    @staticmethod
+    def suite():
+        return [small_spec(), small_spec(), overlapping_spec()]
+
+    def test_planned_specs_run_in_one_execute_call(self, recorded_passes):
+        executor = SweepExecutor(backend="recording")
+        specs = self.suite()
+        executor.plan(specs)
+        for spec in specs:
+            executor.run(spec)
+        assert len(recorded_passes) == 1
+        # Thresholds 9, 11 and 13 x seeds 0 and 1, each executed once.
+        assert len(recorded_passes[0]) == 6
+        assert len(set(recorded_passes[0])) == 6
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_planned_runs_equal_unplanned_runs(self, tmp_path, workers):
+        planned = SweepExecutor(
+            workers=workers, cache=ResultCache(tmp_path / "planned")
+        )
+        planned.plan(self.suite())
+        planned_sweeps = [planned.run(spec) for spec in self.suite()]
+        unplanned = SweepExecutor(
+            workers=workers, cache=ResultCache(tmp_path / "unplanned")
+        )
+        unplanned_sweeps = [unplanned.run(spec) for spec in self.suite()]
+        for ours, theirs in zip(planned_sweeps, unplanned_sweeps):
+            assert serialized(ours) == serialized(theirs)
+            assert ours.stats.simulated == theirs.stats.simulated
+            assert ours.stats.cache_hits == theirs.stats.cache_hits
+        assert [sweep.stats.simulated for sweep in planned_sweeps] == [4, 0, 2]
+        assert planned.stats.cells == unplanned.stats.cells == 12
+        assert planned.stats.simulated == unplanned.stats.simulated == 6
+
+    def test_unplanned_spec_after_the_pass_still_runs(self, recorded_passes):
+        executor = SweepExecutor(backend="recording")
+        executor.plan([small_spec()])
+        first = executor.run(small_spec())
+        other = executor.run(overlapping_spec())
+        assert first.stats.simulated == 4
+        assert other.stats.simulated == 2
+        assert other.stats.cache_hits == 2
+        assert [len(cells) for cells in recorded_passes] == [4, 2]
+        reference = SweepExecutor().run(overlapping_spec())
+        assert serialized(other) == serialized(reference)
+
+    def test_unplanned_first_run_joins_the_pass(self, recorded_passes):
+        executor = SweepExecutor(backend="recording")
+        executor.plan([overlapping_spec()])
+        first = executor.run(small_spec())
+        planned = executor.run(overlapping_spec())
+        assert len(recorded_passes) == 1
+        assert first.stats.simulated == 4
+        assert (planned.stats.simulated, planned.stats.cache_hits) == (2, 2)
+
+    def test_progress_reports_each_run_in_its_own_cells(self):
+        seen = []
+        executor = SweepExecutor(
+            progress=lambda done, total, cell, source: seen.append(
+                (done, total, source)
+            )
+        )
+        executor.plan([small_spec(), overlapping_spec()])
+        executor.run(small_spec())
+        executor.run(overlapping_spec())
+        assert [entry[:2] for entry in seen] == [
+            (1, 4), (2, 4), (3, 4), (4, 4), (1, 4), (2, 4), (3, 4), (4, 4),
+        ]
+        assert [entry[2] for entry in seen].count("run") == 6

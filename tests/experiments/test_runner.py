@@ -1,9 +1,27 @@
 """Tests for the repro-experiments CLI."""
 
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
+from repro.exec import SweepExecutor, config_digest
+from repro.exec import executor as executor_module
+from repro.experiments import runner
+from repro.experiments.common import ExperimentScale
 from repro.experiments.runner import build_executor, build_parser, main
 from repro.sim.config import DEFAULT_FIDELITY
+
+#: Every experiment of ``all`` in a few seconds: the planned-pass tests
+#: check cell identity and report text, not the figures' shapes.
+MICRO = ExperimentScale(
+    name="micro",
+    population=60,
+    rounds=400,
+    data_blocks=4,
+    parity_blocks=4,
+    time_scale=0.05,
+    seeds=(0,),
+)
 
 
 class TestParser:
@@ -357,3 +375,88 @@ class TestSubcommandHelp:
             output = capsys.readouterr().out
             assert "example:" in output
             assert f"repro-experiments {name}" in output
+
+
+def _cell_digests(spec):
+    return [config_digest(cell.config) for cell in spec.cells()]
+
+
+def _report(stdout):
+    """A CLI report minus its ``[executor]`` summary (it carries timings)."""
+    return "".join(
+        line for line in stdout.splitlines(keepends=True)
+        if not line.startswith("[executor]")
+    )
+
+
+@pytest.fixture
+def micro_scale(monkeypatch):
+    monkeypatch.setattr(runner, "scale_by_name", lambda name: MICRO)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """``max_workers`` of every process pool the executor opens."""
+    opened = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", CountingPool)
+    return opened
+
+
+class TestPlannedCommands:
+    def test_planned_specs_are_the_specs_each_runner_runs(
+        self, micro_scale, monkeypatch, capsys
+    ):
+        planned, ran = [], []
+        plan, run = SweepExecutor.plan, SweepExecutor.run
+
+        def spy_plan(self, specs):
+            specs = list(specs)
+            planned.extend(_cell_digests(spec) for spec in specs)
+            plan(self, specs)
+
+        def spy_run(self, spec):
+            ran.append(_cell_digests(spec))
+            return run(self, spec)
+
+        monkeypatch.setattr(SweepExecutor, "plan", spy_plan)
+        monkeypatch.setattr(SweepExecutor, "run", spy_run)
+        assert main(["all", "--no-check", "--no-cache"]) == 0
+        capsys.readouterr()
+        assert len(ran) == len(runner._SIMULATION_EXPERIMENTS)
+        assert planned == ran
+
+    def test_all_opens_one_pool_and_reports_as_unplanned(
+        self, micro_scale, pools, monkeypatch, capsys, tmp_path
+    ):
+        argv = ["all", "--no-check", "--workers", "2"]
+        cache = ["--cache-dir", str(tmp_path / "planned")]
+        assert main(argv + cache) == 0
+        cold = capsys.readouterr().out
+        assert pools == [2]
+        assert main(argv + cache) == 0  # warm: nothing left to simulate
+        warm = capsys.readouterr().out
+        assert pools == [2]
+        assert " 0 simulated" not in cold.rsplit("[executor]", 1)[1]
+        assert " 0 simulated" in warm.rsplit("[executor]", 1)[1]
+        assert _report(warm) == _report(cold)
+
+        # Without the plan each experiment opens its own pool; the
+        # report and the summary counts stay the same.
+        monkeypatch.setattr(SweepExecutor, "plan", lambda self, specs: None)
+        assert main(
+            argv + ["--cache-dir", str(tmp_path / "unplanned")]
+        ) == 0
+        unplanned = capsys.readouterr().out
+        assert len(pools) > 2
+        assert _report(unplanned) == _report(cold)
+        counts = [
+            out.rsplit("[executor]", 1)[1].split("(")[0]
+            for out in (cold, unplanned)
+        ]
+        assert counts[0] == counts[1]
