@@ -8,8 +8,8 @@ through the :data:`EXECUTION_BACKENDS` registry — the same convention
 every other swappable component follows (see :mod:`repro.registry`):
 
 * ``serial`` runs cells in-process, one after the other;
-* ``process`` fans cells out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` on this host;
+* ``process`` fans cells out over a :mod:`multiprocessing` pool on this
+  host, one fresh worker process per cell;
 * ``distributed`` (:mod:`repro.exec.distributed`) shards cells across
   worker processes on any number of hosts sharing a cache directory.
 
@@ -31,9 +31,9 @@ outcome; results are always reassembled in spec cell order.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from multiprocessing import Pool
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..registry import Registry
 from ..sim.config import SimulationConfig
@@ -86,6 +86,12 @@ def _execute_cell(config_payload: Dict[str, Any]) -> Dict[str, Any]:
     return run_simulation(config).to_dict()
 
 
+def _execute_indexed(task: Tuple[int, Dict[str, Any]]) -> Tuple[int, Dict[str, Any]]:
+    """Pool entry point: ``(index, config dict)`` in, ``(index, result dict)`` out."""
+    index, config_payload = task
+    return index, _execute_cell(config_payload)
+
+
 class ExecutionBackend:
     """Strategy executing the pending cells of one :meth:`SweepExecutor.run`.
 
@@ -127,7 +133,14 @@ class SerialBackend(ExecutionBackend):
 
 @EXECUTION_BACKENDS.register("process")
 class ProcessBackend(ExecutionBackend):
-    """Cells fanned out over a process pool on this host."""
+    """Cells fanned out over a process pool on this host.
+
+    Each worker runs one cell and exits; the pool replaces it with a
+    fresh one.  A long-lived worker keeps the heap its earlier cells
+    grew, so its peak memory would depend on which cells the scheduler
+    happened to hand it before; a fresh worker's peak is the parent's
+    footprint plus its own cell's.
+    """
 
     name = "process"
 
@@ -138,18 +151,12 @@ class ProcessBackend(ExecutionBackend):
             SerialBackend().execute(executor, cells, pending, digests, finish)
             return
         max_workers = min(executor.workers, len(pending))
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = {
-                pool.submit(_execute_cell, cells[i].config.to_dict()): i
-                for i in pending
-            }
-            remaining = set(futures)
-            while remaining:
-                finished, remaining = wait(
-                    remaining, return_when=FIRST_COMPLETED
-                )
-                for future in finished:
-                    finish(futures[future], future.result())
+        tasks = [(i, cells[i].config.to_dict()) for i in pending]
+        with Pool(max_workers, maxtasksperchild=1) as pool:
+            for i, payload in pool.imap_unordered(_execute_indexed, tasks):
+                finish(i, payload)
+            pool.close()
+            pool.join()
 
 
 class SweepExecutor:

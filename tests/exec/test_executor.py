@@ -5,6 +5,9 @@ results through the serial backend, the process-pool backend and a
 cache round trip.
 """
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.exec import (
@@ -16,6 +19,7 @@ from repro.exec import (
     canonical_json,
     run_experiment,
 )
+from repro.exec import executor as executor_module
 from repro.sim.config import SimulationConfig
 
 
@@ -62,6 +66,30 @@ class TestBackendDeterminism:
         for cell, result in sweep:
             assert result.config.repair_threshold == cell.param("threshold")
             assert result.config.seed == cell.seed
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the recording wrapper reaches pool workers only by fork",
+    )
+    def test_each_pooled_cell_runs_in_a_fresh_process(
+        self, monkeypatch, tmp_path
+    ):
+        # A reused worker carries the heap of its earlier cells, so a
+        # sweep's peak memory would depend on how cells were scheduled.
+        log = tmp_path / "pids"
+        execute = executor_module._execute_cell
+
+        def recording(config_payload):
+            with open(log, "a", encoding="utf-8") as out:
+                out.write(f"{os.getpid()}\n")
+            return execute(config_payload)
+
+        monkeypatch.setattr(executor_module, "_execute_cell", recording)
+        SweepExecutor(workers=2).run(small_spec())
+        pids = log.read_text(encoding="utf-8").split()
+        assert len(pids) == small_spec().cell_count
+        assert len(set(pids)) == len(pids)
+        assert str(os.getpid()) not in pids
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):

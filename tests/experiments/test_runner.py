@@ -1,7 +1,5 @@
 """Tests for the repro-experiments CLI."""
 
-from concurrent.futures import ProcessPoolExecutor
-
 import pytest
 
 from repro.exec import SweepExecutor, config_digest
@@ -396,15 +394,16 @@ def micro_scale(monkeypatch):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """``max_workers`` of every process pool the executor opens."""
+    """Worker count of every process pool the executor opens."""
     opened = []
 
-    class CountingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            opened.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
+    pool = executor_module.Pool
 
-    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", CountingPool)
+    def counting_pool(processes=None, *args, **kwargs):
+        opened.append(processes)
+        return pool(processes, *args, **kwargs)
+
+    monkeypatch.setattr(executor_module, "Pool", counting_pool)
     return opened
 
 
