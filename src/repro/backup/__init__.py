@@ -1,19 +1,17 @@
 """Per-peer storage and fairness state of the protocol fidelity.
 
 :class:`BlockStore` is one peer's quota-bounded block storage and
-:mod:`.fairness` its exchange accounting (paper section 2.2.1); the
+:mod:`.fairness` the exchange accounting (paper section 2.2.1); the
 protocol backend (:class:`repro.sim.protocol.ProtocolSimulation`) keeps
-one of each per live peer.
+one store per live peer and reads pairwise balances from the stores.
 """
 
-from .fairness import ExchangeBalance, ExchangeLedger, GlobalFairness
-from .store import BlockStore, QuotaExceededError, StoredBlock
+from .fairness import GlobalFairness, exceeds_exchange_debt
+from .store import BlockStore, QuotaExceededError
 
 __all__ = [
-    "ExchangeBalance",
-    "ExchangeLedger",
     "GlobalFairness",
+    "exceeds_exchange_debt",
     "BlockStore",
     "QuotaExceededError",
-    "StoredBlock",
 ]

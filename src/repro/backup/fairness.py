@@ -8,9 +8,12 @@ a more global policy of fairness, where space is exchanged globally (see
 
 This module implements both accountings:
 
-* :class:`ExchangeLedger` — the pairwise (Samsara-style [7]) view: per
-  partner, blocks I store for them vs blocks they store for me, with a
-  debt test used to refuse storage to free-riding partners;
+* :func:`exceeds_exchange_debt` — the pairwise (Samsara-style [7]) view:
+  per partner, blocks I store for them vs blocks they store for me, with
+  a debt test used to refuse storage to free-riding partners.  Both
+  counts are read from the two partners' block stores
+  (:meth:`repro.backup.store.BlockStore.blocks_of`), so no ledger copy
+  of them is kept;
 * :class:`GlobalFairness` — the global view: blocks contributed vs
   consumed per peer across the whole system, with one contribution
   ratio per peer and the inequality of those ratios.
@@ -25,75 +28,32 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 
-@dataclass
-class ExchangeBalance:
-    """Pairwise storage balance with one partner, in blocks."""
+def exceeds_exchange_debt(
+    stored_for_partner: int,
+    stored_by_partner: int,
+    fairness_factor: float,
+    grace_blocks: int = 4,
+    extra_blocks: int = 1,
+) -> bool:
+    """Would storing ``extra_blocks`` more push a partner past its debt cap?
 
-    stored_for_partner: int = 0   # blocks I hold for them
-    stored_by_partner: int = 0    # blocks they hold for me
-
-
-class ExchangeLedger:
-    """Per-peer pairwise exchange accounting.
-
-    Parameters
-    ----------
-    grace_blocks:
-        Debt every partner is allowed before enforcement kicks in; a
-        newcomer that has not been asked to store anything yet must
-        still be able to place its first blocks (the same bootstrapping
-        concern the acceptation function's ``1/L`` floor addresses).
+    ``stored_for_partner`` counts the blocks I hold for the partner,
+    ``stored_by_partner`` the blocks it holds for me.  The cap is
+    ``fairness_factor x stored_by_partner + grace_blocks``: a partner may
+    consume up to ``fairness_factor`` times the space it provides to me,
+    plus a grace every partner is allowed before enforcement kicks in —
+    a newcomer that has not been asked to store anything yet must still
+    be able to place its first blocks (the same bootstrapping concern
+    the acceptation function's ``1/L`` floor addresses).
     """
-
-    def __init__(self, grace_blocks: int = 4):
-        if grace_blocks < 0:
-            raise ValueError("grace_blocks cannot be negative")
-        self.grace_blocks = grace_blocks
-        self._balances: Dict[int, ExchangeBalance] = {}
-
-    def balance_with(self, partner_id: int) -> ExchangeBalance:
-        """Fetch-or-create the balance with one partner."""
-        balance = self._balances.get(partner_id)
-        if balance is None:
-            balance = self._balances[partner_id] = ExchangeBalance()
-        return balance
-
-    def record_stored_for(self, partner_id: int, blocks: int = 1) -> None:
-        """I accepted ``blocks`` of the partner's data."""
-        if blocks < 0:
-            raise ValueError("blocks cannot be negative")
-        self.balance_with(partner_id).stored_for_partner += blocks
-
-    def record_stored_by(self, partner_id: int, blocks: int = 1) -> None:
-        """The partner accepted ``blocks`` of my data."""
-        if blocks < 0:
-            raise ValueError("blocks cannot be negative")
-        self.balance_with(partner_id).stored_by_partner += blocks
-
-    def record_released_for(self, partner_id: int, blocks: int = 1) -> None:
-        """I dropped ``blocks`` of the partner's data."""
-        balance = self.balance_with(partner_id)
-        balance.stored_for_partner = max(balance.stored_for_partner - blocks, 0)
-
-    def record_released_by(self, partner_id: int, blocks: int = 1) -> None:
-        """The partner dropped ``blocks`` of my data."""
-        balance = self.balance_with(partner_id)
-        balance.stored_by_partner = max(balance.stored_by_partner - blocks, 0)
-
-    def would_exceed_debt(
-        self, partner_id: int, fairness_factor: float, extra_blocks: int = 1
-    ) -> bool:
-        """Would accepting ``extra_blocks`` push the partner past its debt cap?
-
-        The cap is ``fairness_factor x stored_by_partner + grace``: a
-        partner may consume up to ``fairness_factor`` times the space it
-        provides to me, plus the bootstrap grace.
-        """
-        if fairness_factor <= 0:
-            raise ValueError("fairness_factor must be positive")
-        balance = self.balance_with(partner_id)
-        ceiling = fairness_factor * balance.stored_by_partner + self.grace_blocks
-        return balance.stored_for_partner + extra_blocks > ceiling
+    if fairness_factor <= 0:
+        raise ValueError("fairness_factor must be positive")
+    if grace_blocks < 0:
+        raise ValueError("grace_blocks cannot be negative")
+    if extra_blocks < 0:
+        raise ValueError("blocks cannot be negative")
+    ceiling = fairness_factor * stored_by_partner + grace_blocks
+    return stored_for_partner + extra_blocks > ceiling
 
 
 @dataclass

@@ -3,30 +3,22 @@
 Every peer "provides storage for at most `quota` blocks in total to its
 partners" (paper section 4.1).  The store tracks blocks by
 ``(owner, archive, block index)``, enforces the quota, and answers the
-fetch/store/release requests of the transport-level protocol.
+fetch/store/release requests of the transport-level protocol.  Blocks
+are indexed by owner, so an owner's count, its release and the list of
+owners cost that owner's blocks rather than a scan of the whole store.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from ..erasure.codec import CodedBlock
 
-BlockKey = Tuple[int, str, int]  # (owner peer id, archive id, block index)
+BlockKey = Tuple[str, int]  # (archive id, block index) within one owner
 
 
 class QuotaExceededError(Exception):
     """Raised when a store request does not fit the quota."""
-
-
-@dataclass(frozen=True)
-class StoredBlock:
-    """A block plus its provenance."""
-
-    owner_id: int
-    archive_id: str
-    block: CodedBlock
 
 
 class BlockStore:
@@ -36,19 +28,22 @@ class BlockStore:
         if quota_blocks < 0:
             raise ValueError("quota cannot be negative")
         self.quota_blocks = quota_blocks
-        self._blocks: Dict[BlockKey, StoredBlock] = {}
+        #: owner id -> (archive id, block index) -> block; an owner's
+        #: entry exists only while it has at least one block here.
+        self._by_owner: Dict[int, Dict[BlockKey, CodedBlock]] = {}
+        self._count = 0
 
     def __len__(self) -> int:
-        return len(self._blocks)
+        return self._count
 
     @property
     def free_blocks(self) -> int:
         """Remaining capacity in blocks."""
-        return self.quota_blocks - len(self._blocks)
+        return self.quota_blocks - self._count
 
     def can_store(self) -> bool:
         """Whether one more block fits."""
-        return self.free_blocks > 0
+        return self._count < self.quota_blocks
 
     def store(self, owner_id: int, archive_id: str, block: CodedBlock) -> None:
         """Store a block for a partner; idempotent per key.
@@ -56,31 +51,45 @@ class BlockStore:
         Raises :class:`QuotaExceededError` when the store is full and the
         key is new.
         """
-        key = (owner_id, archive_id, block.index)
-        if key not in self._blocks and not self.can_store():
-            raise QuotaExceededError(
-                f"store full ({len(self._blocks)}/{self.quota_blocks} blocks)"
-            )
-        self._blocks[key] = StoredBlock(owner_id, archive_id, block)
+        blocks = self._by_owner.get(owner_id)
+        key = (archive_id, block.index)
+        if blocks is None or key not in blocks:
+            if self._count >= self.quota_blocks:
+                raise QuotaExceededError(
+                    f"store full ({self._count}/{self.quota_blocks} blocks)"
+                )
+            self._count += 1
+            if blocks is None:
+                blocks = self._by_owner[owner_id] = {}
+        blocks[key] = block
 
     def fetch(
         self, owner_id: int, archive_id: str, block_index: int
     ) -> Optional[CodedBlock]:
         """Return the requested block, or ``None`` when absent."""
-        stored = self._blocks.get((owner_id, archive_id, block_index))
-        return stored.block if stored else None
+        blocks = self._by_owner.get(owner_id)
+        return blocks.get((archive_id, block_index)) if blocks else None
 
     def release(self, owner_id: int, archive_id: str, block_index: int) -> bool:
         """Delete one block; returns whether it existed."""
-        return self._blocks.pop((owner_id, archive_id, block_index), None) is not None
+        blocks = self._by_owner.get(owner_id)
+        if not blocks or blocks.pop((archive_id, block_index), None) is None:
+            return False
+        self._count -= 1
+        if not blocks:
+            del self._by_owner[owner_id]
+        return True
 
     def release_owner(self, owner_id: int) -> int:
         """Delete every block of one owner (it left); returns the count."""
-        keys = [key for key in self._blocks if key[0] == owner_id]
-        for key in keys:
-            del self._blocks[key]
-        return len(keys)
+        released = len(self._by_owner.pop(owner_id, ()))
+        self._count -= released
+        return released
+
+    def blocks_of(self, owner_id: int) -> int:
+        """How many blocks of ``owner_id`` this store holds."""
+        return len(self._by_owner.get(owner_id, ()))
 
     def owners(self) -> Iterator[int]:
-        """Distinct owners with at least one stored block."""
-        return iter({key[0] for key in self._blocks})
+        """Distinct owners with at least one stored block (a snapshot)."""
+        return iter(tuple(self._by_owner))

@@ -53,6 +53,7 @@ from .executor import (
     EXECUTION_BACKENDS,
     ExecutionBackend,
     _execute_cell,
+    _execute_indexed,
 )
 
 #: Seconds without a heartbeat before a lease counts as abandoned.
@@ -296,8 +297,9 @@ class DistributedBackend(ExecutionBackend):
 
     ``workers > 1`` composes the two axes of parallelism: this
     participant claims up to ``workers`` leases at a time and runs
-    them on a local process pool (never hoarding more cells than it
-    can actually compute), while other hosts shard the rest.
+    them on a local process pool, one fresh worker process per cell
+    (never hoarding more cells than it can actually compute), while
+    other hosts shard the rest.
     """
 
     name = "distributed"
@@ -372,17 +374,19 @@ class DistributedBackend(ExecutionBackend):
     def _drain_pooled(
         self, executor, cells, pending, digests, finish, cache, leases, poll
     ):
-        from concurrent.futures import (
-            FIRST_COMPLETED,
-            ProcessPoolExecutor,
-            wait,
-        )
+        import queue
         from contextlib import ExitStack
+        from multiprocessing import Pool
 
         remaining = list(pending)
-        in_flight: Dict[object, tuple] = {}  # future -> (i, digest, stack)
-        with ProcessPoolExecutor(
-            max_workers=min(executor.workers, len(pending))
+        # Cell index -> (async result, digest, lease stack); the pool's
+        # callbacks post finished indices to ``done``.
+        in_flight: Dict[int, tuple] = {}
+        done = queue.SimpleQueue()
+        # One cell per worker process, as in ProcessBackend: a reused
+        # worker would carry the heap its earlier cells grew.
+        with Pool(
+            min(executor.workers, len(pending)), maxtasksperchild=1
         ) as pool:
             try:
                 while remaining or in_flight:
@@ -416,33 +420,36 @@ class DistributedBackend(ExecutionBackend):
                                 digest, executor.heartbeat_interval
                             )
                         )
-                        future = pool.submit(
-                            _execute_cell, cells[i].config.to_dict()
+                        result = pool.apply_async(
+                            _execute_indexed,
+                            ((i, cells[i].config.to_dict()),),
+                            callback=lambda _, i=i: done.put(i),
+                            error_callback=lambda _, i=i: done.put(i),
                         )
-                        in_flight[future] = (i, digest, stack)
+                        in_flight[i] = (result, digest, stack)
                         progressed = True
                     remaining = deferred
                     if not in_flight:
                         if remaining and not progressed:
                             time.sleep(poll)
                         continue
-                    done, _ = wait(
-                        set(in_flight),
-                        timeout=poll if remaining else None,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    for future in done:
-                        i, digest, stack = in_flight.pop(future)
-                        try:
-                            payload = future.result()
-                            # Publish before releasing, same as the
-                            # sequential path, so no peer can reclaim
-                            # a cell whose result exists.
-                            cache.store(digest, payload)
-                        finally:
-                            stack.close()
-                            leases.release(digest)
-                        finish(i, payload, source="run", store=False)
+                    try:
+                        i = done.get(timeout=poll if remaining else None)
+                    except queue.Empty:
+                        continue
+                    result, digest, stack = in_flight.pop(i)
+                    try:
+                        _, payload = result.get()
+                        # Publish before releasing, same as the
+                        # sequential path, so no peer can reclaim a
+                        # cell whose result exists.
+                        cache.store(digest, payload)
+                    finally:
+                        stack.close()
+                        leases.release(digest)
+                    finish(i, payload, source="run", store=False)
+                pool.close()
+                pool.join()
             finally:
                 for _, digest, stack in in_flight.values():
                     stack.close()

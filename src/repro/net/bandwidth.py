@@ -16,7 +16,7 @@ keeping the per-archive repair rate below roughly one per month.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 from ..registry import Registry
@@ -175,7 +175,7 @@ class CostModel:
         return self.archive_size / self.link.download_bps
 
 
-@dataclass
+@dataclass(eq=False)
 class ScheduledTransfer:
     """One transfer occupying a peer's access link for ``seconds``.
 
@@ -184,14 +184,15 @@ class ScheduledTransfer:
     the impairment layer: it pushes the completion signal
     (``finish_second``) without occupying the link — the link frees up
     at ``link_release_second``, so queued successors are not charged
-    for time the wire spent merely in flight.
+    for time the wire spent merely in flight.  Transfers compare by
+    identity: two records with equal fields are still two transfers.
     """
 
     peer_id: int
     seconds: float
     start_second: float
     latency_seconds: float = 0.0
-    cancelled: bool = field(default=False, compare=False)
+    cancelled: bool = False
 
     @property
     def link_release_second(self) -> float:

@@ -2,71 +2,120 @@
 
 The protocol fidelity (:class:`repro.sim.protocol.ProtocolSimulation`)
 speaks a small message vocabulary modelled on section 2.2: store, fetch
-and release one coded block.  Messages are plain frozen dataclasses so
-they can be asserted on and routed by the in-memory transport.
+and release one coded block.  Messages are immutable slotted records
+(``NamedTuple`` subclasses whose constructor rejects self-sends), so one
+exchange costs a tuple, not an object with a ``__dict__``; they can be
+asserted on and routed by the in-memory transport.  Like every tuple
+they compare by field values alone.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
-_MESSAGE_COUNTER = itertools.count()
+_SELF_SEND = "a peer cannot message itself"
 
 
-@dataclass(frozen=True)
-class Message:
-    """Base class: every message has a source, destination and unique id."""
-
+class _Envelope(NamedTuple):
     sender: int
     recipient: int
-    message_id: int = field(default_factory=lambda: next(_MESSAGE_COUNTER))
-
-    def __post_init__(self) -> None:
-        if self.sender == self.recipient:
-            raise ValueError("a peer cannot message itself")
 
 
-@dataclass(frozen=True)
-class StoreRequest(Message):
+class _BlockAddress(NamedTuple):
+    sender: int
+    recipient: int
+    archive_id: str
+    block_index: int
+
+
+class _BlockPayload(NamedTuple):
+    sender: int
+    recipient: int
+    archive_id: str
+    block_index: int
+    payload: Optional[bytes]
+
+
+class _StoreReply(NamedTuple):
+    sender: int
+    recipient: int
+    archive_id: str
+    block_index: int
+    accepted: bool
+    reason: Optional[str]
+
+
+class Message(_Envelope):
+    """Base record: every message has a source and a destination."""
+
+    __slots__ = ()
+
+    def __new__(cls, sender: int, recipient: int):
+        if sender == recipient:
+            raise ValueError(_SELF_SEND)
+        return tuple.__new__(cls, (sender, recipient))
+
+
+class StoreRequest(_BlockPayload, Message):
     """Ask a partner to store one coded block."""
 
-    archive_id: str = ""
-    block_index: int = 0
-    payload: bytes = b""
+    __slots__ = ()
+
+    def __new__(
+        cls, sender, recipient, archive_id="", block_index=0, payload=b""
+    ):
+        if sender == recipient:
+            raise ValueError(_SELF_SEND)
+        fields = (sender, recipient, archive_id, block_index, payload)
+        return tuple.__new__(cls, fields)
 
 
-@dataclass(frozen=True)
-class StoreReply(Message):
+class StoreReply(_StoreReply, Message):
     """Partner's answer to a store request."""
 
-    archive_id: str = ""
-    block_index: int = 0
-    accepted: bool = False
-    reason: Optional[str] = None
+    __slots__ = ()
+
+    def __new__(
+        cls, sender, recipient, archive_id="", block_index=0,
+        accepted=False, reason=None,
+    ):
+        if sender == recipient:
+            raise ValueError(_SELF_SEND)
+        fields = (sender, recipient, archive_id, block_index, accepted, reason)
+        return tuple.__new__(cls, fields)
 
 
-@dataclass(frozen=True)
-class FetchRequest(Message):
+class FetchRequest(_BlockAddress, Message):
     """Ask a partner for a block it stores (restore or repair download)."""
 
-    archive_id: str = ""
-    block_index: int = 0
+    __slots__ = ()
+
+    def __new__(cls, sender, recipient, archive_id="", block_index=0):
+        if sender == recipient:
+            raise ValueError(_SELF_SEND)
+        return tuple.__new__(cls, (sender, recipient, archive_id, block_index))
 
 
-@dataclass(frozen=True)
-class FetchReply(Message):
-    """Block content, or a miss."""
+class FetchReply(_BlockPayload, Message):
+    """Block content, or a miss (``payload`` is ``None``)."""
 
-    archive_id: str = ""
-    block_index: int = 0
-    payload: Optional[bytes] = None
+    __slots__ = ()
+
+    def __new__(
+        cls, sender, recipient, archive_id="", block_index=0, payload=None
+    ):
+        if sender == recipient:
+            raise ValueError(_SELF_SEND)
+        fields = (sender, recipient, archive_id, block_index, payload)
+        return tuple.__new__(cls, fields)
 
 
-@dataclass(frozen=True)
-class ReleaseNotice(Message):
+class ReleaseNotice(_BlockAddress, Message):
     """Owner tells a partner it no longer needs the stored block."""
 
-    archive_id: str = ""
-    block_index: int = 0
+    __slots__ = ()
+
+    def __new__(cls, sender, recipient, archive_id="", block_index=0):
+        if sender == recipient:
+            raise ValueError(_SELF_SEND)
+        return tuple.__new__(cls, (sender, recipient, archive_id, block_index))

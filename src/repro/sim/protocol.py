@@ -4,9 +4,9 @@ Where the default ``abstract_soa`` engine flips counters, this backend
 executes the backup protocol's data plane for every normal peer:
 
 * each peer owns a transport endpoint
-  (:class:`repro.net.transport.InMemoryTransport`), a quota-bounded
-  :class:`repro.backup.store.BlockStore` and a pairwise
-  :class:`repro.backup.fairness.ExchangeLedger`;
+  (:class:`repro.net.transport.InMemoryTransport`) and a quota-bounded
+  :class:`repro.backup.store.BlockStore` that indexes its blocks by
+  owner;
 * placements and repairs issue real ``FetchRequest`` / ``StoreRequest``
   exchanges — a repair first downloads ``k`` blocks from visible
   holders, then uploads regenerated blocks to partners recruited
@@ -19,7 +19,9 @@ executes the backup protocol's data plane for every normal peer:
 * when configured (``SimulationConfig.fairness_factor``), partners
   refuse to store for peers whose lifetime consumption exceeds the
   factor times their contribution (the section 2.2.1 direct-exchange
-  policy, enforced through the backup layer's fairness accounting);
+  policy, enforced through the backup layer's fairness accounting); the
+  pairwise balance of two partners is read from their two stores, not
+  kept in a ledger of its own;
 * a loss is confirmed by an actual restore attempt — fetch probes to
   the surviving holders — before the archive resets.
 
@@ -28,8 +30,8 @@ metrics surface, event clock, partner selection and the ``StateTables``
 columns that hold every peer and archive — is the default engine's own
 (:class:`repro.sim.engine_soa.SoaSimulation`, which this backend
 subclasses).  The data plane lives in id-keyed side tables (stores,
-ledgers, manifests, in-flight transfers, retry state, transport
-endpoints) wired in through the core's once-per-event seams.  Same-seed
+manifests, in-flight transfers, retry state, transport endpoints) wired
+in through the core's once-per-event seams.  Same-seed
 protocol runs are byte-identical after serialization, across repeated
 runs, both toggle-kernel branches and all sweep-executor backends.
 
@@ -62,9 +64,9 @@ Deliberate simplifications, documented rather than hidden:
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..backup.fairness import ExchangeLedger, GlobalFairness
+from ..backup.fairness import GlobalFairness, exceeds_exchange_debt
 from ..backup.store import BlockStore
 from ..erasure.codec import CodedBlock
 from ..net.bandwidth import LINK_PROFILES, CostModel, LinkScheduler
@@ -133,7 +135,6 @@ class ProtocolSimulation(SoaSimulation):
         )
         self.links = LinkScheduler(round_seconds=config.round_seconds)
         self._stores: Dict[int, BlockStore] = {}
-        self._ledgers: Dict[int, ExchangeLedger] = {}
         self._fairness = GlobalFairness()
         #: Lifetime blocks a peer may consume beyond ``factor x
         #: contributed``: one archive's worth, so newcomers can place
@@ -202,15 +203,11 @@ class ProtocolSimulation(SoaSimulation):
                 return self._handle_store_request(peer_id, message)
             if isinstance(message, FetchRequest):
                 store = self._stores[peer_id]
-                block = store.fetch(
-                    message.sender, message.archive_id, message.block_index
-                )
+                owner_id, _, archive_id, index = message
+                block = store.fetch(owner_id, archive_id, index)
                 return FetchReply(
-                    sender=peer_id,
-                    recipient=message.sender,
-                    archive_id=message.archive_id,
-                    block_index=message.block_index,
-                    payload=block.payload if block else None,
+                    peer_id, owner_id, archive_id, index,
+                    block.payload if block else None,
                 )
             if isinstance(message, ReleaseNotice):
                 self._release_stored(peer_id, message.sender, message.block_index)
@@ -222,23 +219,14 @@ class ProtocolSimulation(SoaSimulation):
     def _handle_store_request(
         self, holder_id: int, message: StoreRequest
     ) -> StoreReply:
-        """Holder-side store decision: fairness ledger, then quota."""
+        """Holder-side store decision: fairness, then quota."""
         owner_id = message.sender
-
-        def refuse(reason: str) -> StoreReply:
-            return StoreReply(
-                sender=holder_id,
-                recipient=owner_id,
-                archive_id=message.archive_id,
-                block_index=message.block_index,
-                accepted=False,
-                reason=reason,
-            )
-
+        store = self._stores[holder_id]
+        reason = None
         factor = self.config.fairness_factor
         if factor is not None:
             # Both accountings of repro.backup.fairness are enforced:
-            # the pairwise Samsara-style ledger (this holder refuses an
+            # the pairwise Samsara-style debt (this holder refuses an
             # owner already deep in direct-exchange debt with it) and
             # the [7]-style global policy (an owner whose lifetime
             # consumption exceeds ``factor x contribution`` plus one
@@ -246,53 +234,58 @@ class ProtocolSimulation(SoaSimulation):
             # the one-archive-per-peer topology the global cap is the
             # one that bites; the pairwise cap matters once a pair
             # exchanges several blocks.
-            if self._ledgers[holder_id].would_exceed_debt(owner_id, factor):
+            fairness = self._fairness
+            if exceeds_exchange_debt(
+                *self._exchange_balance(holder_id, owner_id), factor
+            ):
+                reason = "fairness: pairwise exchange debt exceeded"
+            elif (
+                fairness.consumed.get(owner_id, 0) + 1
+                > factor * fairness.contributed.get(owner_id, 0)
+                + self._fairness_grace
+            ):
+                reason = "fairness: global exchange debt exceeded"
+            if reason is not None:
                 self.metrics.bump("fairness_refusals")
-                return refuse("fairness: pairwise exchange debt exceeded")
-            consumed = self._fairness.consumed.get(owner_id, 0)
-            contributed = self._fairness.contributed.get(owner_id, 0)
-            if consumed + 1 > factor * contributed + self._fairness_grace:
-                self.metrics.bump("fairness_refusals")
-                return refuse("fairness: global exchange debt exceeded")
-        store = self._stores[holder_id]
-        if not store.can_store():
+        if reason is None and not store.can_store():
             self.metrics.bump("store_refusals")
-            return refuse("quota full")
+            reason = "quota full"
+        if reason is not None:
+            return StoreReply(
+                holder_id, owner_id, message.archive_id, message.block_index,
+                False, reason,
+            )
         store.store(
             owner_id,
             message.archive_id,
-            CodedBlock(
-                index=message.block_index,
-                payload=message.payload,
-                checksum=_EMPTY_CHECKSUM,
-            ),
+            CodedBlock(message.block_index, message.payload, _EMPTY_CHECKSUM),
         )
-        self._ledgers[holder_id].record_stored_for(owner_id)
-        owner_ledger = self._ledgers.get(owner_id)
-        if owner_ledger is not None:
-            owner_ledger.record_stored_by(holder_id)
         self._fairness.record_hosting(holder_id)
         self._fairness.record_placement(owner_id)
         return StoreReply(
-            sender=holder_id,
-            recipient=owner_id,
-            archive_id=message.archive_id,
-            block_index=message.block_index,
-            accepted=True,
+            holder_id, owner_id, message.archive_id, message.block_index, True
+        )
+
+    def _exchange_balance(
+        self, holder_id: int, partner_id: int
+    ) -> Tuple[int, int]:
+        """Pairwise balance of two live peers, read from their stores.
+
+        Returns ``(blocks holder_id stores for partner_id, blocks
+        partner_id stores for holder_id)``.
+        """
+        return (
+            self._stores[holder_id].blocks_of(partner_id),
+            self._stores[partner_id].blocks_of(holder_id),
         )
 
     def _release_stored(
         self, holder_id: int, owner_id: int, block_index: int
     ) -> None:
-        """Holder-side release: drop the block, settle the ledgers."""
+        """Holder-side release: drop the block if the holder still lives."""
         store = self._stores.get(holder_id)
-        if store is None:
-            return
-        if store.release(owner_id, self._archive_id(owner_id), block_index):
-            self._ledgers[holder_id].record_released_for(owner_id)
-            owner_ledger = self._ledgers.get(owner_id)
-            if owner_ledger is not None:
-                owner_ledger.record_released_by(holder_id)
+        if store is not None:
+            store.release(owner_id, self._archive_id(owner_id), block_index)
 
     @staticmethod
     def _archive_id(owner_id: int) -> str:
@@ -304,7 +297,6 @@ class ProtocolSimulation(SoaSimulation):
     # ------------------------------------------------------------------
     def _on_spawn(self, peer_id: int) -> None:
         self._stores[peer_id] = BlockStore(self.config.quota)
-        self._ledgers[peer_id] = ExchangeLedger()
         self._manifest[peer_id] = {}
         self._next_index[peer_id] = 0
         self.transport.register(peer_id, self._make_handler(peer_id))
@@ -350,7 +342,6 @@ class ProtocolSimulation(SoaSimulation):
             holder_store = self._stores.get(holder_id)
             if holder_store is not None:
                 holder_store.release_owner(peer_id)
-        self._ledgers.pop(peer_id, None)
         self._next_index.pop(peer_id, None)
         self.transport.unregister(peer_id)
 
@@ -512,12 +503,7 @@ class ProtocolSimulation(SoaSimulation):
             index = manifest.get(holder_id)
             if index is None:
                 continue
-            probe = FetchRequest(
-                sender=owner_id,
-                recipient=holder_id,
-                archive_id=archive_id,
-                block_index=index,
-            )
+            probe = FetchRequest(owner_id, holder_id, archive_id, index)
             attempts = 0
             while True:
                 drops_before = self._drop_count
@@ -547,12 +533,7 @@ class ProtocolSimulation(SoaSimulation):
         # cleanup otherwise (the real system garbage-collects the block
         # on next contact — modelled as immediate for quota accounting).
         _, delivered = self._send(
-            ReleaseNotice(
-                sender=owner_id,
-                recipient=holder_id,
-                archive_id=self._archive_id(owner_id),
-                block_index=index,
-            )
+            ReleaseNotice(owner_id, holder_id, self._archive_id(owner_id), index)
         )
         if not delivered:
             self._release_stored(holder_id, owner_id, index)
@@ -580,12 +561,7 @@ class ProtocolSimulation(SoaSimulation):
             if index is None:
                 continue
             reply, delivered = self._send(
-                FetchRequest(
-                    sender=owner_id,
-                    recipient=holder_id,
-                    archive_id=archive_id,
-                    block_index=index,
-                )
+                FetchRequest(owner_id, holder_id, archive_id, index)
             )
             if (
                 delivered
@@ -610,6 +586,7 @@ class ProtocolSimulation(SoaSimulation):
         manifest = self._manifest[owner_id]
         quota = self.config.quota
         quota_used = self.state.quota_used
+        pending_by_holder = self._pending_by_holder
         chosen = self._select_candidates(owner_id, now, needed).tolist()
         placed: Dict[int, int] = {}
         for candidate_id in chosen:
@@ -618,13 +595,7 @@ class ProtocolSimulation(SoaSimulation):
                 continue
             index = self._next_index[owner_id]
             reply, delivered = self._send(
-                StoreRequest(
-                    sender=owner_id,
-                    recipient=candidate_id,
-                    archive_id=archive_id,
-                    block_index=index,
-                    payload=b"",
-                )
+                StoreRequest(owner_id, candidate_id, archive_id, index)
             )
             if (
                 delivered
@@ -634,9 +605,10 @@ class ProtocolSimulation(SoaSimulation):
                 self._next_index[owner_id] = index + 1
                 placed[candidate_id] = index
                 manifest[candidate_id] = index
-                self._pending_by_holder.setdefault(candidate_id, set()).add(
-                    owner_id
-                )
+                waiters = pending_by_holder.get(candidate_id)
+                if waiters is None:
+                    waiters = pending_by_holder[candidate_id] = set()
+                waiters.add(owner_id)
         return placed
 
     def _begin_transfer(

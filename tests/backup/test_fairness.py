@@ -4,66 +4,66 @@ import dataclasses
 
 import pytest
 
-from repro.backup.fairness import ExchangeLedger, GlobalFairness
+from repro.backup.fairness import GlobalFairness, exceeds_exchange_debt
 from repro.net.message import ReleaseNotice, StoreReply, StoreRequest
 from repro.sim.config import SimulationConfig
 from repro.sim.protocol import ProtocolSimulation
 
 
 class TestExchangeLedger:
+    """Pairwise exchange accounting: each balance is read from the two
+    partners' block stores, and :func:`exceeds_exchange_debt` caps it."""
+
     def test_balances_start_at_zero(self):
-        ledger = ExchangeLedger()
-        balance = ledger.balance_with(5)
-        assert balance.stored_for_partner == 0
-        assert balance.stored_by_partner == 0
+        swarm = idle_swarm()
+        assert swarm._exchange_balance(1, 5) == (0, 0)
 
     def test_debt_direction(self):
-        ledger = ExchangeLedger()
-        ledger.record_stored_for(5, blocks=3)  # they use my space
-        ledger.record_stored_by(5, blocks=1)   # I use theirs
-        balance = ledger.balance_with(5)
-        assert (balance.stored_for_partner, balance.stored_by_partner) == (3, 1)
+        swarm = idle_swarm()
+        send = swarm.transport.send
+        for index in range(3):  # they use my space
+            assert send(store_request(swarm, 5, 1, index)).accepted
+        assert send(store_request(swarm, 1, 5, 0)).accepted  # I use theirs
+        assert swarm._exchange_balance(1, 5) == (3, 1)
+        assert swarm._exchange_balance(5, 1) == (1, 3)
 
     def test_releases_clamp_at_zero(self):
-        ledger = ExchangeLedger()
-        ledger.record_stored_for(5, blocks=1)
-        ledger.record_released_for(5, blocks=10)
-        assert ledger.balance_with(5).stored_for_partner == 0
-        ledger.record_released_by(5, blocks=10)
-        assert ledger.balance_with(5).stored_by_partner == 0
+        swarm = idle_swarm()
+        swarm.transport.send(store_request(swarm, 5, 1, 0))
+        for index in (0, 0, 9):  # a repeat and a never-stored block
+            swarm.transport.send(ReleaseNotice(
+                sender=5, recipient=1,
+                archive_id=swarm._archive_id(5), block_index=index,
+            ))
+        assert swarm._exchange_balance(1, 5) == (0, 0)
+        assert swarm._exchange_balance(5, 1) == (0, 0)
+        assert len(swarm._stores[1]) == 0
 
     def test_negative_blocks_rejected(self):
-        ledger = ExchangeLedger()
         with pytest.raises(ValueError):
-            ledger.record_stored_for(5, blocks=-1)
-        with pytest.raises(ValueError):
-            ledger.record_stored_by(5, blocks=-1)
+            exceeds_exchange_debt(0, 0, fairness_factor=1.0, extra_blocks=-1)
 
     def test_grace_allows_bootstrap(self):
-        ledger = ExchangeLedger(grace_blocks=4)
         # A brand-new partner with no reciprocity may store 4 blocks.
-        assert not ledger.would_exceed_debt(7, fairness_factor=1.0, extra_blocks=4)
-        assert ledger.would_exceed_debt(7, fairness_factor=1.0, extra_blocks=5)
+        assert not exceeds_exchange_debt(0, 0, 1.0, grace_blocks=4, extra_blocks=4)
+        assert exceeds_exchange_debt(0, 0, 1.0, grace_blocks=4, extra_blocks=5)
 
     def test_reciprocity_raises_the_ceiling(self):
-        ledger = ExchangeLedger(grace_blocks=0)
-        ledger.record_stored_by(7, blocks=10)  # they host 10 for me
-        assert not ledger.would_exceed_debt(7, fairness_factor=1.0, extra_blocks=10)
-        assert ledger.would_exceed_debt(7, fairness_factor=1.0, extra_blocks=11)
+        # They host 10 for me.
+        assert not exceeds_exchange_debt(0, 10, 1.0, grace_blocks=0, extra_blocks=10)
+        assert exceeds_exchange_debt(0, 10, 1.0, grace_blocks=0, extra_blocks=11)
 
     def test_fairness_factor_scales_ceiling(self):
-        ledger = ExchangeLedger(grace_blocks=0)
-        ledger.record_stored_by(7, blocks=5)
-        assert not ledger.would_exceed_debt(7, fairness_factor=2.0, extra_blocks=10)
-        assert ledger.would_exceed_debt(7, fairness_factor=2.0, extra_blocks=11)
+        assert not exceeds_exchange_debt(0, 5, 2.0, grace_blocks=0, extra_blocks=10)
+        assert exceeds_exchange_debt(0, 5, 2.0, grace_blocks=0, extra_blocks=11)
 
     def test_bad_fairness_factor(self):
         with pytest.raises(ValueError):
-            ExchangeLedger().would_exceed_debt(1, fairness_factor=0)
+            exceeds_exchange_debt(0, 0, fairness_factor=0)
 
     def test_negative_grace_rejected(self):
         with pytest.raises(ValueError):
-            ExchangeLedger(grace_blocks=-1)
+            exceeds_exchange_debt(0, 0, 1.0, grace_blocks=-1)
 
 
 class TestGlobalFairness:
@@ -164,8 +164,8 @@ class TestClientEnforcement:
         refusals = sum(1 for reply in replies if not reply.accepted)
         assert refusals > 0
         assert swarm.metrics.protocol["fairness_refusals"] == refusals
-        balance = swarm._ledgers[target].balance_with(owner)
-        assert balance.stored_for_partner > balance.stored_by_partner
+        stored_for, stored_by = swarm._exchange_balance(target, owner)
+        assert stored_for > stored_by
         assert len(swarm._stores[target]) == 10 - refusals
 
     def test_no_enforcement_without_factor(self):
@@ -191,14 +191,14 @@ class TestClientEnforcement:
             )
             assert reply.accepted
         for holder in holders:
-            held = swarm._ledgers[holder].balance_with(owner).stored_for_partner
-            credited = swarm._ledgers[owner].balance_with(holder).stored_by_partner
+            held, _ = swarm._exchange_balance(holder, owner)
+            _, credited = swarm._exchange_balance(owner, holder)
             assert held == credited == len(swarm._stores[holder]) == 1
         # A release settles both sides of the partnership.
         swarm.transport.send(ReleaseNotice(
             sender=owner, recipient=1,
             archive_id=swarm._archive_id(owner), block_index=0,
         ))
-        assert swarm._ledgers[1].balance_with(owner).stored_for_partner == 0
-        assert swarm._ledgers[owner].balance_with(1).stored_by_partner == 0
+        assert swarm._exchange_balance(1, owner)[0] == 0
+        assert swarm._exchange_balance(owner, 1)[1] == 0
         assert len(swarm._stores[1]) == 0

@@ -7,6 +7,7 @@ import pytest
 from repro.backup.store import BlockStore, QuotaExceededError
 from repro.erasure.codec import ArchiveCodec, CodedBlock
 from repro.erasure.reed_solomon import ErasureCodingError
+from repro.sim.rng import seeded_generator
 
 
 def block(index=0, payload=b"data"):
@@ -82,6 +83,50 @@ class TestViews:
         store.store(1, "a", block(0))
         store.store(2, "a", block(0))
         assert sorted(store.owners()) == [1, 2]
+
+
+class TestOwnerIndex:
+    """The per-owner index against a brute-force scan of the same keys."""
+
+    OWNERS = range(5)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_operations_match_a_flat_scan(self, seed):
+        rng = seeded_generator(seed)
+        quota = int(rng.integers(0, 13))
+        store = BlockStore(quota)
+        held = {}  # (owner, archive, index) -> payload: the reference
+        for _ in range(400):
+            owner = int(rng.integers(len(self.OWNERS)))
+            archive, index = "ab"[rng.integers(2)], int(rng.integers(4))
+            key = (owner, archive, index)
+            roll = rng.random()
+            if roll < 0.5:
+                payload = bytes([int(rng.integers(256))])
+                if key not in held and len(held) >= quota:
+                    with pytest.raises(QuotaExceededError):
+                        store.store(owner, archive, block(index, payload))
+                else:
+                    store.store(owner, archive, block(index, payload))
+                    held[key] = payload
+            elif roll < 0.9:
+                existed = held.pop(key, None) is not None
+                assert store.release(owner, archive, index) == existed
+            else:
+                doomed = [k for k in held if k[0] == owner]
+                assert store.release_owner(owner) == len(doomed)
+                for k in doomed:
+                    del held[k]
+            assert len(store) == len(held)
+            assert store.free_blocks == quota - len(held)
+            assert store.can_store() == (len(held) < quota)
+            assert sorted(store.owners()) == sorted({k[0] for k in held})
+            for other in self.OWNERS:
+                assert store.blocks_of(other) == sum(
+                    1 for k in held if k[0] == other
+                )
+            for (o, a, i), payload in held.items():
+                assert store.fetch(o, a, i).payload == payload
 
 
 class TestByteLevelRestore:

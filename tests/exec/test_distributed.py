@@ -10,6 +10,7 @@ and a resumed sweep reuses every published cell.
 
 import json
 import multiprocessing
+import os
 import threading
 import time
 from pathlib import Path
@@ -24,6 +25,7 @@ from repro.exec import (
     canonical_json,
     config_digest,
 )
+from repro.exec import executor as executor_module
 from repro.exec.executor import _execute_cell
 from repro.sim.config import SimulationConfig
 
@@ -210,6 +212,35 @@ class TestDistributedBackend:
         # Everything published, every lease released.
         assert ResultCache(tmp_path).entry_count() == 4
         assert list(ResultCache(tmp_path).lease_root.glob("*.lease")) == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the recording wrapper reaches pool workers only by fork",
+    )
+    def test_each_pooled_cell_runs_in_a_fresh_process(
+        self, monkeypatch, tmp_path
+    ):
+        # A reused worker carries the heap of its earlier cells, so a
+        # participant's peak memory would depend on which cells it ran.
+        log = tmp_path / "pids"
+        execute = executor_module._execute_cell
+
+        def recording(config_payload):
+            with open(log, "a", encoding="utf-8") as out:
+                out.write(f"{os.getpid()}\n")
+            return execute(config_payload)
+
+        monkeypatch.setattr(executor_module, "_execute_cell", recording)
+        SweepExecutor(
+            workers=2,
+            cache=ResultCache(tmp_path / "cache"),
+            backend="distributed",
+            poll_interval=0.05,
+        ).run(small_spec())
+        pids = log.read_text(encoding="utf-8").split()
+        assert len(pids) == small_spec().cell_count
+        assert len(set(pids)) == len(pids)
+        assert str(os.getpid()) not in pids
 
     def test_resumed_sweep_reuses_every_published_cell(self, tmp_path):
         cache = ResultCache(tmp_path)

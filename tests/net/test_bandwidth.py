@@ -1,6 +1,8 @@
 """Tests for the section 2.2.4 cost model — pinned to the paper's numbers —
 and the link scheduler the protocol fidelity backend gates transfers with."""
 
+import dataclasses
+
 import pytest
 
 from repro.net.bandwidth import (
@@ -148,6 +150,17 @@ class TestLinkScheduler:
         scheduler.complete(transfer)
         assert scheduler.in_flight() == 0
         scheduler.complete(transfer)  # idempotent
+
+    def test_complete_removes_that_exact_transfer(self):
+        scheduler = LinkScheduler()
+        first = scheduler.schedule(1, seconds=0.0, now_round=0)
+        second = scheduler.schedule(1, seconds=0.0, now_round=0)
+        assert dataclasses.astuple(first) == dataclasses.astuple(second)
+        scheduler.complete(second)
+        still_active = scheduler.cancel_peer(1)
+        assert len(still_active) == 1
+        assert still_active[0] is first
+        assert first.cancelled and not second.cancelled
 
     def test_cancel_on_death_releases_capacity(self):
         """The churn satellite: a transfer in flight when its peer dies

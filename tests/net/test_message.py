@@ -21,11 +21,6 @@ class TestBaseMessage:
         with pytest.raises(ValueError):
             Message(sender=3, recipient=3)
 
-    def test_ids_monotonically_unique(self):
-        ids = [Message(sender=1, recipient=2).message_id for _ in range(5)]
-        assert len(set(ids)) == 5
-        assert ids == sorted(ids)
-
     def test_messages_are_frozen(self):
         message = Message(sender=1, recipient=2)
         with pytest.raises(AttributeError):

@@ -132,9 +132,3 @@ class TestTypedFailures:
         reply = transport.send(FetchRequest(sender=1, recipient=2))
         assert isinstance(reply, FetchReply)
 
-
-class TestMessageIds:
-    def test_ids_are_unique(self):
-        a = FetchRequest(sender=1, recipient=2)
-        b = FetchRequest(sender=1, recipient=2)
-        assert a.message_id != b.message_id

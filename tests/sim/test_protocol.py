@@ -295,7 +295,13 @@ class TestFairnessEnforcement:
     @pytest.mark.parametrize("impairment", ["clean", "loss10"])
     @pytest.mark.parametrize("factor", [None, 1.0])
     def test_ledgers_symmetric_with_stores(self, factor, impairment):
-        """Both sides of every partnership count the blocks actually held."""
+        """Both sides of every partnership count the blocks actually held.
+
+        The owner's manifest names one block per holder; the pairwise
+        balance, read from the holder's store from either side, must
+        count exactly that block, and no store may hold a block its
+        owner's manifest does not name.
+        """
         config = protocol_config(
             population=120, rounds=1500, seed=1,
             fairness_factor=factor, impairment_profile=impairment,
@@ -303,21 +309,24 @@ class TestFairnessEnforcement:
         simulation = ProtocolSimulation(config)
         simulation.run()
         assert simulation.audit() == []
+        alive = simulation.state.alive
         pairs = 0
         for owner_id, manifest in simulation._manifest.items():
-            if not simulation.state.alive[owner_id]:
+            if not alive[owner_id]:
                 continue
-            for holder_id in manifest:
-                held = sum(
-                    1 for key in simulation._stores[holder_id]._blocks
-                    if key[0] == owner_id
-                )
-                hosted = simulation._ledgers[holder_id].balance_with(owner_id)
-                credited = simulation._ledgers[owner_id].balance_with(holder_id)
-                assert hosted.stored_for_partner == held
-                assert credited.stored_by_partner == held
+            for holder_id, index in manifest.items():
+                hosted, _ = simulation._exchange_balance(holder_id, owner_id)
+                _, credited = simulation._exchange_balance(owner_id, holder_id)
+                assert hosted == credited == 1
+                assert simulation._stores[holder_id].fetch(
+                    owner_id, simulation._archive_id(owner_id), index
+                ) is not None
                 pairs += 1
         assert pairs > 0
+        for holder_id, store in simulation._stores.items():
+            for owner_id in store.owners():
+                assert alive[owner_id]
+                assert holder_id in simulation._manifest[owner_id]
 
 
 @pytest.mark.slow
