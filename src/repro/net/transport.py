@@ -109,20 +109,18 @@ class InMemoryTransport:
         if self._endpoints.pop(peer_id, None) is not None:
             self._departed.add(peer_id)
 
-    def _lookup(self, peer_id: int, role: str) -> Endpoint:
-        """Resolve an endpoint, raising the precise typed error."""
-        endpoint = self._endpoints.get(peer_id)
-        if endpoint is not None:
-            return endpoint
+    def _missing(self, peer_id: int, role: str) -> TransportError:
+        """The precise typed error for an id with no endpoint."""
         if peer_id in self._departed:
-            raise DepartedEndpointError(
-                f"{role} {peer_id} has left the system"
-            )
-        raise UnknownEndpointError(f"unknown {role} {peer_id}")
+            return DepartedEndpointError(f"{role} {peer_id} has left the system")
+        return UnknownEndpointError(f"unknown {role} {peer_id}")
 
     def set_online(self, peer_id: int, online: bool) -> None:
         """Toggle an endpoint's reachability."""
-        self._lookup(peer_id, "endpoint").online = online
+        endpoint = self._endpoints.get(peer_id)
+        if endpoint is None:
+            raise self._missing(peer_id, "endpoint")
+        endpoint.online = online
 
     def is_online(self, peer_id: int) -> bool:
         """Whether a peer is currently reachable."""
@@ -140,10 +138,15 @@ class InMemoryTransport:
         peer that is merely disconnected, :class:`DroppedMessageError`
         when the impairment layer loses the exchange in flight.
         """
-        sender = self._lookup(message.sender, "sender")
+        endpoints = self._endpoints
+        sender = endpoints.get(message.sender)
+        if sender is None:
+            raise self._missing(message.sender, "sender")
         if not sender.online:
             raise OfflineEndpointError(f"sender {message.sender} is offline")
-        recipient = self._lookup(message.recipient, "recipient")
+        recipient = endpoints.get(message.recipient)
+        if recipient is None:
+            raise self._missing(message.recipient, "recipient")
         if not recipient.online:
             raise OfflineEndpointError(
                 f"recipient {message.recipient} is offline"

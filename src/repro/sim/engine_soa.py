@@ -27,8 +27,9 @@ rounds, in about a second):
   and one vectorised geometric draw for all reschedules
   (:func:`repro.sim.rng.geometric_from_uniforms`);
 * recruitment stays in arrays end to end: the pool fill evaluates
-  whole sample chunks as numpy expressions — the acceptance rule's
-  :meth:`repro.core.acceptance.AcceptancePolicy.accepts` included — and
+  whole sample chunks — several at once when a fill continues — as
+  numpy expressions over a stamped skip set, the acceptance rule's
+  :meth:`repro.core.acceptance.AcceptancePolicy.accepts` included, and
   returns ``(ids, ages)`` vectors, the strategy orders them with
   :meth:`repro.core.selection.SelectionStrategy.order`, and the chosen
   partners are committed with one quota mask and one
@@ -53,7 +54,8 @@ depends only on bucket *content*, never on the order events were filed.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -74,6 +76,37 @@ from .rng import (
     pool_chunk_size,
 )
 from .soa_state import StateTables
+
+#: A continuing pool fill evaluates up to this many times its next
+#: chunk's draws in one pass (see ``SoaSimulation._fill_pool``).
+_FILL_WINDOW_CHUNKS = 4
+
+
+def _sorted_contains(ordered: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Membership of each of ``values`` in the sorted vector ``ordered``."""
+    if not len(ordered):
+        return np.zeros(len(values), dtype=bool)
+    slots = np.searchsorted(ordered, values)
+    np.minimum(slots, len(ordered) - 1, out=slots)
+    return ordered[slots] == values
+
+
+def _pair_keys(
+    owners: np.ndarray, holders: np.ndarray, alive: np.ndarray, suspect: np.ndarray
+) -> np.ndarray:
+    """Sorted ``owner * count + holder`` keys of the audit's link pairs.
+
+    Flags both ends of every pair with a dead end in ``suspect``, then
+    builds the keys in ``owners``' own buffer (the audit's largest
+    arrays are one int64 per link, so it keeps few of them alive).
+    """
+    dead = ~(alive[owners] & alive[holders])
+    suspect[owners[dead]] = True
+    suspect[holders[dead]] = True
+    owners *= len(alive)
+    owners += holders
+    owners.sort()
+    return owners
 
 
 @FIDELITY_BACKENDS.register("abstract_soa")
@@ -161,9 +194,10 @@ class SoaSimulation:
         self._online_items = np.zeros(capacity, dtype=np.int64)
         self._online_size = 0
         self._online_pos: List[int] = []
-        #: scratch column for the pool fill's skip-set (all False
-        #: between fills; see ``_fill_pool``).
-        self._pool_marks = np.zeros(capacity, dtype=bool)
+        #: the pool fill's stamped skip set and the next fill's floor
+        #: (see ``_fill_pool``).
+        self._pool_stamps = np.zeros(capacity, dtype=np.int64)
+        self._pool_serial = 1
         # Owner rows are bounded by the quota plus one quota-free slot
         # per observer (see soa_state's owner-matrix notes).
         self.state = StateTables(
@@ -195,13 +229,15 @@ class SoaSimulation:
     def _setup(self) -> None:
         config = self.config
         state = self.state
-        for _ in range(config.population):
-            if config.staggered_join_rounds:
-                join_round = int(
-                    self.rng.placement.integers(config.staggered_join_rounds)
-                )
-            else:
-                join_round = 0
+        if config.staggered_join_rounds:
+            # One vector draw: the same values, and the same generator
+            # state afterwards, as one scalar ``integers`` call per peer.
+            join_rounds = self.rng.placement.integers(
+                config.staggered_join_rounds, size=config.population
+            ).tolist()
+        else:
+            join_rounds = [0] * config.population
+        for join_round in join_rounds:
             self.queue.schedule(join_round, self._join_event)
         for spec in config.observers:
             peer_id = state.add_observer(spec.fixed_age, spec.name)
@@ -365,15 +401,8 @@ class SoaSimulation:
         state.mark_dead(peer_id)
         holders = state.holders
 
-        # The departed peer's own blocks disappear from its partners
-        # (the dying peer is never an observer, so its links all counted
-        # against their holders' quotas).
-        row = holders[peer_id]
-        if row:
-            state.quota_used[row] -= 1
-        for holder_id in row:
-            state.owners_remove(holder_id, peer_id)
-        row.clear()
+        # The departed peer's own blocks disappear from its partners.
+        self._drop_holders(peer_id, list(holders[peer_id]))
 
         # Blocks it hosted for others vanish "immediately" (section 4.1):
         # detach every link first, then evaluate loss/threshold once per
@@ -411,23 +440,32 @@ class SoaSimulation:
         self.metrics.record_loss(
             now, self._age(owner_id, now), self._observer_name(owner_id)
         )
-        for holder_id in list(state.holders[owner_id]):
-            self._drop_holder(owner_id, holder_id)
+        self._drop_holders(owner_id, list(state.holders[owner_id]))
         state.placed[owner_id] = 0
         state.fully_placed[owner_id] = 0
         # The user still has local data to back up again: a fresh
         # placement follows (next round at the earliest).
         self._schedule_check(owner_id, now + 1)
 
-    def _drop_holder(self, owner_id: int, holder_id: int) -> None:
-        """Owner abandons one holder (grace-expired repair drop or loss)."""
+    def _drop_holders(self, owner_id: int, holder_ids: List[int]) -> None:
+        """Owner abandons distinct holders (repair drops, loss or death).
+
+        One batched reverse-index unlink; the owner's own row loses the
+        holders one by one.
+        """
+        if not holder_ids:
+            return
         state = self.state
-        state.holders[owner_id].remove(holder_id)
-        state.owners_remove(holder_id, owner_id)
-        if state.online[holder_id]:
-            state.visible[owner_id] -= 1
+        state.owners_remove_many(holder_ids, owner_id)
+        online = state.online
+        row = state.holders[owner_id]
+        went = 0
+        for holder_id in holder_ids:
+            row.remove(holder_id)
+            went += online[holder_id]
+        state.visible[owner_id] -= went
         if owner_id >= state.n_observers:
-            state.quota_used[holder_id] -= 1
+            state.quota_used[holder_ids] -= 1
 
     # ------------------------------------------------------------------
     # Session toggles (the most frequent event kind, batched per round)
@@ -665,8 +703,7 @@ class SoaSimulation:
             for holder_id in row
             if not online[holder_id] and now - last_offline[holder_id] >= grace
         ]
-        for holder_id in dropped:
-            self._drop_holder(owner_id, holder_id)
+        self._drop_holders(owner_id, dropped)
         needed = self._n - len(row)
         recruited = self._recruit(owner_id, now, needed) if needed > 0 else 0
         self._finish_repair(owner_id, now, recruited)
@@ -752,21 +789,49 @@ class SoaSimulation:
     ):
         """Fused candidate sampling and mutual acceptance (section 3.2).
 
-        Draws are consumed in *chunks*: each pass takes ``chunk_size``
-        selection uniforms up front, filters the sampled candidates
-        (first occurrence only, not the owner, not already a holder,
-        quota not exhausted), then consumes the rule's
+        Draws are consumed in *chunks*: each chunk takes ``chunk_size``
+        selection uniforms, filters the sampled candidates (first
+        occurrence in the fill only, not the owner, not already a
+        holder, quota not exhausted), then consumes the rule's
         ``draws_per_candidate`` acceptance uniforms per filtered
         candidate — two for the paper's rule, taken unconditionally even
         when the owner's own draw already rejected; none for the uniform
-        rule.  Chunked consumption makes the draw
-        count a pure function of the chunk's content, so the dedup, the
-        filters and the rule's ``accepts`` run once per chunk as numpy
-        expressions.  Candidate *evaluation* (and the ``examined``
-        count) stops at the candidate that fills the pool, so the pool
-        statistics keep one-at-a-time semantics; the loop bounds are
-        re-checked only between chunks.  Returns the accepted
-        ``(ids, ages)`` as two ``int64`` vectors in acceptance order.
+        rule.  Candidate *evaluation* (and the ``examined`` count) stops
+        at the candidate that fills the pool, so the pool statistics
+        keep one-at-a-time semantics; the loop bounds are re-checked
+        only between chunks.  Returns the accepted ``(ids, ages)`` as
+        two ``int64`` vectors in acceptance order.
+
+        The chunks are a consumption pattern, not an evaluation unit:
+        the keep mask ("first occurrence in the fill, not skipped, quota
+        ok") and each candidate's acceptance do not depend on where the
+        chunks end, only the stop point does.  So one numpy pass
+        evaluates several chunks at once:
+
+        * **stamped skip set** — ``_pool_stamps`` holds one ``int64``
+          per peer and every fill starts a fresh serial ``floor``.  The
+          owner and its holders are stamped ``floor``; each pass stamps
+          its samples with ``np.maximum.at`` and values above ``floor``
+          that fall as the position rises, so a sample is skipped iff
+          its stamp was already ``>= floor`` and is its pass's first
+          occurrence iff the stamp now equals its own value (exact
+          whatever order numpy applies the updates in).  Older stamps
+          all sit below the next floor: nothing is unmarked afterwards;
+        * **continuation windows** — the first chunk is evaluated alone
+          (most fills end there).  A continuing fill peeks a window of
+          up to ``_FILL_WINDOW_CHUNKS`` times the next chunk, filters
+          and accepts it in one pass, then walks the chunk boundaries
+          the one-chunk loop would take (``pool_chunk_size`` of the
+          running ``needed``, bisected against the fresh candidates and
+          the hits) to find where that loop stops and what it counts.
+          Each stream then advances by what those chunks consumed, and
+          the samples of the unconsumed tail get their old stamps back;
+        * **no early refill** — a window never looks past the current
+          block of either stream (``strategy.order`` draws from the
+          selection generator directly between fills, so a refill must
+          happen exactly where the one-chunk loop would do it).  When a
+          window does not fit, one chunk is taken as a plain
+          ``take_array``, refill included: a window of one chunk.
         """
         state = self.state
         n_online = self._online_size
@@ -775,83 +840,128 @@ class SoaSimulation:
         n_accepted = 0
         examined = 0
         if n_online:
-            selection_take = self._selection_draws.take_array
-            acceptance_take = self._acceptance_draws.take_array
+            selection = self._selection_draws
+            acceptance = self._acceptance_draws
             online_items = self._online_items
             sample_budget = 8 * n_online + 64
             owner_age = self._age(owner_id, now)
-            holder_row = state.holders[owner_id]
             check_quota = owner_id >= state.n_observers
             quota = self.config.quota
             join_np = state._join_np
             quota_used = state.quota_used
             accepts = self.acceptance.accepts
             draws = self.acceptance.draws_per_candidate
-            # One reusable boolean column marks every id this fill must
-            # skip — the owner, current holders, and every id already
-            # sampled this fill.  A gather against it replaces per-chunk
-            # np.isin sort-merges; the marks are unset before returning
-            # so the column stays all-False between fills.
-            marks = self._pool_marks
-            if len(marks) < state.count:
-                grown = np.zeros(
-                    max(len(marks) * 2, state.count), dtype=bool
-                )
-                grown[: len(marks)] = marks
-                marks = self._pool_marks = grown
-            marks[holder_row] = True
-            marks[owner_id] = True
-            chunks: List[np.ndarray] = []
+            stamps = self._pool_stamps
+            if len(stamps) < state.count:
+                grown = np.zeros(max(len(stamps) * 2, state.count), dtype=np.int64)
+                grown[: len(stamps)] = stamps
+                stamps = self._pool_stamps = grown
+            floor = self._pool_serial
+            stamps[state.holders[owner_id]] = floor
+            stamps[owner_id] = floor
+            serial = floor + 1
+            continuing = False
             while (
                 sample_budget > 0
                 and examined < max_examined
                 and n_accepted < target_size
             ):
                 needed = target_size - n_accepted
-                chunk_size = pool_chunk_size(needed)
-                if chunk_size > sample_budget:
-                    chunk_size = sample_budget
-                sample_budget -= chunk_size
-                uniforms = selection_take(chunk_size)
+                chunk = pool_chunk_size(needed)
+                if chunk > sample_budget:
+                    chunk = sample_budget
+                width = chunk
+                if continuing:
+                    width = min(
+                        _FILL_WINDOW_CHUNKS * chunk,
+                        sample_budget,
+                        selection.available(),
+                    )
+                windowed = width > chunk
+                if windowed:
+                    uniforms = selection.peek(width)
+                else:
+                    width = chunk
+                    uniforms = selection.take_array(chunk)
                 indices = (uniforms * n_online).astype(np.intp)
                 np.minimum(indices, n_online - 1, out=indices)
                 cand = online_items[indices]
-                chunks.append(cand)
-                # First occurrence within the chunk: stable-sort the
-                # ids, flag positions whose sorted neighbour differs,
-                # scatter the flags back (np.unique minus its wrapper).
-                order = cand.argsort(kind="stable")
-                sorted_cand = cand[order]
-                first_sorted = np.empty(len(cand), dtype=bool)
-                first_sorted[0] = True
-                np.not_equal(
-                    sorted_cand[1:], sorted_cand[:-1], out=first_sorted[1:]
-                )
-                keep = np.empty(len(cand), dtype=bool)
-                keep[order] = first_sorted
-                keep &= ~marks[cand]
+                prior = stamps[cand]
+                values = np.arange(serial + width - 1, serial - 1, -1)
+                serial += width
+                np.maximum.at(stamps, cand, values)
+                first = stamps[cand] == values
+                keep = first & (prior < floor)
                 if check_quota:
                     keep &= quota_used[cand] < quota
-                marks[cand] = True
-                fresh = cand[keep]
-                ages = now - join_np[fresh]  # candidates are never observers
-                ok = accepts(owner_age, ages, acceptance_take(draws * len(fresh)))
-                # Evaluation stops at the acceptance that fills the pool,
-                # although the draws cover the chunk.
-                hits = ok.nonzero()[0]
-                if len(hits) >= needed:
-                    hits = hits[:needed]
-                    examined += int(hits[-1]) + 1
+                fresh_pos = keep.nonzero()[0]
+                positions = fresh_pos.tolist()
+                n_fresh = len(positions)
+                # Acceptance uniforms for the fresh candidates, in order:
+                # the first chunk's are mandatory (refill allowed, as in
+                # the one-chunk loop); the rest only as far as the
+                # current block reaches.
+                first_fresh = bisect_left(positions, chunk) if windowed else n_fresh
+                left = acceptance.available()
+                peeked = windowed and draws * first_fresh <= left
+                if peeked:
+                    n_eval = min(n_fresh, left // draws) if draws else n_fresh
+                    acc_uniforms = acceptance.peek(draws * n_eval)
                 else:
-                    examined += len(fresh)
-                fresh, ages = fresh[hits], ages[hits]
-                accepted_ids.append(fresh)
-                accepted_ages.append(ages)
-                n_accepted += len(fresh)
-            marks[holder_row] = False
-            marks[owner_id] = False
-            for cand in chunks:
-                marks[cand] = False
+                    n_eval = first_fresh
+                    acc_uniforms = acceptance.take_array(draws * n_eval)
+                fresh = cand[fresh_pos[:n_eval]]
+                ages = now - join_np[fresh]  # candidates are never observers
+                hits = accepts(owner_age, ages, acc_uniforms).nonzero()[0]
+                hit_list = hits.tolist()
+                # Walk the one-chunk loop's boundaries through the window.
+                # The first chunk always fits; a later one is consumed
+                # only if it lies inside the window and its fresh
+                # candidates were evaluated.
+                end = 0
+                fresh_end = 0
+                hit_end = 0
+                while True:
+                    stop = end + chunk
+                    chunk_fresh = bisect_left(positions, stop, fresh_end)
+                    if chunk_fresh > n_eval:
+                        break
+                    chunk_hits = bisect_left(hit_list, chunk_fresh, hit_end)
+                    sample_budget -= chunk
+                    end = stop
+                    if chunk_hits - hit_end >= needed:
+                        # Evaluation stops at the acceptance that fills
+                        # the pool, although the draws cover the chunk.
+                        hit_end += needed
+                        examined += hit_list[hit_end - 1] - fresh_end + 1
+                        n_accepted += needed
+                        fresh_end = chunk_fresh
+                        break
+                    examined += chunk_fresh - fresh_end
+                    n_accepted += chunk_hits - hit_end
+                    hit_end = chunk_hits
+                    fresh_end = chunk_fresh
+                    if sample_budget <= 0 or examined >= max_examined:
+                        break
+                    needed = target_size - n_accepted
+                    chunk = pool_chunk_size(needed)
+                    if chunk > sample_budget:
+                        chunk = sample_budget
+                    if end + chunk > width:
+                        break
+                if windowed:
+                    selection.advance(end)
+                    if end < width:
+                        tail_first = first[end:]
+                        stamps[cand[end:][tail_first]] = prior[end:][tail_first]
+                if peeked:
+                    acceptance.advance(draws * fresh_end)
+                if hit_end:
+                    taken = hits[:hit_end]
+                    accepted_ids.append(fresh[taken])
+                    accepted_ages.append(ages[taken])
+                continuing = True
+            self._pool_serial = serial
         self.metrics.record_pool(examined, n_accepted)
         if len(accepted_ids) == 1:
             return accepted_ids[0], accepted_ages[0]
@@ -950,72 +1060,132 @@ class SoaSimulation:
     # Consistency audit (used by integration and property tests)
     # ------------------------------------------------------------------
     def audit(self) -> List[str]:
-        """Recompute all incremental columns from scratch; return violations."""
+        """Recompute all incremental columns from scratch; return violations.
+
+        Array passes over both link tables find every peer that breaks
+        an invariant (a pair missing from either table, a duplicate, a
+        dead end, a counter or an online-index entry that disagrees with
+        its recount); only those peers are then walked one by one to
+        name each fault.  The cost is a sort of the links, not a row
+        scan per link.
+        """
+        state = self.state
+        count = state.count
+        peer_ids = np.arange(count, dtype=np.int64)
+        alive = np.array(state.alive, dtype=bool)
+        online = np.array(state.online, dtype=bool)
+        suspect = np.zeros(count, dtype=bool)
+        # Forward pairs (owner, holder) from the holder rows: recount
+        # ``visible``, then key them.
+        forward_len = np.fromiter(map(len, state.holders), np.int64, count)
+        holders = np.fromiter(
+            chain.from_iterable(state.holders), np.int64, forward_len.sum()
+        )
+        owners = np.repeat(peer_ids, forward_len)
+        counted = alive[holders] & online[holders]
+        visible = np.bincount(owners[counted], minlength=count)
+        suspect |= visible != np.asarray(state.visible[:count])
+        forward_keys = _pair_keys(owners, holders, alive, suspect)
+        # Reverse pairs (owner read from a holder's row, holder):
+        # recount the quota, then key them.
+        if state.vector_columns:
+            reverse_len = state._own_len[:count]
+            rows = state._own_matrix[:count]
+            owners = rows[np.arange(rows.shape[1]) < reverse_len[:, None]]
+        else:
+            reverse_len = np.fromiter(map(len, state.owners_of), np.int64, count)
+            owners = np.fromiter(
+                chain.from_iterable(state.owners_of), np.int64, reverse_len.sum()
+            )
+        holders = np.repeat(peer_ids, reverse_len)
+        counted = alive[owners] & (owners >= state.n_observers)
+        quota_links = np.bincount(holders[counted], minlength=count)
+        suspect |= quota_links != state.quota_used[:count]
+        suspect |= quota_links > self.config.quota
+        reverse_keys = _pair_keys(owners, holders, alive, suspect)
+        del owners, holders, counted
+        # A pair the other table lacks, or a repeated pair, flags both ends.
+        for keys, other in (
+            (forward_keys, reverse_keys),
+            (reverse_keys, forward_keys),
+        ):
+            bad = ~_sorted_contains(other, keys)
+            repeated = keys[1:] == keys[:-1]
+            bad[1:] |= repeated
+            bad[:-1] |= repeated
+            for end in np.divmod(keys[bad], count):
+                suspect[end] = True
+        indexed = np.array(self._online_pos, dtype=np.int64) >= 0
+        suspect |= indexed != (online & (peer_ids >= state.n_observers))
+        problems: List[str] = []
+        for peer_id in suspect.nonzero()[0].tolist():
+            problems.extend(self._audit_peer(peer_id))
+        return problems
+
+    def _audit_peer(self, peer_id: int) -> List[str]:
+        """Every invariant violation of one peer, as ``audit`` names them."""
         problems: List[str] = []
         state = self.state
         n_observers = state.n_observers
         quota = self.config.quota
-        for peer_id in range(state.count):
-            if not state.alive[peer_id]:
-                if state.holders[peer_id]:
-                    problems.append(f"peer {peer_id}: dead but still owns links")
-                if len(state.owners_row(peer_id)):
-                    problems.append(f"peer {peer_id}: dead but still hosts links")
-                continue
-            row = state.holders[peer_id]
-            if len(set(row)) != len(row):
-                problems.append(f"peer {peer_id}: duplicate holders in row")
-            visible = 0
-            for holder_id in row:
-                if not state.alive[holder_id]:
-                    problems.append(
-                        f"peer {peer_id}: holder {holder_id} is dead"
-                    )
-                    continue
-                if state.online[holder_id]:
-                    visible += 1
-                if peer_id not in list(state.owners_row(holder_id)):
-                    problems.append(
-                        f"peer {peer_id}: holder {holder_id} misses back-link"
-                    )
-            if visible != state.visible[peer_id]:
-                problems.append(
-                    f"peer {peer_id}: visible counter {state.visible[peer_id]} "
-                    f"!= recount {visible}"
-                )
-            own_row = list(state.owners_row(peer_id))
-            if len(set(own_row)) != len(own_row):
-                problems.append(f"peer {peer_id}: duplicate owners in row")
-            quota_links = 0
-            for owner_id in own_row:
-                if not state.alive[owner_id]:
-                    problems.append(
-                        f"peer {peer_id}: hosts for dead owner {owner_id}"
-                    )
-                    continue
-                if peer_id not in state.holders[owner_id]:
-                    problems.append(
-                        f"peer {peer_id}: hosts for {owner_id} without "
-                        "forward link"
-                    )
-                if owner_id >= n_observers:
-                    quota_links += 1
-            if quota_links != state.quota_used[peer_id]:
-                problems.append(
-                    f"peer {peer_id}: quota counter {state.quota_used[peer_id]} "
-                    f"!= recount {quota_links}"
-                )
-            if quota_links > quota:
-                problems.append(
-                    f"peer {peer_id}: quota exceeded ({quota_links} > {quota})"
-                )
-            online_indexed = self._online_pos[peer_id] >= 0
-            should_index = bool(
-                state.online[peer_id] and peer_id >= n_observers
-            )
-            if online_indexed != should_index:
+        online_indexed = self._online_pos[peer_id] >= 0
+        own_row = [int(owner_id) for owner_id in state.owners_row(peer_id)]
+        if not state.alive[peer_id]:
+            if state.holders[peer_id]:
+                problems.append(f"peer {peer_id}: dead but still owns links")
+            if own_row:
+                problems.append(f"peer {peer_id}: dead but still hosts links")
+            if online_indexed:
                 problems.append(
                     f"peer {peer_id}: online index mismatch "
-                    f"(indexed={online_indexed}, online={should_index})"
+                    f"(indexed=True, online=False)"
                 )
+            return problems
+        row = state.holders[peer_id]
+        if len(set(row)) != len(row):
+            problems.append(f"peer {peer_id}: duplicate holders in row")
+        visible = 0
+        for holder_id in row:
+            if not state.alive[holder_id]:
+                problems.append(f"peer {peer_id}: holder {holder_id} is dead")
+                continue
+            if state.online[holder_id]:
+                visible += 1
+            if peer_id not in list(state.owners_row(holder_id)):
+                problems.append(
+                    f"peer {peer_id}: holder {holder_id} misses back-link"
+                )
+        if visible != state.visible[peer_id]:
+            problems.append(
+                f"peer {peer_id}: visible counter {state.visible[peer_id]} "
+                f"!= recount {visible}"
+            )
+        if len(set(own_row)) != len(own_row):
+            problems.append(f"peer {peer_id}: duplicate owners in row")
+        quota_links = 0
+        for owner_id in own_row:
+            if not state.alive[owner_id]:
+                problems.append(f"peer {peer_id}: hosts for dead owner {owner_id}")
+                continue
+            if peer_id not in state.holders[owner_id]:
+                problems.append(
+                    f"peer {peer_id}: hosts for {owner_id} without forward link"
+                )
+            if owner_id >= n_observers:
+                quota_links += 1
+        if quota_links != state.quota_used[peer_id]:
+            problems.append(
+                f"peer {peer_id}: quota counter {state.quota_used[peer_id]} "
+                f"!= recount {quota_links}"
+            )
+        if quota_links > quota:
+            problems.append(
+                f"peer {peer_id}: quota exceeded ({quota_links} > {quota})"
+            )
+        should_index = bool(state.online[peer_id] and peer_id >= n_observers)
+        if online_indexed != should_index:
+            problems.append(
+                f"peer {peer_id}: online index mismatch "
+                f"(indexed={online_indexed}, online={should_index})"
+            )
         return problems

@@ -146,6 +146,10 @@ class ProtocolSimulation(SoaSimulation):
         #: owner -> holder -> block index (the owner-side manifest).
         self._manifest: Dict[int, Dict[int, int]] = {}
         self._next_index: Dict[int, int] = {}
+        #: block index -> the one empty-payload block stored under it
+        #: (blocks are immutable and every payload is the same sentinel,
+        #: so stores share them instead of building one per store).
+        self._blocks: Dict[int, CodedBlock] = {}
         self._messages = 0
         self.impairment = IMPAIRMENT_PROFILES.get(config.impairment_profile)
         #: Exchanges lost to the impairment layer so far (operations
@@ -255,11 +259,11 @@ class ProtocolSimulation(SoaSimulation):
                 holder_id, owner_id, message.archive_id, message.block_index,
                 False, reason,
             )
-        store.store(
-            owner_id,
-            message.archive_id,
-            CodedBlock(message.block_index, message.payload, _EMPTY_CHECKSUM),
-        )
+        block = self._blocks.get(message.block_index)
+        if block is None:
+            block = CodedBlock(message.block_index, b"", _EMPTY_CHECKSUM)
+            self._blocks[message.block_index] = block
+        store.store(owner_id, message.archive_id, block)
         self._fairness.record_hosting(holder_id)
         self._fairness.record_placement(owner_id)
         return StoreReply(
@@ -438,8 +442,7 @@ class ProtocolSimulation(SoaSimulation):
             since = max(last_offline[holder_id], attach_round.get(holder_id, -1))
             if now - since >= grace:
                 dropped.append(holder_id)
-        for holder_id in dropped:
-            self._drop_holder(owner_id, holder_id)
+        self._drop_holders(owner_id, dropped)
         # Download phase: fetch any k blocks from visible holders, as
         # real exchanges (the core's decode pre-check said this should
         # succeed; a shortfall means the stack lost a block — or, under
@@ -518,25 +521,31 @@ class ProtocolSimulation(SoaSimulation):
         self.metrics.bump("restore_attempts")
         super()._record_loss(owner_id, now)
 
-    def _drop_holder(self, owner_id: int, holder_id: int) -> None:
-        super()._drop_holder(owner_id, holder_id)
-        if owner_id < self.state.n_observers:
+    def _drop_holders(self, owner_id: int, holder_ids: List[int]) -> None:
+        super()._drop_holders(owner_id, holder_ids)
+        state = self.state
+        if owner_id < state.n_observers or not state.alive[owner_id]:
+            # Observers keep the instantaneous path; a dead owner's
+            # manifest and stored blocks go wholesale in _on_departure.
             return
         attach_round = self._attach_round.get(owner_id)
-        if attach_round:
-            attach_round.pop(holder_id, None)
         manifest = self._manifest.get(owner_id)
-        index = manifest.pop(holder_id, None) if manifest else None
-        if index is None:
-            return
-        # Real release exchange when the holder is reachable; direct
-        # cleanup otherwise (the real system garbage-collects the block
-        # on next contact — modelled as immediate for quota accounting).
-        _, delivered = self._send(
-            ReleaseNotice(owner_id, holder_id, self._archive_id(owner_id), index)
-        )
-        if not delivered:
-            self._release_stored(holder_id, owner_id, index)
+        archive_id = self._archive_id(owner_id)
+        for holder_id in holder_ids:
+            if attach_round:
+                attach_round.pop(holder_id, None)
+            index = manifest.pop(holder_id, None) if manifest else None
+            if index is None:
+                continue
+            # Real release exchange when the holder is reachable; direct
+            # cleanup otherwise (the real system garbage-collects the
+            # block on next contact — modelled as immediate for quota
+            # accounting).
+            _, delivered = self._send(
+                ReleaseNotice(owner_id, holder_id, archive_id, index)
+            )
+            if not delivered:
+                self._release_stored(holder_id, owner_id, index)
 
     # ------------------------------------------------------------------
     # Transfer mechanics

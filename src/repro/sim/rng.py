@@ -151,6 +151,33 @@ class BatchedDraws:
         self._position = position
         return np.concatenate(parts) if parts else np.empty(0)
 
+    def available(self) -> int:
+        """Uniforms left in the current block (``peek`` can see no further)."""
+        return len(self._np_buffer) - self._position
+
+    def peek(self, n: int) -> np.ndarray:
+        """The next ``n`` uniforms as a view, without consuming them.
+
+        Never refills: ``n`` must not exceed :meth:`available`, so a
+        consumer that looks ahead and then keeps only a prefix (the
+        pool fill's continuation windows) leaves the generator exactly
+        where :meth:`take_array` calls for that prefix would have.
+        """
+        position = self._position
+        if n > len(self._np_buffer) - position:
+            raise ValueError(
+                f"cannot peek {n} uniforms, {self.available()} left in the block"
+            )
+        return self._np_buffer[position : position + n]
+
+    def advance(self, n: int) -> None:
+        """Consume ``n`` uniforms already seen through :meth:`peek`."""
+        if n > len(self._np_buffer) - self._position:
+            raise ValueError(
+                f"cannot advance {n} uniforms, {self.available()} left in the block"
+            )
+        self._position += n
+
 
 def geometric_from_uniforms(uniforms: np.ndarray, log1mp: np.ndarray) -> np.ndarray:
     """Vectorised inverse-CDF geometric draws on ``{1, 2, ...}``.

@@ -42,9 +42,10 @@ holder appears once per owner row), so a row never exceeds
 construction.  Row ``h`` holds its owners in slots ``0 .. len[h]-1``;
 appends write slot ``len[h]``, removals swap-pop inside the row (row
 order is irrelevant — the engines only ever consume rows as unordered
-sets).  Rows never move; the matrix grows with the other numpy
-columns, and ``np.zeros`` commits its pages lazily, so untouched rows
-cost no memory.
+sets); ``owners_remove_many`` unlinks one owner from a batch of rows
+with one masked gather and one swap-in write.  Rows never move; the
+matrix grows with the other numpy columns, and ``np.zeros`` commits its
+pages lazily, so untouched rows cost no memory.
 
 Invariants (checked by ``SoaSimulation.audit``):
 
@@ -313,23 +314,47 @@ class StateTables:
         self._own_matrix[holder_ids, counts] = owner_id
         self._own_len[holder_ids] = counts + 1
 
-    def owners_remove(self, holder_id: int, owner_id: int) -> None:
-        """Drop one ``owner_id`` entry from ``holder_id``'s row.
+    def owners_remove_many(self, holder_ids: Sequence[int], owner_id: int) -> None:
+        """Drop one ``owner_id`` entry from each of ``holder_ids``' rows.
 
-        ValueError on a missing owner is deliberate in both modes: the
-        link tables would be corrupt, and audit() wants to hear about
-        it loudly.
+        The ids must be distinct, as one owner's holders are.  A
+        ``list.remove`` per row in list mode; in matrix mode one masked
+        gather finds the owner among each row's first ``len`` slots
+        (stale slots past a row's end never match), swaps the row's last
+        entry into its place and shortens the row.  ValueError naming
+        the peers whose row lacks the owner is deliberate in both modes
+        (nothing is removed in matrix mode then): the link tables would
+        be corrupt, and audit() wants to hear about it loudly.
         """
         if not self.vector_columns:
-            self.owners_of[holder_id].remove(owner_id)
+            owners_of = self.owners_of
+            missing = []
+            for holder_id in holder_ids:
+                try:
+                    owners_of[holder_id].remove(owner_id)
+                except ValueError:
+                    missing.append(holder_id)
+            if missing:
+                raise ValueError(f"peers {missing}: owner {owner_id} not in row")
             return
-        count = int(self._own_len[holder_id])
-        row = self._own_matrix[holder_id]
-        position = row[:count].tolist().index(owner_id)
-        last = count - 1
-        if position != last:
-            row[position] = row[last]
-        self._own_len[holder_id] = last
+        if not len(holder_ids):
+            return
+        ids = np.asarray(holder_ids, dtype=np.int64)
+        counts = self._own_len[ids]
+        rows = self._own_matrix[ids]
+        match = (rows == owner_id) & (
+            np.arange(rows.shape[1]) < counts[:, None]
+        )
+        found = match.any(axis=1)
+        if not found.all():
+            raise ValueError(
+                f"peers {ids[~found].tolist()}: owner {owner_id} not in row"
+            )
+        positions = match.argmax(axis=1)
+        last = counts - 1
+        matrix = self._own_matrix
+        matrix[ids, positions] = matrix[ids, last]
+        self._own_len[ids] = last
 
     def owners_clear(self, peer_id: int) -> List[int]:
         """Empty ``peer_id``'s row (on death), returning the old owners."""

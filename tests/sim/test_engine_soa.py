@@ -19,6 +19,7 @@ from repro.experiments.common import PAPER_FOCUS_THRESHOLD, QUICK
 from repro.scenarios import scenario_by_name
 from repro.sim.engine import run_simulation
 from repro.sim.engine_soa import SoaSimulation
+from repro.sim.events import EventKind
 from repro.sim.fidelity import available_fidelities, simulation_for
 from repro.sim.rng import RngStreams
 
@@ -96,6 +97,47 @@ def test_spawn_draws_match_scalar_generator_calls():
     assert profiles == set(range(len(weights)))
 
 
+@pytest.mark.parametrize("bound", [7, 120, 1000, 2**33])
+def test_join_rounds_vector_draw_matches_scalar_draws(bound):
+    """``_setup`` draws every staggered join round with one vector call.
+
+    It must return what one scalar ``integers`` call per peer returned
+    and leave the generator in the same state, or every later placement
+    draw would shift.
+    """
+    scalar = RngStreams(5).placement
+    vector = RngStreams(5).placement
+    expected = [int(scalar.integers(bound)) for _ in range(500)]
+    assert vector.integers(bound, size=500).tolist() == expected
+    assert vector.bit_generator.state == scalar.bit_generator.state
+
+
+def test_setup_files_one_join_per_peer_at_the_drawn_rounds():
+    config = (
+        scenario_by_name("paper")
+        .with_population(300)
+        .with_rounds(50)
+        .with_seed(4)
+        .with_staggered_join(40)
+        .build()
+    )
+    simulation = SoaSimulation(config)
+    reference = RngStreams(config.seed).placement
+    rounds = sorted(int(reference.integers(40)) for _ in range(300))
+    filed = []
+    while True:
+        item = simulation.queue.pop_until(40)
+        if item is None:
+            break
+        if item[1].kind is EventKind.JOIN:
+            filed.append(item[0])
+    assert filed == rounds
+    assert (
+        simulation.rng.placement.bit_generator.state
+        == reference.bit_generator.state
+    )
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
@@ -133,3 +175,103 @@ def test_one_fill_never_examines_more_than_its_budget():
     simulation.run()
     assert simulation.metrics.pool_examined > 0
     assert overshoots == []
+
+
+def _linked_peer(state):
+    """A live normal peer with an online holder, and that holder."""
+    for owner_id in range(state.n_observers, state.count):
+        for holder_id in state.holders[owner_id]:
+            if state.alive[owner_id] and state.online[holder_id]:
+                return owner_id, holder_id
+    raise AssertionError("no live link in the fixture run")
+
+
+def _plant_missing_back_link(simulation):
+    owner_id, holder_id = _linked_peer(simulation.state)
+    simulation.state.owners_remove_many([holder_id], owner_id)
+    return f"peer {owner_id}: holder {holder_id} misses back-link"
+
+
+def _plant_host_without_forward_link(simulation):
+    state = simulation.state
+    owner_id, holder_id = _linked_peer(state)
+    state.holders[owner_id].remove(holder_id)
+    state.visible[owner_id] -= 1
+    return f"peer {holder_id}: hosts for {owner_id} without forward link"
+
+
+def _plant_visible_off_by_one(simulation):
+    owner_id, _ = _linked_peer(simulation.state)
+    simulation.state.visible[owner_id] += 1
+    return f"peer {owner_id}: visible counter"
+
+
+def _plant_quota_counter_off(simulation):
+    _, holder_id = _linked_peer(simulation.state)
+    simulation.state.quota_used[holder_id] -= 1
+    return f"peer {holder_id}: quota counter"
+
+
+def _plant_dead_peer_still_indexed(simulation):
+    # A fresh peer is online and indexed, with no links yet.
+    peer_id = simulation._spawn_peer(simulation.round)
+    simulation.state.mark_dead(peer_id)
+    return f"peer {peer_id}: online index mismatch (indexed=True, online=False)"
+
+
+def _plant_dead_holder_left_linked(simulation):
+    # A fresh peer linked consistently in both tables, then killed
+    # without unlinking: every counter still agrees with its recount.
+    state = simulation.state
+    owner_id, _ = _linked_peer(state)
+    holder_id = simulation._spawn_peer(simulation.round)
+    state.holders[owner_id].append(holder_id)
+    state.owners_append(holder_id, owner_id)
+    state.quota_used[holder_id] += 1
+    state.mark_dead(holder_id)
+    simulation._online_discard(holder_id)
+    return f"peer {owner_id}: holder {holder_id} is dead"
+
+
+def _plant_quota_exceeded(simulation):
+    state = simulation.state
+    _, holder_id = _linked_peer(state)
+    links = int(state.quota_used[holder_id])
+    simulation.config = dataclasses.replace(simulation.config, quota=links - 1)
+    return f"peer {holder_id}: quota exceeded ({links} > {links - 1})"
+
+
+def _plant_duplicate_holder(simulation):
+    state = simulation.state
+    owner_id, holder_id = _linked_peer(state)
+    state.holders[owner_id].append(holder_id)
+    state.visible[owner_id] += 1
+    return f"peer {owner_id}: duplicate holders in row"
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [
+        _plant_missing_back_link,
+        _plant_host_without_forward_link,
+        _plant_visible_off_by_one,
+        _plant_quota_counter_off,
+        _plant_dead_peer_still_indexed,
+        _plant_dead_holder_left_linked,
+        _plant_quota_exceeded,
+        _plant_duplicate_holder,
+    ],
+    ids=lambda plant: plant.__name__[len("_plant_"):],
+)
+@pytest.mark.parametrize("vector_columns", [False, True], ids=["lists", "matrix"])
+def test_audit_names_a_planted_fault(plant, vector_columns, monkeypatch):
+    """Each invariant class the audit checks is caught and named."""
+    if vector_columns:
+        monkeypatch.setattr(SoaSimulation, "_VECTOR_POPULATION", 1)
+    simulation = SoaSimulation(_config(population=120, rounds=300))
+    simulation.run()
+    assert simulation.state.vector_columns is vector_columns
+    assert simulation.audit() == []
+    expected = plant(simulation)
+    problems = simulation.audit()
+    assert any(problem.startswith(expected) for problem in problems), problems

@@ -206,6 +206,35 @@ class TestBatchedDraws:
         with pytest.raises(ValueError):
             BatchedDraws(np.random.default_rng(0)).next_integer(0)
 
+    def test_peek_then_advance_is_take_array(self):
+        peeking = BatchedDraws(np.random.default_rng(5), block=10)
+        taking = BatchedDraws(np.random.default_rng(5), block=10)
+        assert peeking.available() == 0  # nothing drawn yet
+        peeking.take_array(3)
+        taking.take_array(3)
+        assert peeking.available() == 7
+        seen = peeking.peek(7).copy()
+        peeking.advance(4)
+        assert seen[:4].tolist() == taking.take_array(4).tolist()
+        assert peeking.available() == 3
+        # The unconsumed rest is still next, and the refill comes only
+        # when a take crosses the block edge.
+        assert peeking.take_array(5).tolist() == taking.take_array(5).tolist()
+        assert peeking.next_uniform() == taking.next_uniform()
+
+    def test_peek_and_advance_never_refill(self):
+        draws = BatchedDraws(np.random.default_rng(5), block=10)
+        draws.take_array(8)
+        state = draws._rng.bit_generator.state
+        with pytest.raises(ValueError):
+            draws.peek(3)
+        with pytest.raises(ValueError):
+            draws.advance(3)
+        assert draws.peek(2).shape == (2,)
+        draws.advance(2)
+        assert draws.available() == 0
+        assert draws._rng.bit_generator.state == state
+
 
 class TestCalendarQueueProperties:
     """Hypothesis-driven invariants of the calendar/bucket queue."""

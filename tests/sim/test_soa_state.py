@@ -74,13 +74,33 @@ def test_quota_plus_every_observer_fits_exactly():
 def test_remove_missing_owner_raises(vector_columns):
     state = _tables(vector_columns)
     state.owners_append(3, 5)
+    with pytest.raises(ValueError, match=r"peers \[3\]"):
+        state.owners_remove_many([3], 6)
+    with pytest.raises(ValueError, match=r"peers \[4\]"):
+        state.owners_remove_many([4], 5)
+    state.owners_remove_many([3], 5)
+    with pytest.raises(ValueError, match=r"peers \[3\]"):
+        state.owners_remove_many([3], 5)
+
+
+def test_matrix_remove_names_every_missing_row_and_writes_nothing():
+    state = _tables()
+    state.owners_append_many(np.array([2, 3], dtype=np.int64), 5)
+    with pytest.raises(ValueError, match=r"peers \[4, 6\]"):
+        state.owners_remove_many([2, 4, 3, 6], 5)
+    assert _row(state, 2) == [5] and _row(state, 3) == [5]
+
+
+def test_matrix_remove_ignores_stale_slots_past_the_row_end():
+    """A removed owner's old copy past ``len`` must not match again."""
+    state = _tables()
+    state.owners_append(3, 5)
+    state.owners_append(3, 6)
+    state.owners_remove_many([3], 6)  # slot 1 still holds a stale 6
+    assert state._own_matrix[3, 1] == 6
     with pytest.raises(ValueError):
-        state.owners_remove(3, 6)
-    with pytest.raises(ValueError):
-        state.owners_remove(4, 5)
-    state.owners_remove(3, 5)
-    with pytest.raises(ValueError):
-        state.owners_remove(3, 5)
+        state.owners_remove_many([3], 6)
+    assert _row(state, 3) == [5]
 
 
 @pytest.mark.parametrize("vector_columns", [True, False])
@@ -90,8 +110,11 @@ def test_append_many_remove_and_clear(vector_columns):
     state.owners_append_many(np.array([4], dtype=np.int64), 3)
     state.owners_append(4, 6)
     assert _row(state, 4) == [3, 6, 7]
-    state.owners_remove(4, 3)
+    state.owners_remove_many([4], 3)
     assert _row(state, 4) == [6, 7]
+    state.owners_remove_many([2, 5], 7)
+    assert _row(state, 2) == [] and _row(state, 5) == []
+    state.owners_append_many(np.array([2, 5], dtype=np.int64), 7)
     assert sorted(state.owners_clear(4)) == [6, 7]
     assert _row(state, 4) == []
     assert _row(state, 2) == [7] and _row(state, 5) == [7]
@@ -105,7 +128,7 @@ def test_concat_is_the_rows_as_a_multiset():
         for owner in owners.tolist():
             state.owners_append(holder, owner)
         if len(owners):
-            state.owners_remove(holder, int(owners[0]))
+            state.owners_remove_many([holder], int(owners[0]))
     for size in (0, 1, 5, state.count):
         peer_ids = draws.choice(state.count, size=size, replace=False).tolist()
         peer_ids += peer_ids[:2]  # repeated holders count twice
@@ -131,3 +154,47 @@ def test_rows_survive_capacity_doubling():
     assert all(_row(state, peer_id) == [] for peer_id in range(16, state.count))
     state.owners_append(state.count - 1, 9)
     assert _row(state, state.count - 1) == [9]
+
+
+@pytest.mark.parametrize("vector_columns", [True, False])
+@pytest.mark.parametrize("seed", range(4))
+def test_remove_many_matches_a_multiset_reference(vector_columns, seed):
+    """Random appends and batched removals against a multiset per row.
+
+    The sequence reuses owners, so matrix rows carry stale copies of a
+    removed owner past their end; a removal of that owner must neither
+    match a stale slot nor leave the live rows out of step.
+    """
+    draws = np.random.default_rng(seed)
+    state = _tables(vector_columns, peers=10)
+    reference = {holder: Counter() for holder in range(state.count)}
+    owners = range(OBSERVERS + 3)
+    for _ in range(400):
+        owner = int(draws.choice(owners))
+        hosting = [h for h in reference if reference[h][owner]]
+        if hosting and draws.random() < 0.5:
+            size = int(draws.integers(1, len(hosting) + 1))
+            batch = draws.choice(hosting, size=size, replace=False).tolist()
+            state.owners_remove_many(batch, owner)
+            for holder in batch:
+                reference[holder][owner] -= 1
+        else:
+            free = [
+                h for h in reference
+                if not reference[h][owner]
+                and sum(reference[h].values()) < QUOTA + OBSERVERS
+            ]
+            if not free:
+                continue
+            size = int(draws.integers(1, len(free) + 1))
+            batch = draws.choice(free, size=size, replace=False)
+            state.owners_append_many(batch.astype(np.int64), owner)
+            for holder in batch.tolist():
+                reference[holder][owner] += 1
+        if draws.random() < 0.2:
+            missing = [h for h in reference if not reference[h][owner]]
+            if missing:
+                with pytest.raises(ValueError):
+                    state.owners_remove_many(missing[:1], owner)
+        for holder, expected in reference.items():
+            assert Counter(_row(state, holder)) == +expected
