@@ -19,15 +19,25 @@ Record format (one JSON object per entry, newest last)::
 
     {"bench": <test name>, "scenario": <scenario marker or "">,
      "mean_s": <mean seconds>, "stdev_s": <stdev, 0.0 for single runs>,
-     "commit": <short git hash or "unknown">}
+     "commit": <short git hash or "unknown">,
+     "cpu": <CPU model>, "nproc": <CPUs this process may run on>,
+     "python": <version>, "numpy": <version>,
+     "dirty": <uncommitted changes in the checkout, null without git>}
+
+The last five fields say where a mean was measured, so that only rows
+from one machine and one toolchain are compared.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 import pathlib
+import platform
 import subprocess
 
+import numpy as np
 import pytest
 
 
@@ -37,8 +47,8 @@ def pytest_addoption(parser):
         action="store",
         default=None,
         metavar="PATH",
-        help="append {bench, scenario, mean_s, stdev_s, commit} records "
-        "for every benchmark to this JSON file (perf trajectory)",
+        help="append {bench, scenario, mean_s, stdev_s, commit, ...} "
+        "records for every benchmark to this JSON file (perf trajectory)",
     )
     parser.addoption(
         "--bench-repeats",
@@ -59,17 +69,53 @@ def pytest_configure(config):
     )
 
 
-def _current_commit() -> str:
+def _git(*args: str):
+    """``git`` output in this checkout, or None without git."""
     try:
         return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *args],
+            cwd=pathlib.Path(__file__).resolve().parent,
             capture_output=True,
             text=True,
             timeout=10,
             check=True,
-        ).stdout.strip()
+        ).stdout
     except (OSError, subprocess.SubprocessError):
-        return "unknown"
+        return None
+
+
+def _cpu_model() -> str:
+    try:
+        cpuinfo = pathlib.Path("/proc/cpuinfo").read_text(encoding="utf-8")
+    except OSError:
+        cpuinfo = ""
+    for line in cpuinfo.splitlines():
+        if line.startswith("model name"):
+            return line.partition(":")[2].strip()
+    return platform.processor() or "unknown"
+
+
+@functools.lru_cache(maxsize=None)
+def _provenance() -> dict:
+    """Commit, machine and toolchain of this session's records.
+
+    Taken once, before the first record is written, so the trajectory
+    file's own edit never marks the checkout dirty.
+    """
+    commit = _git("rev-parse", "--short", "HEAD")
+    status = _git("status", "--porcelain")
+    try:
+        nproc = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        nproc = os.cpu_count()
+    return {
+        "commit": commit.strip() if commit else "unknown",
+        "cpu": _cpu_model(),
+        "nproc": nproc,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "dirty": bool(status.strip()) if status is not None else None,
+    }
 
 
 def _append_record(request, benchmark) -> None:
@@ -84,7 +130,7 @@ def _append_record(request, benchmark) -> None:
         "scenario": marker.args[0] if marker and marker.args else "",
         "mean_s": stats.mean,
         "stdev_s": stats.stddev,
-        "commit": _current_commit(),
+        **_provenance(),
     }
     target = pathlib.Path(path)
     records = []

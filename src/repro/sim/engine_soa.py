@@ -750,12 +750,14 @@ class SoaSimulation:
         # The chosen partners (distinct ids), committed in one pass: a
         # quota mask (quota could have filled between sampling and
         # selection), then the links and counters as fancy indexes.
+        # The row takes the id column's shared int objects, not a fresh
+        # int per link.
         if check_quota:
             chosen = chosen[quota_used[chosen] < self.config.quota]
         added = len(chosen)
         if not added:
             return 0
-        state.holders[owner_id].extend(chosen.tolist())
+        state.holders[owner_id].extend(state.id_objects[chosen].tolist())
         state.visible[owner_id] += added
         if check_quota:
             quota_used[chosen] += 1
@@ -1088,15 +1090,7 @@ class SoaSimulation:
         forward_keys = _pair_keys(owners, holders, alive, suspect)
         # Reverse pairs (owner read from a holder's row, holder):
         # recount the quota, then key them.
-        if state.vector_columns:
-            reverse_len = state._own_len[:count]
-            rows = state._own_matrix[:count]
-            owners = rows[np.arange(rows.shape[1]) < reverse_len[:, None]]
-        else:
-            reverse_len = np.fromiter(map(len, state.owners_of), np.int64, count)
-            owners = np.fromiter(
-                chain.from_iterable(state.owners_of), np.int64, reverse_len.sum()
-            )
+        owners, reverse_len = state.reverse_links()
         holders = np.repeat(peer_ids, reverse_len)
         counted = alive[owners] & (owners >= state.n_observers)
         quota_links = np.bincount(holders[counted], minlength=count)

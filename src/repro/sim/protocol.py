@@ -596,7 +596,11 @@ class ProtocolSimulation(SoaSimulation):
         quota = self.config.quota
         quota_used = self.state.quota_used
         pending_by_holder = self._pending_by_holder
-        chosen = self._select_candidates(owner_id, now, needed).tolist()
+        # The id column's shared objects: the manifest, the pending
+        # tables and, once attached, the holder rows keep these ints.
+        chosen = self.state.id_objects[
+            self._select_candidates(owner_id, now, needed)
+        ].tolist()
         placed: Dict[int, int] = {}
         for candidate_id in chosen:
             # Quota could have filled between sampling and selection.

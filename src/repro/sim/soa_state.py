@@ -22,10 +22,17 @@ peer, which caps practical populations around 10^5:
   ``owners_of`` — the toggle fan-out's input — is adaptive like the
   archive columns: ragged lists at ordinary scale (iteration and
   ``list.remove`` are the hot operations there), and at swarm scale a
-  fixed-width owner matrix — one ``int64`` row per peer plus a numpy
+  fixed-width owner matrix — one ``int32`` row per peer plus a numpy
   row-length column — so the kernel gathers every owner touched by a
   toggle batch, and recruitment files a whole batch of links, with one
   fancy index instead of thousands of little list operations;
+* **the id column** ``id_objects`` is a numpy ``object`` array whose
+  slot ``i`` holds the one Python int object for id ``i``.  Recruitment
+  files its partners as ``id_objects[chosen].tolist()`` (a fancy index
+  on an object array returns the stored objects), so every ``holders``
+  row entry for a peer is that one object instead of a fresh int per
+  link — boxing, not state, would otherwise dominate swarm-scale
+  memory (a peer id occurs in about ``n`` rows);
 * **census mirrors** (``join_np`` / ``census_alive``) are numpy arrays
   maintained alongside the lists so the periodic metrics census is one
   vectorised mask-subtract-searchsorted instead of a Python loop over
@@ -34,7 +41,14 @@ peer, which caps practical populations around 10^5:
   fill gathers it for a whole sample chunk and recruitment commits a
   batch of links with one fancy-index add.
 
-Owner matrix mechanics: the quota rule bounds every row.  A peer hosts
+Owner matrix mechanics: the matrix is ``int32`` at rest (the toggle
+kernel reads every row, so every slot is committed memory) and
+``int64`` at the boundary — ``owners_concat`` and ``reverse_links``
+(the audit's input) widen what they read, because the audit's
+``owner * count + holder`` keys overflow ``int32`` once they reach
+2^31, at about 46,341 peers.  So ids must fit ``int32``: the tables
+raise ``ValueError`` naming the limit (``_MAX_CAPACITY``) instead of
+growing past it.  The quota rule bounds every row.  A peer hosts
 at most ``quota`` blocks for normal peers, and at most one block per
 observer (observer blocks are quota-free, paper section 4.2.2, and a
 holder appears once per owner row), so a row never exceeds
@@ -72,11 +86,16 @@ Invariants (checked by ``SoaSimulation.audit``):
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from itertools import chain
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
+
+#: The most peers one table holds: every id must fit the ``int32``
+#: owner matrix (``np.iinfo(np.int32).max``).
+_MAX_CAPACITY = 2**31 - 1
 
 
 class StateTables:
@@ -110,8 +129,10 @@ class StateTables:
         "pending_check",
         "check_scheduled",
         "check_handle",
-        # ragged link table (owner -> holders)
+        # ragged link table (owner -> holders), whose entries are the
+        # shared objects of the id column
         "holders",
+        "id_objects",
         # reverse index (holder -> owners): ragged lists at ordinary
         # scale, a fixed-width owner matrix plus row lengths at swarm
         # scale (see the module docstring)
@@ -155,6 +176,8 @@ class StateTables:
         self.fixed_age: List[int] = []
         self.observer_name: List[str] = []
         capacity = max(int(initial_capacity), 16)
+        _check_capacity(capacity)
+        self.id_objects = np.empty(capacity, dtype=object)
         self._join_np = np.zeros(capacity, dtype=np.int64)
         self._census_alive = np.zeros(capacity, dtype=bool)
         self.quota_used = np.zeros(capacity, dtype=np.int64)
@@ -180,7 +203,7 @@ class StateTables:
                     f"(quota + observers), got {row_width}"
                 )
             self.owners_of = None
-            self._own_matrix = np.zeros((capacity, row_width), dtype=np.int64)
+            self._own_matrix = np.zeros((capacity, row_width), dtype=np.int32)
             self._own_len = np.zeros(capacity, dtype=np.int64)
         else:
             self.owners_of: List[List[int]] = []
@@ -193,7 +216,10 @@ class StateTables:
     def _append_common(self, join_round: int) -> int:
         peer_id = self.count
         if peer_id >= self._capacity:
-            capacity = self._capacity * 2
+            _check_capacity(peer_id + 1)
+            capacity = min(self._capacity * 2, _MAX_CAPACITY)
+            id_objects = np.empty(capacity, dtype=object)
+            id_objects[: self._capacity] = self.id_objects
             join_np = np.zeros(capacity, dtype=np.int64)
             join_np[: self._capacity] = self._join_np
             census = np.zeros(capacity, dtype=bool)
@@ -208,13 +234,14 @@ class StateTables:
                 self.visible = visible
                 self.placed = placed
                 matrix = np.zeros(
-                    (capacity, self._own_matrix.shape[1]), dtype=np.int64
+                    (capacity, self._own_matrix.shape[1]), dtype=np.int32
                 )
                 matrix[: self._capacity] = self._own_matrix
                 own_len = np.zeros(capacity, dtype=np.int64)
                 own_len[: self._capacity] = self._own_len
                 self._own_matrix = matrix
                 self._own_len = own_len
+            self.id_objects = id_objects
             self._join_np = join_np
             self._census_alive = census
             self.quota_used = quota_used
@@ -236,6 +263,7 @@ class StateTables:
         self.holders.append([])
         if not self.vector_columns:
             self.owners_of.append([])
+        self.id_objects[peer_id] = peer_id
         self._join_np[peer_id] = join_round
         return peer_id
 
@@ -372,15 +400,34 @@ class StateTables:
         The vector toggle kernel's gather: one flat ``int64`` vector
         (with repeats — an owner stored by two toggling holders appears
         twice) ready for ``np.add.at`` scatter updates of ``visible``.
-        One masked row gather; matrix mode only (the list-mode kernel
-        iterates rows directly).
+        One masked row gather, widened from the matrix's ``int32``;
+        matrix mode only (the list-mode kernel iterates rows directly).
         """
         if not len(peer_ids):
             return _EMPTY_IDS
         ids = np.asarray(peer_ids, dtype=np.int64)
         rows = self._own_matrix[ids]
         mask = np.arange(rows.shape[1]) < self._own_len[ids][:, None]
-        return rows[mask]
+        return rows[mask].astype(np.int64)
+
+    def reverse_links(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every row's owners in id order, and each row's length.
+
+        The audit's reverse-pair input, ``int64`` in both modes: matrix
+        rows are widened from ``int32`` because the audit's pair keys
+        ``owner * count + holder`` pass the ``int32`` range.
+        """
+        count = self.count
+        if not self.vector_columns:
+            lengths = np.fromiter(map(len, self.owners_of), np.int64, count)
+            owners = np.fromiter(
+                chain.from_iterable(self.owners_of), np.int64, lengths.sum()
+            )
+            return owners, lengths
+        lengths = self._own_len[:count]
+        rows = self._own_matrix[:count]
+        owners = rows[np.arange(rows.shape[1]) < lengths[:, None]]
+        return owners.astype(np.int64), lengths
 
     # ------------------------------------------------------------------
     # Census
@@ -398,3 +445,12 @@ class StateTables:
         ages = now - self._join_np[:count][mask]
         indices = np.searchsorted(category_uppers, ages, side="right")
         return np.bincount(indices, minlength=len(category_uppers) + 1)
+
+
+def _check_capacity(capacity: int) -> None:
+    """Refuse a table whose ids would not fit the ``int32`` owner matrix."""
+    if capacity > _MAX_CAPACITY:
+        raise ValueError(
+            f"state tables hold at most {_MAX_CAPACITY} peers (ids must "
+            f"fit int32); {capacity} requested"
+        )

@@ -1,5 +1,7 @@
 """Tests for the repro-experiments CLI."""
 
+import re
+
 import pytest
 
 from repro.exec import SweepExecutor, config_digest
@@ -188,6 +190,28 @@ class TestRunCommand:
         assert "scenario paper" in output
         assert "cumtime" in output  # pstats table header
         assert "[profile]" in output
+
+    def test_profile_mem_reports_both_peaks(self, capsys):
+        """``--mem`` is how the docs' memory figures are reproduced."""
+        code = main([
+            "profile", "--scenario", "paper",
+            "--population", "50", "--rounds", "150",
+            "--limit", "3", "--mem",
+        ])
+        assert code == 0
+        (line,) = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("[profile] memory:")
+        ]
+        match = re.fullmatch(
+            r"\[profile\] memory: tracemalloc peak ([0-9.]+) MiB, "
+            r"peak RSS ([0-9.]+) MiB",
+            line,
+        )
+        assert match, line
+        traced, rss = (float(value) for value in match.groups())
+        assert 0.0 < traced < rss
 
     @pytest.mark.parametrize("fidelity", ["abstract_soa", "protocol"])
     def test_profile_reports_per_kind_breakdown(self, capsys, fidelity):

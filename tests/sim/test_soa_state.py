@@ -14,6 +14,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.sim import soa_state
+from repro.sim.engine_soa import _pair_keys
 from repro.sim.soa_state import StateTables
 
 QUOTA = 4
@@ -146,11 +148,18 @@ def test_rows_survive_capacity_doubling():
         for owner in range(holder % QUOTA + 1):
             state.owners_append(holder, owner + 50)
     before = {peer_id: _row(state, peer_id) for peer_id in range(state.count)}
+    objects = state.id_objects[: state.count].tolist()
     for _ in range(40):  # 16 -> 32 -> 64 rows
         state.add_peer(profile_index=0, join_round=1, death_round=None)
     assert state._own_matrix.shape == (64, QUOTA + OBSERVERS)
     for peer_id, row in before.items():
         assert _row(state, peer_id) == row
+    # The id column keeps each id's one object across growth.
+    assert all(
+        state.id_objects[peer_id] is objects[peer_id]
+        for peer_id in range(len(objects))
+    )
+    assert state.id_objects[: state.count].tolist() == list(range(state.count))
     assert all(_row(state, peer_id) == [] for peer_id in range(16, state.count))
     state.owners_append(state.count - 1, 9)
     assert _row(state, state.count - 1) == [9]
@@ -198,3 +207,51 @@ def test_remove_many_matches_a_multiset_reference(vector_columns, seed):
                     state.owners_remove_many(missing[:1], owner)
         for holder, expected in reference.items():
             assert Counter(_row(state, holder)) == +expected
+
+
+@pytest.mark.parametrize("vector_columns", [True, False])
+def test_pair_keys_from_the_int32_matrix_match_int64(vector_columns):
+    """Audit keys ``owner * count + holder`` pass 2^31 past ~46,341 peers.
+
+    The owner matrix stores ``int32``; the reverse links it yields must
+    be widened before ``_pair_keys`` multiplies them in place.
+    """
+    count = 70_000
+    state = StateTables(
+        initial_capacity=count,
+        vector_columns=vector_columns,
+        row_width=QUOTA + OBSERVERS,
+    )
+    for _ in range(count):
+        state.add_peer(profile_index=0, join_round=0, death_round=None)
+    links = {5: [69_999, 60_000, 2], 40_000: [69_998], 69_999: [50_000, 7]}
+    for holder, owners in links.items():
+        for owner in owners:
+            state.owners_append(holder, owner)
+    owners, lengths = state.reverse_links()
+    assert owners.dtype == np.int64
+    holders = np.repeat(np.arange(count, dtype=np.int64), lengths)
+    alive = np.ones(count, dtype=bool)
+    suspect = np.zeros(count, dtype=bool)
+    keys = _pair_keys(owners, holders, alive, suspect)
+    reference = sorted(
+        owner * count + holder
+        for holder, row in links.items()
+        for owner in row
+    )
+    assert max(reference) > 2**31
+    assert keys.tolist() == reference
+    assert not suspect.any()
+
+
+def test_capacity_guard_names_the_int32_limit(monkeypatch):
+    """Ids must fit the int32 owner matrix; growth stops at the limit."""
+    assert soa_state._MAX_CAPACITY == np.iinfo(np.int32).max
+    monkeypatch.setattr(soa_state, "_MAX_CAPACITY", 40)
+    with pytest.raises(ValueError, match="at most 40 peers"):
+        StateTables(initial_capacity=41, vector_columns=True, row_width=2)
+    state = _tables(peers=38, capacity=16)  # 16 -> 32 -> 40 rows
+    assert state.count == 40
+    assert state._own_matrix.shape[0] == 40
+    with pytest.raises(ValueError, match="at most 40 peers"):
+        state.add_peer(profile_index=0, join_round=0, death_round=None)
