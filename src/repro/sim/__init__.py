@@ -2,7 +2,7 @@
 
 from .config import PAPER_OBSERVERS, ObserverSpec, SimulationConfig
 from .engine import SimulationResult, run_simulation
-from .events import Event, EventKind, EventQueue
+from .events import EventKind, EventQueue
 from .fidelity import FIDELITY_BACKENDS, available_fidelities, simulation_for
 from .protocol import ProtocolSimulation
 from .metrics import CategoryCounters, MetricsCollector, SeriesPoint
@@ -19,7 +19,6 @@ __all__ = [
     "available_fidelities",
     "simulation_for",
     "run_simulation",
-    "Event",
     "EventKind",
     "EventQueue",
     "CategoryCounters",

@@ -40,9 +40,11 @@ rounds, in about a second):
   objects;
 * the periodic census is one vectorised mask/searchsorted/bincount over
   the numpy mirror columns instead of a Python loop over every peer;
-* per-peer ``SessionProcess``/lifetime/``Event`` objects are replaced
-  by per-profile constants and bare ids in the queue's toggle buckets —
-  the draws are issued in the same order, from the same streams.
+* per-peer ``SessionProcess``/lifetime objects are replaced by
+  per-profile constants and bare ids in the queue's toggle buckets —
+  the draws are issued in the same order, from the same streams;
+* every other event is one int key in the queue's buckets
+  (:mod:`repro.sim.events`), decoded with two shifts at dispatch.
 
 Both toggle-kernel branches (scalar and vectorised) are
 draw-identical, which leans on the event queue
@@ -65,7 +67,7 @@ from ..churn.availability import session_duration_params
 from ..core.adaptive import AdaptiveThreshold
 from ..core.selection import CandidatePool, strategy_by_name
 from .config import SimulationConfig
-from .events import Event, EventKind, EventQueue
+from .events import KIND_SHIFT, PEER_MASK, PEER_SHIFT, EventKind, EventQueue
 from .fidelity import FIDELITY_BACKENDS
 from .metrics import MetricsCollector
 from .rng import (
@@ -76,6 +78,13 @@ from .rng import (
     pool_chunk_size,
 )
 from .soa_state import StateTables
+
+#: Event kinds as module constants (an enum attribute lookup is slow).
+_JOIN = EventKind.JOIN
+_DEATH = EventKind.DEATH
+_CHECK = EventKind.REPAIR_CHECK
+_SAMPLE = EventKind.SAMPLE
+_TOP_UP = EventKind.TOP_UP
 
 #: A continuing pool fill evaluates up to this many times its next
 #: chunk's draws in one pass (see ``SoaSimulation._fill_pool``).
@@ -205,22 +214,14 @@ class SoaSimulation:
             vector_columns=self._vector_kernel,
             row_width=config.quota + len(config.observers),
         )
-        # Hot-path caches.  Events are frozen value objects, so reusing
-        # one instance per (kind, peer) is invisible to the queue; the
-        # bound methods skip RngStreams.__getattr__ on every draw; the
-        # uptime fold only matters when a selection strategy actually
-        # reads availability.
+        # Hot-path caches.  The bound methods skip
+        # RngStreams.__getattr__ on every draw; the uptime fold only
+        # matters when a selection strategy actually reads availability.
         self._geometric = self.rng.sessions.geometric
         self._session_draws = self.rng.batched("sessions")
         self._profile_draws = self.rng.batched("profiles")
         self._lifetime_draws = self.rng.batched("lifetimes")
         self._track_uptime = self._needs_availability
-        self._join_event = Event(EventKind.JOIN)
-        self._sample_event = Event(EventKind.SAMPLE)
-        #: per-peer reusable check events, indexed by peer id (ids are
-        #: dense).  Toggles need no Event objects at all: the queue's
-        #: dense toggle lane files bare ids.
-        self._check_events: List[Event] = []
         self._setup()
 
     # ------------------------------------------------------------------
@@ -238,15 +239,14 @@ class SoaSimulation:
         else:
             join_rounds = [0] * config.population
         for join_round in join_rounds:
-            self.queue.schedule(join_round, self._join_event)
+            self.queue.schedule(join_round, _JOIN)
         for spec in config.observers:
             peer_id = state.add_observer(spec.fixed_age, spec.name)
-            self._check_events.append(Event(EventKind.REPAIR_CHECK, peer_id))
             self._online_pos.append(-1)  # observers are never candidates
             if self._adaptive is not None:
                 self._adaptive[peer_id] = AdaptiveThreshold(self.policy)
             self._schedule_check(peer_id, 0)
-        self.queue.schedule(0, self._sample_event)
+        self.queue.schedule(0, _SAMPLE)
 
     # ------------------------------------------------------------------
     # Backend seams (no-ops here; the protocol fidelity extends them).
@@ -268,9 +268,9 @@ class SoaSimulation:
     def _finalize(self) -> None:
         """Run after the last event, before the result is assembled."""
 
-    def _dispatch_extra(self, now: int, event: Event) -> None:
-        """Handle an event kind the core loop does not know."""
-        raise ValueError(f"unexpected event kind {event.kind}")
+    def _dispatch_extra(self, now: int, key: int) -> None:
+        """Handle an event key whose kind the core loop does not know."""
+        raise ValueError(f"unexpected event kind {key >> KIND_SHIFT}")
 
     # ------------------------------------------------------------------
     # Small helpers
@@ -330,11 +330,9 @@ class SoaSimulation:
         if scheduled is not None:
             if when >= scheduled:
                 return
-            self.queue.cancel(state.check_handle[peer_id])
+            self.queue.cancel(scheduled, state.check_key[peer_id])
         state.check_scheduled[peer_id] = when
-        state.check_handle[peer_id] = self.queue.schedule(
-            when, self._check_events[peer_id]
-        )
+        state.check_key[peer_id] = self.queue.schedule(when, _CHECK, peer_id)
 
     def _schedule_toggle(self, peer_id: int, now: int) -> None:
         """File a fresh peer's first toggle (spawn-time, scalar draw).
@@ -352,7 +350,7 @@ class SoaSimulation:
 
     def _schedule_top_up(self, peer_id: int, now: int) -> None:
         interval = max(int(round(1.0 / self.config.proactive_rate)), 1)
-        self.queue.schedule(now + interval, Event(EventKind.TOP_UP, peer_id))
+        self.queue.schedule(now + interval, _TOP_UP, peer_id)
 
     # ------------------------------------------------------------------
     # Churn
@@ -370,14 +368,13 @@ class SoaSimulation:
             lifetime = low + (high - low) * self._lifetime_draws.next_uniform()
             death_round = now + max(int(lifetime), 1)
         peer_id = self.state.add_peer(index, now, death_round)
-        self._check_events.append(Event(EventKind.REPAIR_CHECK, peer_id))
         self._online_pos.append(-1)
         self.peers_created += 1
         self._online_add(peer_id)
         if self._adaptive is not None:
             self._adaptive[peer_id] = AdaptiveThreshold(self.policy)
         if death_round is not None:
-            self.queue.schedule(death_round, Event(EventKind.DEATH, peer_id))
+            self.queue.schedule(death_round, _DEATH, peer_id)
         self._on_spawn(peer_id)
         self._schedule_toggle(peer_id, now)
         self._schedule_check(peer_id, now)
@@ -423,7 +420,7 @@ class SoaSimulation:
             self._after_block_loss(owner_id, now)
 
         # Immediate replacement by a fresh peer (section 4.1).
-        self.queue.schedule(now, self._join_event)
+        self.queue.schedule(now, _JOIN)
 
     def _after_block_loss(self, owner_id: int, now: int) -> None:
         state = self.state
@@ -639,7 +636,7 @@ class SoaSimulation:
     def _handle_check(self, now: int, peer_id: int) -> None:
         state = self.state
         state.check_scheduled[peer_id] = None
-        state.check_handle[peer_id] = None
+        state.check_key[peer_id] = None
         if not state.alive[peer_id]:
             return
         if not state.online[peer_id]:
@@ -1005,7 +1002,7 @@ class SoaSimulation:
         self._census_extras(now)
         upcoming = now + self.config.sample_interval
         if upcoming <= self.config.rounds:
-            self.queue.schedule(upcoming, self._sample_event)
+            self.queue.schedule(upcoming, _SAMPLE)
 
     # ------------------------------------------------------------------
     # Main loop
@@ -1019,34 +1016,34 @@ class SoaSimulation:
         started = time.perf_counter()
         queue = self.queue
         last_round = self.config.rounds
-        toggle_batch = EventKind.TOGGLE_BATCH
-        check = EventKind.REPAIR_CHECK
-        join = EventKind.JOIN
-        death = EventKind.DEATH
-        sample = EventKind.SAMPLE
-        top_up = EventKind.TOP_UP
+        toggle_batch = int(EventKind.TOGGLE_BATCH)
+        check = int(_CHECK)
+        join = int(_JOIN)
+        death = int(_DEATH)
+        sample = int(_SAMPLE)
+        top_up = int(_TOP_UP)
         pop_until = queue.pop_until
         while True:
             item = pop_until(last_round)
             if item is None:
                 break
-            now, event = item
+            now, key = item
             self.round = now
-            kind = event.kind
-            if kind is toggle_batch:
+            kind = key >> KIND_SHIFT
+            if kind == toggle_batch:
                 self._process_toggle_batch(now, queue.pop_round_batch())
-            elif kind is check:
-                self._handle_check(now, event.peer_id)
-            elif kind is join:
+            elif kind == check:
+                self._handle_check(now, ((key >> PEER_SHIFT) & PEER_MASK) - 1)
+            elif kind == join:
                 self._spawn_peer(now)
-            elif kind is death:
-                self._handle_death(now, event.peer_id)
-            elif kind is sample:
+            elif kind == death:
+                self._handle_death(now, ((key >> PEER_SHIFT) & PEER_MASK) - 1)
+            elif kind == sample:
                 self._handle_sample(now)
-            elif kind is top_up:
-                self._handle_top_up(now, event.peer_id)
+            elif kind == top_up:
+                self._handle_top_up(now, ((key >> PEER_SHIFT) & PEER_MASK) - 1)
             else:
-                self._dispatch_extra(now, event)
+                self._dispatch_extra(now, key)
         self._finalize()
         elapsed = time.perf_counter() - started
         return SimulationResult(

@@ -1,129 +1,106 @@
 """Event queue of the round-based simulator.
 
 PeerSim (the paper's simulator) executes peers sequentially inside each
-round, in an order re-randomised every round.  Earlier versions
-reproduced that with a binary heap keyed by ``(round, random_tiebreak,
-sequence)`` — one scalar RNG call and one rich-compare dataclass per
-``schedule``, plus ``O(log n)`` comparisons per push/pop.  The calendar
-queue here keeps the same semantics at a fraction of the cost:
+round, in an order re-randomised every round.  The calendar queue files
+events in per-round *buckets*; when a round becomes current its bucket
+is sorted into canonical order and shuffled **once** with a batched
+permutation, and an event filed into the executing round lands at a
+uniformly random position among the events not yet run.
 
-* events land in a per-round *bucket* (``dict`` keyed by integer round);
-* when a round becomes current its bucket is shuffled **once** with a
-  batched permutation (one vectorised RNG call per round instead of one
-  scalar draw per event);
-* events scheduled into the round currently executing are inserted at a
-  uniformly random position among the not-yet-executed events (the heap
-  gave late arrivals a mild bias toward running sooner; uniform is the
-  cleaner semantics and trajectories are re-seeded this PR anyway);
-* cancellation stays lazy: a cancelled handle is skipped when reached.
+An event is one plain ``int`` *key*, nothing else: from the high bits
+down, ``kind`` (3 bits), ``peer_id + 1`` (32 bits) and a ``serial`` (25
+bits), so a key stays below ``2**60`` and sorting keys orders a bucket
+by kind, peer, then serial.  :func:`key_kind` and :func:`key_peer`
+decode a key (hot loops inline the same shifts).
 
-A small heap of *distinct round numbers* (not events) provides the
-"earliest non-empty bucket" lookup; its size is bounded by the number of
-future rounds that have events, so its cost is negligible.
+Cancellation is lazy: :meth:`EventQueue.cancel` takes ``(round, key)``,
+decrements the round's live count and adds the key to that round's set
+of cancelled keys, which the pop skips.  The key stays in its bucket,
+so the shuffle is as long as without the cancel; a round left with no
+live event (and no toggles) is purged without a draw.  The serial is
+the number of cancels so far (modulo ``2**25``): keys of one ``(kind,
+peer)`` in one round sort in filing order, and a key filed after a
+cancel differs from the cancelled one, so a peer's live check runs at
+its own slot beside a cancelled one — exact while fewer than ``2**25``
+cancels fall between the two filings (the engines file cancellable
+events a few rounds ahead).  Equal keys in one round are
+interchangeable: a cancel skips the first one reached.
 
-Session toggles — the dominant event kind — additionally get a *dense
-lane*: :meth:`EventQueue.schedule_toggle` /
-:meth:`EventQueue.schedule_toggle_batch` file bare peer ids into
-per-round integer buckets (no ``Event``, no ``_Handle``, no per-event
-heap traffic), and when such a round activates the queue emits a single
-``TOGGLE_BATCH`` sentinel event *before* the round's shuffled generic
-events.  The consumer must then call :meth:`EventQueue.pop_round_batch`
-to drain the whole batch as one sorted id array.  Toggles are
+Session toggles — the dominant event kind — get a *dense lane*:
+:meth:`EventQueue.schedule_toggle` / :meth:`EventQueue.schedule_toggle_batch`
+file bare peer ids into per-round buckets (no key, no live count), and
+such a round yields one :data:`TOGGLE_BATCH_KEY` *before* its shuffled
+generic events; the consumer then drains the whole batch as one sorted
+id array with :meth:`EventQueue.pop_round_batch`.  Toggles are
 order-independent within a round (the engines process the batch as one
 transaction over final state), are never cancelled, and are always
-scheduled at least one round ahead, which is what makes the dense
-representation safe.
+scheduled at least one round ahead, which makes the dense lane safe.
 """
 
 from __future__ import annotations
 
 import heapq
-import operator
-from dataclasses import dataclass
-from enum import Enum, auto
-from typing import Dict, List, Optional, Tuple
+from enum import IntEnum
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from .rng import BatchedDraws
 
 
-class EventKind(Enum):
-    """All event types the engine knows how to dispatch."""
+class EventKind(IntEnum):
+    """All event types the engine knows how to dispatch.
 
-    JOIN = auto()            # a fresh peer enters the system
-    DEATH = auto()           # a peer leaves definitively
-    TOGGLE = auto()          # a peer's online/offline session flips
-    PLACEMENT = auto()       # initial (or post-loss) upload of all n blocks
-    REPAIR_CHECK = auto()    # re-evaluate an archive against the threshold
-    SAMPLE = auto()          # periodic metrics sampling
-    TOP_UP = auto()          # proactive-replication baseline (A4) top-up tick
-    TRANSFER_DONE = auto()   # a protocol-fidelity transfer finished
-    TOGGLE_BATCH = auto()    # sentinel: drain the round's dense toggle lane
-
-
-@dataclass(frozen=True)
-class Event:
-    """One scheduled event.
-
-    ``peer_id`` is the subject peer (ignored for SAMPLE events).
+    The values order a round's canonical sort (lowest first).
     """
 
-    kind: EventKind
-    peer_id: int = -1
+    JOIN = 1           # a fresh peer enters the system
+    DEATH = 2          # a peer leaves definitively
+    REPAIR_CHECK = 3   # re-evaluate an archive against the threshold
+    SAMPLE = 4         # periodic metrics sampling
+    TOP_UP = 5         # proactive-replication baseline (A4) top-up tick
+    TRANSFER_DONE = 6  # a protocol-fidelity transfer finished
+    TOGGLE_BATCH = 7   # sentinel: drain the round's dense toggle lane
 
 
-class _Handle:
-    """A scheduled event plus its dead flag.
+#: Key layout (see the module docstring); peer ids lie in [-1, _PEER_LIMIT).
+PEER_SHIFT = 25
+PEER_MASK = (1 << 32) - 1
+KIND_SHIFT = PEER_SHIFT + 32
+_PEER_LIMIT = 1 << 31
+_SERIAL_MASK = (1 << PEER_SHIFT) - 1
 
-    ``cancelled`` is set both by :meth:`EventQueue.cancel` and when the
-    event is popped (executed), so cancelling an already-consumed handle
-    is a safe no-op instead of corrupting the queue's live accounting.
+#: Kind -> its key bits, for every kind :meth:`EventQueue.schedule`
+#: files (the sentinel is delivered, never filed).
+_KIND_BITS = {
+    kind: kind << KIND_SHIFT for kind in EventKind if kind != EventKind.TOGGLE_BATCH
+}
 
-    ``key`` is the canonical intra-bucket sort key — ``(kind, peer_id)``
-    packed into one integer so :meth:`EventQueue._activate` sorts on a
-    C-compared int instead of calling a Python key function per element.
-    Handles tie only when their events are value-identical (same kind,
-    same peer) and therefore interchangeable: live events are unique per
-    (kind, peer) — the engines deduplicate checks and schedule at most
-    one toggle/death per peer — and the exceptions (JOIN and SAMPLE with
-    ``peer_id == -1``, protocol transfer completions) carry no payload
-    beyond the key, so any tie order is unobservable.
-    """
+#: The key :meth:`EventQueue.pop_until` returns for a dense toggle round.
+TOGGLE_BATCH_KEY = EventKind.TOGGLE_BATCH << KIND_SHIFT
 
-    __slots__ = ("round", "event", "cancelled", "key")
-
-    def __init__(self, round_number: int, event: Event):
-        self.round = round_number
-        self.event = event
-        self.cancelled = False
-        # kind value <= 8 and peer_id >= -1; 2**40 clears any realistic
-        # population size.  ``_value_`` skips the enum's
-        # DynamicClassAttribute descriptor (this runs once per schedule).
-        self.key = event.kind._value_ * 1099511627776 + event.peer_id + 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = " cancelled" if self.cancelled else ""
-        return f"_Handle(round={self.round}, event={self.event}{state})"
-
-
-_HANDLE_KEY = operator.attrgetter("key")
-
-#: The one sentinel instance handed out for every dense toggle round
-#: (events are frozen value objects, so sharing it is invisible).
-_TOGGLE_BATCH_EVENT = Event(EventKind.TOGGLE_BATCH)
 _EMPTY_BATCH = np.empty(0, dtype=np.int64)
 
 
+def key_kind(key: int) -> EventKind:
+    """The kind of the event ``key`` names."""
+    return EventKind(key >> KIND_SHIFT)
+
+
+def key_peer(key: int) -> int:
+    """The subject peer of the event ``key`` names (-1 for none)."""
+    return ((key >> PEER_SHIFT) & PEER_MASK) - 1
+
+
 class EventQueue:
-    """Calendar queue of events with random intra-round ordering."""
+    """Calendar queue of integer event keys with random intra-round order."""
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
         self._draws = BatchedDraws(rng)
-        #: future rounds -> unshuffled buckets of handles.
-        self._buckets: Dict[int, List[_Handle]] = {}
-        #: future rounds -> dense toggle lane (bare peer ids, no handles).
+        #: future rounds -> unshuffled buckets of keys.
+        self._buckets: Dict[int, List[int]] = {}
+        #: future rounds -> dense toggle lane (bare peer ids, no keys).
         self._toggle_buckets: Dict[int, List[int]] = {}
         #: distinct bucket rounds (exactly one heap entry per round that
         #: has a generic and/or toggle bucket).
@@ -133,43 +110,61 @@ class EventQueue:
         #: cancelled, so a round with a toggle bucket is live by
         #: construction and the lane skips the accounting entirely.
         self._live: Dict[int, int] = {}
-        #: the active round's shuffled remainder, consumed from the end.
-        self._current: List[_Handle] = []
+        #: future rounds -> keys cancelled there and not yet reached.
+        self._cancelled: Dict[int, Set[int]] = {}
+        #: the serial of the next filed key (cancels so far).
+        self._serial = 0
+        #: the active round's shuffled remainder, consumed from the end,
+        #: and the keys cancelled in it.
+        self._current: List[int] = []
+        self._current_cancelled: Set[int] = set()
         #: the active round's undelivered toggle batch (sorted), if any.
         self._current_toggles: Optional[List[int]] = None
         self._current_round: Optional[int] = None
         self._size = 0
 
-    def schedule(self, round_number: int, event: Event) -> _Handle:
-        """Add an event; returns a handle usable with :meth:`cancel`."""
+    def schedule(self, round_number: int, kind: int, peer_id: int = -1) -> int:
+        """File one event; returns its key, for :meth:`cancel`.
+
+        Refuses a kind the queue does not file and a peer id outside
+        ``[-1, 2**31)``, which the key's peer field cannot hold.
+        """
         if round_number < 0:
             raise ValueError("cannot schedule in a negative round")
-        handle = _Handle(round_number, event)
+        bits = _KIND_BITS.get(kind)
+        if bits is None:
+            raise ValueError(
+                f"cannot schedule event kind {kind!r}: the queue files "
+                f"{', '.join(k.name for k in _KIND_BITS)}"
+            )
+        if not -1 <= peer_id < _PEER_LIMIT:
+            raise ValueError(f"peer id {peer_id} outside the key's [-1, 2**31)")
+        key = bits | ((peer_id + 1) << PEER_SHIFT) | self._serial
         if round_number == self._current_round:
             # The round is executing: insert at a uniform position among
             # the remaining events (the end of the list runs first, so
             # every slot of the remainder is equally likely).
             current = self._current
             if current:
-                current.insert(self._draws.next_integer(len(current) + 1), handle)
+                current.insert(self._draws.next_integer(len(current) + 1), key)
             else:
-                current.append(handle)
+                current.append(key)
         else:
             bucket = self._buckets.get(round_number)
             if bucket is None:
-                self._buckets[round_number] = [handle]
+                self._buckets[round_number] = [key]
                 if round_number not in self._toggle_buckets:
                     heapq.heappush(self._round_heap, round_number)
             else:
-                bucket.append(handle)
+                bucket.append(key)
         self._live[round_number] = self._live.get(round_number, 0) + 1
         self._size += 1
-        return handle
+        return key
 
     def schedule_toggle(self, round_number: int, peer_id: int) -> None:
         """File one peer id into the dense toggle lane of a future round.
 
-        No handle is returned: dense toggles cannot be cancelled (the
+        No key is returned: dense toggles cannot be cancelled (the
         engines never cancel toggles — stale ones are filtered against
         the live column when the batch drains).  Scheduling into the
         round currently executing is an error: the batch for that round
@@ -239,12 +234,26 @@ class EventQueue:
             bucket.extend(ids)
         self._size += len(ids)
 
-    def cancel(self, handle: _Handle) -> None:
-        """Lazily cancel a scheduled event (skipped when reached)."""
-        if not handle.cancelled:
-            handle.cancelled = True
-            self._size -= 1
-            self._live[handle.round] -= 1
+    def cancel(self, round_number: int, key: int) -> None:
+        """Lazily cancel the event ``key`` filed for ``round_number``.
+
+        The key is skipped when its round reaches it.  Cancelling an
+        event that already ran, or was already cancelled, is a no-op.
+        """
+        if round_number == self._current_round:
+            if key not in self._current:
+                return  # already ran
+            cancelled = self._current_cancelled
+        elif round_number in self._buckets:
+            cancelled = self._cancelled.setdefault(round_number, set())
+        else:
+            return  # already ran, or its round was purged
+        if key in cancelled:
+            return
+        cancelled.add(key)
+        self._serial = (self._serial + 1) & _SERIAL_MASK
+        self._size -= 1
+        self._live[round_number] -= 1
 
     def _next_bucket_round(self) -> Optional[int]:
         """Earliest bucket round with live events, purging dead buckets."""
@@ -260,6 +269,7 @@ class EventQueue:
             self._buckets.pop(round_number, None)
             self._toggle_buckets.pop(round_number, None)
             self._live.pop(round_number, None)
+            self._cancelled.pop(round_number, None)
         return None
 
     def _activate(self, round_number: int) -> None:
@@ -284,11 +294,13 @@ class EventQueue:
             # internal iteration order (e.g. over a peer's partner sets),
             # so without this sort two state representations of the same
             # simulation could diverge while being semantically
-            # identical.  Ties are unobservable (see ``_Handle.key``).
-            bucket.sort(key=_HANDLE_KEY)
+            # identical.  Keys sort by kind, peer, then serial, so equal
+            # (kind, peer) pairs keep their filing order.
+            bucket.sort()
             order = self._rng.permutation(len(bucket))
-            bucket = [bucket[i] for i in order]
+            bucket = list(map(bucket.__getitem__, order.tolist()))
         self._current = bucket
+        self._current_cancelled = self._cancelled.pop(round_number, None) or set()
         if toggles is not None:
             # Canonical batch order: ascending peer id.  The batch is
             # processed as one transaction, so any fixed order works —
@@ -298,8 +310,8 @@ class EventQueue:
         self._current_toggles = toggles
         self._current_round = round_number
 
-    def pop_until(self, last_round: int) -> Optional[Tuple[int, Event]]:
-        """Pop the next live event, or ``None`` if it is past ``last_round``.
+    def pop_until(self, last_round: int) -> Optional[Tuple[int, int]]:
+        """Pop the next live ``(round, key)``, or ``None`` past ``last_round``.
 
         The engines' main loops drain the queue through this one method.
         It skips the earliest-bucket lookup entirely while the current
@@ -311,27 +323,29 @@ class EventQueue:
         after the current round's remainder.)  Events past
         ``last_round`` stay in the queue untouched.
 
-        A round with dense toggles yields one ``TOGGLE_BATCH`` sentinel
+        A round with dense toggles yields one :data:`TOGGLE_BATCH_KEY`
         before its generic events; the caller must drain it with
         :meth:`pop_round_batch` before the next ``pop_until`` call.
         """
         live = self._live
         while True:
+            round_number = self._current_round
             if self._current_toggles is not None:
-                if self._current_round > last_round:
+                if round_number > last_round:
                     return None
-                return self._current_round, _TOGGLE_BATCH_EVENT
+                return round_number, TOGGLE_BATCH_KEY
             current = self._current
             if current:
-                if self._current_round > last_round:
+                if round_number > last_round:
                     return None
-                handle = current.pop()
-                if handle.cancelled:
+                key = current.pop()
+                cancelled = self._current_cancelled
+                if cancelled and key in cancelled:
+                    cancelled.remove(key)
                     continue
-                handle.cancelled = True  # consumed: late cancel() is a no-op
                 self._size -= 1
-                live[handle.round] -= 1
-                return handle.round, handle.event
+                live[round_number] -= 1
+                return round_number, key
             upcoming = self._next_bucket_round()
             if upcoming is None or upcoming > last_round:
                 return None
@@ -341,7 +355,7 @@ class EventQueue:
         """Drain the delivered toggle batch as one sorted id array.
 
         Valid right after :meth:`pop_until` returned the
-        ``TOGGLE_BATCH`` sentinel; returns an empty array when no batch
+        :data:`TOGGLE_BATCH_KEY`; returns an empty array when no batch
         is pending.  The ids are ascending and unique (at most one
         pending toggle per peer, an engine invariant).
         """

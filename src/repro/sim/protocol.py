@@ -86,8 +86,10 @@ from ..net.transport import (
 )
 from .config import DEFAULT_FIDELITY, SimulationConfig
 from .engine_soa import SoaSimulation
-from .events import Event, EventKind
+from .events import KIND_SHIFT, EventKind, key_peer
 from .fidelity import FIDELITY_BACKENDS
+
+_TRANSFER_DONE = EventKind.TRANSFER_DONE
 
 #: SHA-256 of the empty sentinel payload every simulated block carries.
 _EMPTY_CHECKSUM = hashlib.sha256(b"").hexdigest()
@@ -102,14 +104,16 @@ class _PendingTransfer:
     completion only surviving recruits become archive links.
     """
 
-    __slots__ = ("owner_id", "kind", "blocks", "transfer", "handle")
+    __slots__ = ("owner_id", "kind", "blocks", "transfer", "finish", "key")
 
-    def __init__(self, owner_id, kind, blocks, transfer, handle):
+    def __init__(self, owner_id, kind, blocks, transfer, finish, key):
         self.owner_id = owner_id
         self.kind = kind  # "placement" | "repair"
         self.blocks: Dict[int, int] = blocks
         self.transfer = transfer
-        self.handle = handle
+        #: the completion event's round and key (see ``EventQueue.cancel``)
+        self.finish = finish
+        self.key = key
 
 
 @FIDELITY_BACKENDS.register("protocol")
@@ -359,11 +363,11 @@ class ProtocolSimulation(SoaSimulation):
             messages=self._messages,
         )
 
-    def _dispatch_extra(self, now: int, event: Event) -> None:
-        if event.kind is EventKind.TRANSFER_DONE:
-            self._handle_transfer_done(now, event.peer_id)
+    def _dispatch_extra(self, now: int, key: int) -> None:
+        if key >> KIND_SHIFT == _TRANSFER_DONE:
+            self._handle_transfer_done(now, key_peer(key))
         else:
-            super()._dispatch_extra(now, event)
+            super()._dispatch_extra(now, key)
 
     def _finalize(self) -> None:
         # Always stamp the message counter so protocol-mode payloads are
@@ -672,11 +676,9 @@ class ProtocolSimulation(SoaSimulation):
             # death still releases its link via cancel_peer.
             self.links.complete(serve)
         finish = self.links.round_for(finish_second, now)
-        handle = self.queue.schedule(
-            finish, Event(EventKind.TRANSFER_DONE, owner_id)
-        )
+        key = self.queue.schedule(finish, _TRANSFER_DONE, owner_id)
         self._pending[owner_id] = _PendingTransfer(
-            owner_id, kind, blocks, transfer, handle
+            owner_id, kind, blocks, transfer, finish, key
         )
         self.metrics.bump("transfers_started")
         self.metrics.bump("transfer_seconds", seconds)
@@ -686,7 +688,7 @@ class ProtocolSimulation(SoaSimulation):
         self, pending: _PendingTransfer, release_blocks: bool
     ) -> None:
         """Abort an in-flight transfer (owner died or archive was lost)."""
-        self.queue.cancel(pending.handle)
+        self.queue.cancel(pending.finish, pending.key)
         self.links.complete(pending.transfer)
         owner_id = pending.owner_id
         for holder_id, index in pending.blocks.items():

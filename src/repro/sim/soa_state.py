@@ -128,7 +128,7 @@ class StateTables:
         "fully_placed",
         "pending_check",
         "check_scheduled",
-        "check_handle",
+        "check_key",
         # ragged link table (owner -> holders), whose entries are the
         # shared objects of the id column
         "holders",
@@ -171,7 +171,9 @@ class StateTables:
         self.fully_placed: List[int] = []
         self.pending_check: List[int] = []
         self.check_scheduled: List[Optional[int]] = []
-        self.check_handle: List[object] = []
+        #: the pending check's event key (``None`` when none is pending),
+        #: the one object its queue bucket holds too.
+        self.check_key: List[Optional[int]] = []
         self.holders: List[List[int]] = []
         self.fixed_age: List[int] = []
         self.observer_name: List[str] = []
@@ -259,7 +261,7 @@ class StateTables:
         self.fully_placed.append(0)
         self.pending_check.append(0)
         self.check_scheduled.append(None)
-        self.check_handle.append(None)
+        self.check_key.append(None)
         self.holders.append([])
         if not self.vector_columns:
             self.owners_of.append([])

@@ -239,26 +239,27 @@ class TestCheckRescheduling:
     def test_earlier_check_cancels_and_replaces_later_one(self):
         simulation = SoaSimulation(tiny())
         state = simulation.state
+        cancelled = simulation.queue._cancelled
         peer_id = simulation._spawn_peer(0)
         # Forget the join-time check so we control the pending state.
         state.check_scheduled[peer_id] = None
-        state.check_handle[peer_id] = None
+        state.check_key[peer_id] = None
 
         simulation._schedule_check(peer_id, 12)
-        later_handle = state.check_handle[peer_id]
+        later_key = state.check_key[peer_id]
         assert state.check_scheduled[peer_id] == 12
 
         # A later request is deduplicated away ...
         simulation._schedule_check(peer_id, 20)
         assert state.check_scheduled[peer_id] == 12
-        assert state.check_handle[peer_id] is later_handle
+        assert state.check_key[peer_id] is later_key
 
         # ... but an earlier one cancels and replaces the pending check.
         simulation._schedule_check(peer_id, 5)
         assert state.check_scheduled[peer_id] == 5
-        assert later_handle.cancelled
-        assert state.check_handle[peer_id] is not later_handle
-        assert not state.check_handle[peer_id].cancelled
+        assert later_key in cancelled[12]
+        assert state.check_key[peer_id] != later_key
+        assert state.check_key[peer_id] not in cancelled.get(5, ())
 
     def test_check_state_cleared_when_check_runs(self):
         simulation = SoaSimulation(tiny(rounds=200))
@@ -266,7 +267,7 @@ class TestCheckRescheduling:
         state = simulation.state
         for peer_id in alive_normal_ids(simulation):
             if state.check_scheduled[peer_id] is None:
-                assert state.check_handle[peer_id] is None
+                assert state.check_key[peer_id] is None
 
 
 class TestResultApi:

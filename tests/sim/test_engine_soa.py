@@ -19,7 +19,7 @@ from repro.experiments.common import PAPER_FOCUS_THRESHOLD, QUICK
 from repro.scenarios import scenario_by_name
 from repro.sim.engine import run_simulation
 from repro.sim.engine_soa import SoaSimulation
-from repro.sim.events import EventKind
+from repro.sim.events import EventKind, key_kind
 from repro.sim.fidelity import available_fidelities, simulation_for
 from repro.sim.rng import RngStreams
 
@@ -129,7 +129,7 @@ def test_setup_files_one_join_per_peer_at_the_drawn_rounds():
         item = simulation.queue.pop_until(40)
         if item is None:
             break
-        if item[1].kind is EventKind.JOIN:
+        if key_kind(item[1]) is EventKind.JOIN:
             filed.append(item[0])
     assert filed == rounds
     assert (

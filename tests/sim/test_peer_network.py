@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.sim.config import ObserverSpec, SimulationConfig
 from repro.sim.engine_soa import SoaSimulation
-from repro.sim.events import Event, EventKind
 
 
 def make_simulation(observers=(), quota=48):
@@ -38,7 +37,6 @@ def add_peer(simulation, join_round=0, death_round=None, online=True):
     """Register one normal peer directly in the tables (no events)."""
     peer_id = simulation.state.add_peer(0, join_round, death_round)
     simulation._online_pos.append(-1)
-    simulation._check_events.append(Event(EventKind.REPAIR_CHECK, peer_id))
     if online:
         simulation._online_add(peer_id)
     else:

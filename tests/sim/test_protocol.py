@@ -385,3 +385,49 @@ class TestProtocolSerialization:
         rebuilt = MetricsCollector.from_dict(payload)
         assert rebuilt.protocol == {}
         assert rebuilt.protocol_series == []
+
+
+class TestCancelledTransfer:
+    def test_cancelled_transfer_never_completes_a_refiled_one(self):
+        """A cancelled completion whose round comes first is skipped.
+
+        The owner's in-flight placement is cancelled and a new one is
+        filed for the same owner; the owner's busy uplink puts the new
+        completion later.  When the stale round passes, the new
+        transfer must still be pending, and it completes at its own
+        round.
+        """
+        config = dataclasses.replace(
+            protocol_config(rounds=1200, seed=7),
+            archive_bytes=2 * 1024 * 1024 * 1024,  # multi-round transfers
+        )
+        simulation = ProtocolSimulation(config)
+        simulation.config = dataclasses.replace(config, rounds=40)
+        simulation.run()
+        now = simulation.round
+        owner_id, pending = next(
+            (owner_id, pending)
+            for owner_id, pending in sorted(simulation._pending.items())
+            if pending.kind == "placement"
+        )
+        stale_round = pending.finish
+        del simulation._pending[owner_id]
+        simulation._cancel_pending(pending, release_blocks=True)
+        simulation._run_placement(owner_id, now)
+        refiled = simulation._pending[owner_id]
+        fresh_round = refiled.finish
+        assert now < stale_round < fresh_round
+
+        completed = simulation.metrics.protocol.get("transfers_completed", 0)
+        simulation.config = dataclasses.replace(config, rounds=stale_round)
+        simulation.run()
+        assert simulation.state.alive[owner_id]
+        assert simulation._pending.get(owner_id) is refiled
+
+        simulation.config = dataclasses.replace(config, rounds=fresh_round)
+        simulation.run()
+        assert owner_id not in simulation._pending
+        assert (
+            simulation.metrics.protocol["transfers_completed"] > completed
+        )
+        assert simulation.audit() == []

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.sim.config import ObserverSpec, SimulationConfig
 from repro.sim.engine_soa import SoaSimulation
-from repro.sim.events import Event, EventKind, EventQueue
+from repro.sim.events import TOGGLE_BATCH_KEY, EventKind, EventQueue, key_kind
 from repro.sim.fidelity import simulation_for
 from repro.sim.rng import seeded_generator
 
@@ -36,21 +36,21 @@ class TestDenseToggleLane:
 
     def test_sentinel_delivered_before_generic_events(self):
         queue = _queue()
-        queue.schedule(3, Event(EventKind.REPAIR_CHECK, peer_id=9))
+        queue.schedule(3, EventKind.REPAIR_CHECK, peer_id=9)
         queue.schedule_toggle(3, 7)
         queue.schedule_toggle(3, 2)
-        now, event = queue.pop_until(FOREVER)
-        assert (now, event.kind) == (3, EventKind.TOGGLE_BATCH)
+        now, key = queue.pop_until(FOREVER)
+        assert (now, key_kind(key)) == (3, EventKind.TOGGLE_BATCH)
         assert queue.pop_round_batch().tolist() == [2, 7]
-        now, event = queue.pop_until(FOREVER)
-        assert (now, event.kind) == (3, EventKind.REPAIR_CHECK)
+        now, key = queue.pop_until(FOREVER)
+        assert (now, key_kind(key)) == (3, EventKind.REPAIR_CHECK)
         assert queue.pop_until(FOREVER) is None
 
     def test_batch_ids_ascending_regardless_of_filing_order(self):
         queue = _queue()
         for peer_id in (5, 1, 4, 2, 3):
             queue.schedule_toggle(1, peer_id)
-        assert queue.pop_until(FOREVER) == (1, Event(EventKind.TOGGLE_BATCH))
+        assert queue.pop_until(FOREVER) == (1, TOGGLE_BATCH_KEY)
         assert queue.pop_round_batch().tolist() == [1, 2, 3, 4, 5]
 
     def test_pop_round_batch_without_pending_batch_is_empty(self):
@@ -83,7 +83,7 @@ class TestDenseToggleLane:
     def test_toggle_into_executing_round_rejected(self):
         queue = _queue()
         queue.schedule_toggle(2, 1)
-        assert queue.pop_until(FOREVER) == (2, Event(EventKind.TOGGLE_BATCH))
+        assert queue.pop_until(FOREVER) == (2, TOGGLE_BATCH_KEY)
         with pytest.raises(ValueError):
             queue.schedule_toggle(2, 8)
         with pytest.raises(ValueError):
@@ -96,17 +96,17 @@ class TestDenseToggleLane:
         queue.schedule_toggle(5, 3)
         assert len(queue) == 1 and bool(queue)
         assert queue.pop_until(4) is None
-        assert queue.pop_until(5) == (5, Event(EventKind.TOGGLE_BATCH))
+        assert queue.pop_until(5) == (5, TOGGLE_BATCH_KEY)
         assert queue.pop_round_batch().tolist() == [3]
         assert len(queue) == 0 and not queue
         assert queue.pop_until(FOREVER) is None
 
     def test_cancelled_generics_do_not_kill_a_toggle_round(self):
         queue = _queue()
-        handle = queue.schedule(4, Event(EventKind.REPAIR_CHECK, peer_id=1))
+        key = queue.schedule(4, EventKind.REPAIR_CHECK, peer_id=1)
         queue.schedule_toggle(4, 6)
-        queue.cancel(handle)
-        assert queue.pop_until(4) == (4, Event(EventKind.TOGGLE_BATCH))
+        queue.cancel(4, key)
+        assert queue.pop_until(4) == (4, TOGGLE_BATCH_KEY)
         assert queue.pop_round_batch().tolist() == [6]
         assert queue.pop_until(FOREVER) is None
 
@@ -115,7 +115,7 @@ class TestDenseToggleLane:
         queue.schedule_toggle(10, 2)
         assert queue.pop_until(9) is None
         assert len(queue) == 1
-        assert queue.pop_until(10) == (10, Event(EventKind.TOGGLE_BATCH))
+        assert queue.pop_until(10) == (10, TOGGLE_BATCH_KEY)
         assert queue.pop_round_batch().tolist() == [2]
 
 
