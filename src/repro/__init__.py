@@ -7,10 +7,10 @@ The public API has four layers:
   age categories, lifetime estimation, partner-selection strategies and
   the threshold-repair policy;
 * :mod:`repro.sim` — the round-based simulator used for the evaluation;
-* :mod:`repro.erasure`, :mod:`repro.churn`, :mod:`repro.net`,
-  :mod:`repro.backup` — the substrates (Reed-Solomon coding, churn
-  models, transport/cost/impairment, and the per-peer block stores and
-  fairness ledgers of the protocol fidelity);
+* :mod:`repro.churn`, :mod:`repro.net`, :mod:`repro.backup` — the
+  substrates (churn models, transport/cost/impairment, and the per-peer
+  block stores and fairness ledgers of the protocol fidelity; the
+  paper's Reed-Solomon code enters only through its (k, n) counts);
 * :mod:`repro.experiments` — drivers regenerating every figure and table.
 
 Quick start::
@@ -21,50 +21,38 @@ Quick start::
     print(result.repair_rates())
 """
 
-# Dependency-free layers first: the registries and the erasure substrate
-# import (and work) without numpy.
-from .erasure import ArchiveCodec, ReedSolomonCode
+from .core import (
+    AcceptancePolicy,
+    AgeSelection,
+    CandidatePool,
+    RepairPolicy,
+    acceptance_probability,
+    fit_pareto,
+    scaled_threshold,
+    strategy_by_name,
+)
+from .net import CostModel, paper_cost_table
 from .registry import Registry, UnknownComponentError
-
-try:
-    from .core import (
-        AcceptancePolicy,
-        AgeSelection,
-        CandidatePool,
-        RepairPolicy,
-        acceptance_probability,
-        fit_pareto,
-        scaled_threshold,
-        strategy_by_name,
-    )
-    from .net import CostModel, paper_cost_table
-    from .scenarios import (
-        Scenario,
-        available_scenarios,
-        register_scenario,
-        scenario_by_name,
-    )
-    from .sim import (
-        FIDELITY_BACKENDS,
-        PAPER_OBSERVERS,
-        ObserverSpec,
-        ProtocolSimulation,
-        SimulationConfig,
-        SimulationResult,
-        available_fidelities,
-        run_simulation,
-    )
-except ImportError as _exc:  # pragma: no cover - exercised with numpy blocked
-    # numpy is missing: the simulator, scenarios and analysis layers are
-    # unavailable, but the erasure codec (with its pure-python matrix
-    # backend) and the registry machinery still work.  Any other import
-    # failure is a real bug and must surface.
-    if _exc.name != "numpy" and not (_exc.name or "").startswith("numpy."):
-        raise
+from .scenarios import (
+    Scenario,
+    available_scenarios,
+    register_scenario,
+    scenario_by_name,
+)
+from .sim import (
+    FIDELITY_BACKENDS,
+    PAPER_OBSERVERS,
+    ObserverSpec,
+    ProtocolSimulation,
+    SimulationConfig,
+    SimulationResult,
+    available_fidelities,
+    run_simulation,
+)
 
 __version__ = "1.0.0"
 
-_ALL_CANDIDATES = [
+__all__ = [
     "AcceptancePolicy",
     "AgeSelection",
     "CandidatePool",
@@ -73,8 +61,6 @@ _ALL_CANDIDATES = [
     "fit_pareto",
     "scaled_threshold",
     "strategy_by_name",
-    "ArchiveCodec",
-    "ReedSolomonCode",
     "Registry",
     "UnknownComponentError",
     "Scenario",
@@ -93,7 +79,3 @@ _ALL_CANDIDATES = [
     "run_simulation",
     "__version__",
 ]
-
-#: Only names that actually bound (the simulator layer is absent in the
-#: numpy-free degraded mode, and star imports must stay valid there).
-__all__ = [name for name in _ALL_CANDIDATES if name in globals()]

@@ -6,13 +6,16 @@ partners" (paper section 4.1).  The store tracks blocks by
 fetch/store/release requests of the transport-level protocol.  Blocks
 are indexed by owner, so an owner's count, its release and the list of
 owners cost that owner's blocks rather than a scan of the whole store.
+
+A stored block is nothing more than its key: the simulator moves no
+bytes (transfer times come from the cost model), so the store keeps
+which ``(archive, block index)`` keys it holds for each owner, and a
+fetch is a membership test.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
-
-from ..erasure.codec import CodedBlock
+from typing import Dict, Iterator, Tuple
 
 BlockKey = Tuple[str, int]  # (archive id, block index) within one owner
 
@@ -28,9 +31,10 @@ class BlockStore:
         if quota_blocks < 0:
             raise ValueError("quota cannot be negative")
         self.quota_blocks = quota_blocks
-        #: owner id -> (archive id, block index) -> block; an owner's
+        #: owner id -> the (archive id, block index) keys held for it, in
+        #: insertion order (a dict used as an ordered set); an owner's
         #: entry exists only while it has at least one block here.
-        self._by_owner: Dict[int, Dict[BlockKey, CodedBlock]] = {}
+        self._by_owner: Dict[int, Dict[BlockKey, None]] = {}
         self._count = 0
 
     def __len__(self) -> int:
@@ -45,36 +49,37 @@ class BlockStore:
         """Whether one more block fits."""
         return self._count < self.quota_blocks
 
-    def store(self, owner_id: int, archive_id: str, block: CodedBlock) -> None:
+    def store(self, owner_id: int, archive_id: str, block_index: int) -> None:
         """Store a block for a partner; idempotent per key.
 
         Raises :class:`QuotaExceededError` when the store is full and the
         key is new.
         """
         blocks = self._by_owner.get(owner_id)
-        key = (archive_id, block.index)
-        if blocks is None or key not in blocks:
-            if self._count >= self.quota_blocks:
-                raise QuotaExceededError(
-                    f"store full ({self._count}/{self.quota_blocks} blocks)"
-                )
-            self._count += 1
-            if blocks is None:
-                blocks = self._by_owner[owner_id] = {}
-        blocks[key] = block
+        key = (archive_id, block_index)
+        if blocks is not None and key in blocks:
+            return
+        if self._count >= self.quota_blocks:
+            raise QuotaExceededError(
+                f"store full ({self._count}/{self.quota_blocks} blocks)"
+            )
+        self._count += 1
+        if blocks is None:
+            blocks = self._by_owner[owner_id] = {}
+        blocks[key] = None
 
-    def fetch(
-        self, owner_id: int, archive_id: str, block_index: int
-    ) -> Optional[CodedBlock]:
-        """Return the requested block, or ``None`` when absent."""
+    def holds(self, owner_id: int, archive_id: str, block_index: int) -> bool:
+        """Whether the requested block is stored here."""
         blocks = self._by_owner.get(owner_id)
-        return blocks.get((archive_id, block_index)) if blocks else None
+        return blocks is not None and (archive_id, block_index) in blocks
 
     def release(self, owner_id: int, archive_id: str, block_index: int) -> bool:
         """Delete one block; returns whether it existed."""
         blocks = self._by_owner.get(owner_id)
-        if not blocks or blocks.pop((archive_id, block_index), None) is None:
+        key = (archive_id, block_index)
+        if blocks is None or key not in blocks:
             return False
+        del blocks[key]
         self._count -= 1
         if not blocks:
             del self._by_owner[owner_id]

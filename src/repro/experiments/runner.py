@@ -315,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     command(
         "list",
         "list every registered component: scenarios, selection "
-        "strategies, acceptance rules, churn mixes, codec backends, "
-        "lifetime models, policy presets",
+        "strategies, acceptance rules, churn mixes, execution and "
+        "fidelity backends, lifetime models, policy presets",
         "repro-experiments list",
     )
 
@@ -470,7 +470,6 @@ def render_component_list() -> str:
     from ..core.acceptance import ACCEPTANCE_RULES
     from ..core.policy import POLICY_PRESETS
     from ..core.selection import SELECTION_STRATEGIES
-    from ..erasure.matrix import CODEC_BACKENDS, DEFAULT_BACKEND
     from ..net.bandwidth import KILOBYTE, LINK_PROFILES
     from ..net.impairment import IMPAIRMENT_PROFILES
     from ..scenarios import SCENARIOS
@@ -495,11 +494,6 @@ def render_component_list() -> str:
     for name, profiles in CHURN_MIXES.items():
         members = "+".join(profile.name for profile in profiles)
         lines.append(f"  {name} ({members})")
-
-    lines.append("codec backends:")
-    for name in CODEC_BACKENDS.names():
-        marker = " (default)" if name == DEFAULT_BACKEND else ""
-        lines.append(f"  {name}{marker}")
 
     lines.append("execution backends:")
     lines.extend(f"  {name}" for name in EXECUTION_BACKENDS.names())

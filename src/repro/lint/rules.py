@@ -204,7 +204,6 @@ R003_REGISTRIES = (
     "SELECTION_STRATEGIES",
     "ACCEPTANCE_RULES",
     "LIFETIME_MODELS",
-    "CODEC_BACKENDS",
     "EXECUTION_BACKENDS",
     "FIDELITY_BACKENDS",
     "LINT_RULES",
@@ -265,7 +264,7 @@ class RegistryDiscipline(LintRule):
     rule_id = "R003"
     name = "registry-discipline"
     title = (
-        "strategies, rules, lifetimes, codecs, execution/fidelity "
+        "strategies, rules, lifetimes, execution/fidelity "
         "backends are constructed via Registry.get outside their "
         "defining module"
     )

@@ -2,7 +2,9 @@
 
 The protocol fidelity (:class:`repro.sim.protocol.ProtocolSimulation`)
 speaks a small message vocabulary modelled on section 2.2: store, fetch
-and release one coded block.  Messages are immutable slotted records
+and release one coded block.  A block is named by its address (archive
+id and block index) alone: the simulator moves no bytes, so no message
+carries block content.  Messages are immutable slotted records
 (``NamedTuple`` subclasses whose constructor rejects self-sends), so one
 exchange costs a tuple, not an object with a ``__dict__``; they can be
 asserted on and routed by the in-memory transport.  Like every tuple
@@ -28,12 +30,12 @@ class _BlockAddress(NamedTuple):
     block_index: int
 
 
-class _BlockPayload(NamedTuple):
+class _FetchReply(NamedTuple):
     sender: int
     recipient: int
     archive_id: str
     block_index: int
-    payload: Optional[bytes]
+    found: bool
 
 
 class _StoreReply(NamedTuple):
@@ -56,18 +58,15 @@ class Message(_Envelope):
         return tuple.__new__(cls, (sender, recipient))
 
 
-class StoreRequest(_BlockPayload, Message):
+class StoreRequest(_BlockAddress, Message):
     """Ask a partner to store one coded block."""
 
     __slots__ = ()
 
-    def __new__(
-        cls, sender, recipient, archive_id="", block_index=0, payload=b""
-    ):
+    def __new__(cls, sender, recipient, archive_id="", block_index=0):
         if sender == recipient:
             raise ValueError(_SELF_SEND)
-        fields = (sender, recipient, archive_id, block_index, payload)
-        return tuple.__new__(cls, fields)
+        return tuple.__new__(cls, (sender, recipient, archive_id, block_index))
 
 
 class StoreReply(_StoreReply, Message):
@@ -96,17 +95,17 @@ class FetchRequest(_BlockAddress, Message):
         return tuple.__new__(cls, (sender, recipient, archive_id, block_index))
 
 
-class FetchReply(_BlockPayload, Message):
-    """Block content, or a miss (``payload`` is ``None``)."""
+class FetchReply(_FetchReply, Message):
+    """Whether the partner served the block (``found``) or missed."""
 
     __slots__ = ()
 
     def __new__(
-        cls, sender, recipient, archive_id="", block_index=0, payload=None
+        cls, sender, recipient, archive_id="", block_index=0, found=False
     ):
         if sender == recipient:
             raise ValueError(_SELF_SEND)
-        fields = (sender, recipient, archive_id, block_index, payload)
+        fields = (sender, recipient, archive_id, block_index, found)
         return tuple.__new__(cls, fields)
 
 

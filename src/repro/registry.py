@@ -1,12 +1,12 @@
 """Typed, named component registries — the simulator's extension points.
 
 Every swappable component of the reproduction (selection strategies,
-acceptance rules, repair-policy presets, erasure codec backends, churn
-mixes, scenarios) is published in a :class:`Registry` under a short
-stable name.  ``LIFETIME_MODELS`` is a registry too but not a simulator
-extension point: no config field reads it (the engine draws lifetimes
-from ``Profile.life_expectancy``); it serves only the offline churn
-analysis.  Configuration objects keep carrying plain
+acceptance rules, repair-policy presets, execution and fidelity
+backends, churn mixes, scenarios) is published in a :class:`Registry`
+under a short stable name.  ``LIFETIME_MODELS`` is a registry too but
+not a simulator extension point: no config field reads it (the engine
+draws lifetimes from ``Profile.life_expectancy``); it serves only the
+offline churn analysis.  Configuration objects keep carrying plain
 strings — which is what keeps :meth:`SimulationConfig.to_dict`
 serialization and the sweep executor's cache keys byte-identical — and
 every consumer resolves those strings through a registry instead of a

@@ -2,7 +2,7 @@
 
 This package is the public construction API of the simulator: a
 chainable :class:`Scenario` builder over the component registries
-(selection strategies, acceptance rules, churn mixes, codec backends)
+(selection strategies, acceptance rules, churn mixes)
 plus a registry of ready-to-run workload presets
 (``flash_crowd``, ``diurnal``, ``correlated_outage``,
 ``heterogeneous_quota``, ``slow_decay``, ``paper``).

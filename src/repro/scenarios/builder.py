@@ -114,7 +114,7 @@ class Scenario:
         parity_blocks: int,
         repair_threshold: Optional[int] = None,
     ) -> "Scenario":
-        """Swap the erasure-code width, rescaling the repair threshold.
+        """Swap the code width (k, m), rescaling the repair threshold.
 
         When ``repair_threshold`` is omitted, the current threshold's
         slack fraction ``(k' - k)/(n - k)`` is preserved across the new

@@ -340,7 +340,7 @@ class SimulationConfig:
     ) -> "SimulationConfig":
         """Laptop-scale configuration preserving the paper's ratios.
 
-        * the erasure-code rate stays 1/2 (m = k);
+        * the code rate k/n stays 1/2 (m = k);
         * the quota stays 1.5 x n (paper: 384 = 1.5 x 256);
         * the repair threshold keeps its slack fraction
           ``(k' - k)/(n - k)`` (148 -> 18 for k=16, n=32).

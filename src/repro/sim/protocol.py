@@ -37,9 +37,9 @@ runs, both toggle-kernel branches and all sweep-executor backends.
 
 Deliberate simplifications, documented rather than hidden:
 
-* block payloads are empty sentinels — transfer *times* come from the
-  cost model (``archive_bytes / k`` per block), not from shipping real
-  megabytes through the heap;
+* a stored block is only its key — no message or store carries block
+  content; transfer *times* come from the cost model (``archive_bytes
+  / k`` per block), not from shipping real megabytes through the heap;
 * the transfer occupies the repairing owner's link (the paper's
   owner-centric ``delta_repair = delta_download + delta_upload`` cost
   model); in addition each download source's uplink serves a block, and
@@ -63,12 +63,10 @@ Deliberate simplifications, documented rather than hidden:
 
 from __future__ import annotations
 
-import hashlib
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..backup.fairness import GlobalFairness, exceeds_exchange_debt
 from ..backup.store import BlockStore
-from ..erasure.codec import CodedBlock
 from ..net.bandwidth import LINK_PROFILES, CostModel, LinkScheduler
 from ..net.impairment import IMPAIRMENT_PROFILES
 from ..net.message import (
@@ -90,9 +88,6 @@ from .events import KIND_SHIFT, EventKind, key_peer
 from .fidelity import FIDELITY_BACKENDS
 
 _TRANSFER_DONE = EventKind.TRANSFER_DONE
-
-#: SHA-256 of the empty sentinel payload every simulated block carries.
-_EMPTY_CHECKSUM = hashlib.sha256(b"").hexdigest()
 
 
 class _PendingTransfer:
@@ -150,10 +145,6 @@ class ProtocolSimulation(SoaSimulation):
         #: owner -> holder -> block index (the owner-side manifest).
         self._manifest: Dict[int, Dict[int, int]] = {}
         self._next_index: Dict[int, int] = {}
-        #: block index -> the one empty-payload block stored under it
-        #: (blocks are immutable and every payload is the same sentinel,
-        #: so stores share them instead of building one per store).
-        self._blocks: Dict[int, CodedBlock] = {}
         self._messages = 0
         self.impairment = IMPAIRMENT_PROFILES.get(config.impairment_profile)
         #: Exchanges lost to the impairment layer so far (operations
@@ -212,10 +203,9 @@ class ProtocolSimulation(SoaSimulation):
             if isinstance(message, FetchRequest):
                 store = self._stores[peer_id]
                 owner_id, _, archive_id, index = message
-                block = store.fetch(owner_id, archive_id, index)
                 return FetchReply(
                     peer_id, owner_id, archive_id, index,
-                    block.payload if block else None,
+                    store.holds(owner_id, archive_id, index),
                 )
             if isinstance(message, ReleaseNotice):
                 self._release_stored(peer_id, message.sender, message.block_index)
@@ -263,11 +253,7 @@ class ProtocolSimulation(SoaSimulation):
                 holder_id, owner_id, message.archive_id, message.block_index,
                 False, reason,
             )
-        block = self._blocks.get(message.block_index)
-        if block is None:
-            block = CodedBlock(message.block_index, b"", _EMPTY_CHECKSUM)
-            self._blocks[message.block_index] = block
-        store.store(owner_id, message.archive_id, block)
+        store.store(owner_id, message.archive_id, message.block_index)
         self._fairness.record_hosting(holder_id)
         self._fairness.record_placement(owner_id)
         return StoreReply(
@@ -576,11 +562,7 @@ class ProtocolSimulation(SoaSimulation):
             reply, delivered = self._send(
                 FetchRequest(owner_id, holder_id, archive_id, index)
             )
-            if (
-                delivered
-                and isinstance(reply, FetchReply)
-                and reply.payload is not None
-            ):
+            if delivered and isinstance(reply, FetchReply) and reply.found:
                 sources.append(holder_id)
         return sources
 
@@ -771,9 +753,9 @@ class ProtocolSimulation(SoaSimulation):
                     )
                     continue
                 store = self._stores.get(holder_id)
-                if store is None or store.fetch(
+                if store is None or not store.holds(
                     peer_id, self._archive_id(peer_id), index
-                ) is None:
+                ):
                     problems.append(
                         f"peer {peer_id}: block {index} missing from "
                         f"holder {holder_id}'s store"

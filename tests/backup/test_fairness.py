@@ -138,11 +138,11 @@ def idle_swarm(fairness_factor=None, peers=10, quota=100):
     return simulation
 
 
-def store_request(simulation, owner, holder, index, payload=b"x"):
+def store_request(simulation, owner, holder, index):
     return StoreRequest(
         sender=owner, recipient=holder,
         archive_id=simulation._archive_id(owner),
-        block_index=index, payload=payload,
+        block_index=index,
     )
 
 
@@ -187,7 +187,7 @@ class TestClientEnforcement:
         owner, holders = 0, range(1, 9)
         for index, holder in enumerate(holders):
             reply = swarm.transport.send(
-                store_request(swarm, owner, holder, index, payload=b"q" * 7)
+                store_request(swarm, owner, holder, index)
             )
             assert reply.accepted
         for holder in holders:

@@ -114,7 +114,7 @@ class TestListCommand:
         assert "scenarios:" in output
         assert "selection strategies:" in output
         assert "acceptance rules:" in output
-        assert "codec backends:" in output
+        assert "codec backends:" not in output  # no byte-level codec left
         assert "churn mixes:" in output
         assert "execution backends:" in output
         assert "fidelity backends:" in output

@@ -159,7 +159,7 @@ class TestTransportIntegration:
                     recipient=message.sender,
                     archive_id=message.archive_id,
                     block_index=message.block_index,
-                    payload=b"echo",
+                    found=True,
                 )
             return None
 

@@ -28,17 +28,19 @@ class TestBaseMessage:
 
 
 class TestPayloadMessages:
+    """Messages about one block, named by archive id and index alone."""
+
     def test_store_request_defaults(self):
         request = StoreRequest(sender=1, recipient=2)
-        assert request.payload == b""
+        assert request.archive_id == ""
         assert request.block_index == 0
 
-    def test_store_request_payload(self):
+    def test_store_request_is_its_block_address(self):
         request = StoreRequest(
             sender=1, recipient=2, archive_id="a", block_index=3,
-            payload=b"\x00\x01",
         )
-        assert request.payload == b"\x00\x01"
+        assert tuple(request) == (1, 2, "a", 3)
+        assert not hasattr(request, "payload")
 
     def test_store_reply_reason(self):
         reply = StoreReply(
@@ -51,14 +53,15 @@ class TestPayloadMessages:
         request = FetchRequest(sender=1, recipient=2, archive_id="a", block_index=7)
         reply = FetchReply(
             sender=2, recipient=1, archive_id=request.archive_id,
-            block_index=request.block_index, payload=b"data",
+            block_index=request.block_index, found=True,
         )
         assert reply.archive_id == "a"
         assert reply.block_index == 7
+        assert reply.found
 
-    def test_fetch_miss_is_none_payload(self):
+    def test_fetch_reply_defaults_to_a_miss(self):
         reply = FetchReply(sender=2, recipient=1)
-        assert reply.payload is None
+        assert reply.found is False
 
 
 class TestControlMessages:

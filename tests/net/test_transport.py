@@ -20,7 +20,7 @@ def echo_handler(peer_id):
                 recipient=message.sender,
                 archive_id=message.archive_id,
                 block_index=message.block_index,
-                payload=b"echo",
+                found=True,
             )
         return None
 
@@ -60,7 +60,7 @@ class TestDelivery:
     def test_request_reply(self, transport):
         reply = transport.send(FetchRequest(sender=1, recipient=2, archive_id="a"))
         assert isinstance(reply, FetchReply)
-        assert reply.payload == b"echo"
+        assert reply.found
         assert reply.recipient == 1
 
     def test_unknown_recipient(self, transport):

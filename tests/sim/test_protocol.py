@@ -318,9 +318,9 @@ class TestFairnessEnforcement:
                 hosted, _ = simulation._exchange_balance(holder_id, owner_id)
                 _, credited = simulation._exchange_balance(owner_id, holder_id)
                 assert hosted == credited == 1
-                assert simulation._stores[holder_id].fetch(
+                assert simulation._stores[holder_id].holds(
                     owner_id, simulation._archive_id(owner_id), index
-                ) is not None
+                )
                 pairs += 1
         assert pairs > 0
         for holder_id, store in simulation._stores.items():
@@ -431,3 +431,39 @@ class TestCancelledTransfer:
             simulation.metrics.protocol["transfers_completed"] > completed
         )
         assert simulation.audit() == []
+
+
+class TestFetchMiss:
+    def test_released_block_is_neither_a_source_nor_clean(self):
+        """A holder whose store lost the block answers a fetch with a miss.
+
+        The owner's manifest still names the holder, so the repair's
+        download phase asks it; the miss must not count as a source, and
+        the audit must name the missing block.
+        """
+        simulation = ProtocolSimulation(protocol_config(rounds=800))
+        simulation.run()
+        assert simulation.audit() == []
+        state = simulation.state
+        # An owner whose first holder is online: the download phase asks
+        # that holder first, before it can have k sources.
+        owner_id, holder_id = next(
+            (owner_id, holder_id)
+            for owner_id in range(state.n_observers, state.count)
+            if state.alive[owner_id]
+            for holder_id in state.holders[owner_id][:1]
+            if state.online[holder_id]
+        )
+        assert holder_id in simulation._collect_blocks(owner_id)
+        index = simulation._manifest[owner_id][holder_id]
+        archive_id = simulation._archive_id(owner_id)
+        store = simulation._stores[holder_id]
+        assert store.release(owner_id, archive_id, index)
+        assert not store.holds(owner_id, archive_id, index)
+        assert simulation._manifest[owner_id][holder_id] == index
+
+        assert holder_id not in simulation._collect_blocks(owner_id)
+        assert (
+            f"peer {owner_id}: block {index} missing from holder "
+            f"{holder_id}'s store"
+        ) in simulation.audit()

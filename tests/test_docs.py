@@ -6,6 +6,7 @@ keep the fast invariants: every relative link in the repo's markdown
 resolves, and the smoke-rewrite rules produce the commands CI will run.
 """
 
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -36,6 +37,31 @@ class TestRepositoryDocs:
         for path in check_docs.default_files():
             problems += check_docs.check_links(path)
         assert problems == []
+
+
+class TestShapeCheckTable:
+    def test_every_checked_experiment_has_a_row(self):
+        """EXPERIMENTS.md names the checks of every ``check_shape``."""
+        import pkgutil
+
+        import repro.experiments
+
+        text = (REPO_ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+        section = text.split("## Shape checks", 1)[1].split("\n## ", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("|")]
+        checked = []
+        for info in pkgutil.iter_modules(repro.experiments.__path__):
+            module = importlib.import_module(
+                f"repro.experiments.{info.name}"
+            )
+            if hasattr(module, "check_shape"):
+                checked.append(info.name)
+        assert len(checked) >= 8
+        missing = [
+            name for name in checked
+            if not any(f"| `{name}` |" in row for row in rows)
+        ]
+        assert missing == []
 
 
 class TestLinkChecker:

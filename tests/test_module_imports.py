@@ -28,7 +28,7 @@ def test_public_symbols_are_documented():
     """Every name re-exported by a package __init__ has a docstring."""
     undocumented = []
     for package_name in (
-        "repro.core", "repro.sim", "repro.churn", "repro.erasure",
+        "repro.core", "repro.sim", "repro.churn",
         "repro.net", "repro.backup", "repro.analysis", "repro.baselines",
     ):
         package = importlib.import_module(package_name)

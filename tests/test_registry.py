@@ -146,12 +146,6 @@ class TestBuiltinRegistries:
         assert (paper.k, paper.n, paper.repair_threshold) == (128, 256, 148)
         assert "scaled" in POLICY_PRESETS
 
-    def test_codec_backends(self):
-        from repro.erasure.matrix import CODEC_BACKENDS, DEFAULT_BACKEND
-
-        assert "python" in CODEC_BACKENDS
-        assert DEFAULT_BACKEND in CODEC_BACKENDS
-
     def test_register_mix_validates(self):
         from repro.churn.profiles import Profile, register_mix
 
