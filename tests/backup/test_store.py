@@ -3,6 +3,7 @@
 import pytest
 
 from repro.backup.store import BlockStore, QuotaExceededError
+from repro.core.policy import RepairPolicy
 from repro.sim.rng import seeded_generator
 
 
@@ -76,6 +77,44 @@ class TestViews:
         store.store(1, "a", 0)
         store.store(2, "a", 0)
         assert sorted(store.owners()) == [1, 2]
+
+
+class TestByteLevelRestore:
+    """A restore through partner stores: any ``k`` held blocks decode."""
+
+    K, M = 4, 4
+
+    def _place(self):
+        policy = RepairPolicy(self.K, self.K + self.M, self.K)
+        stores = {holder: BlockStore(quota_blocks=1) for holder in range(policy.n)}
+        for holder in range(policy.n):
+            stores[holder].store(0, "archive-0", holder)
+        return policy, stores
+
+    def _fetch(self, stores, holders):
+        return {
+            holder for holder in holders
+            if stores[holder].holds(0, "archive-0", holder)
+        }
+
+    def test_restores_byte_exactly_after_losing_m_holders(self):
+        policy, stores = self._place()
+        for lost in (0, 2, 5, 7):  # any m holders may go
+            del stores[lost]
+        survivors = sorted(stores)
+        assert len(survivors) == policy.k
+        fetched = self._fetch(stores, survivors)
+        assert fetched == set(survivors)  # k distinct block indices
+        assert policy.can_decode(len(fetched))
+        assert not policy.is_lost(len(fetched))
+
+    def test_fewer_than_k_blocks_fail_to_decode(self):
+        policy, stores = self._place()
+        stores[policy.k - 1].release(0, "archive-0", policy.k - 1)
+        fetched = self._fetch(stores, range(policy.k))
+        assert len(fetched) == policy.k - 1
+        assert not policy.can_decode(len(fetched))
+        assert policy.is_lost(len(fetched))
 
 
 class TestOwnerIndex:

@@ -1,89 +1,71 @@
-"""Reed-Solomon at the paper's exact dimensions (k = 128, m = 128).
+"""The erasure code at the paper's exact dimensions (k = 128, m = 128).
 
-Section 2.1's worked example, executed: "if k = 128 and m = 128, the
-system will store the data on 256 different nodes using twice the
-initial storage, but supporting until 128 node failures without losing
-any data."
+Section 2.1's worked example, over the stored block keys: "if k = 128
+and m = 128, the system will store the data on 256 different nodes using
+twice the initial storage, but supporting until 128 node failures
+without losing any data."
 """
-
-import hashlib
 
 import numpy as np
 import pytest
 
-from repro.erasure.matrix import CODEC_BACKENDS
-from repro.erasure.reed_solomon import ErasureCodingError, ReedSolomonCode
+from repro.backup.store import BlockStore
+from repro.core.policy import POLICY_PRESETS
 
-#: SHA-256 of the 128 seeded 64-byte data blocks of ``paper_blocks``.
-DATA_SHA256 = "c5f8bfbe11faa35414e1c75b18dbe26d20c57b1d3a6dcd3ca753a83bddaaa2f6"
-
-#: SHA-256 of the 256 coded blocks ``ReedSolomonCode(128, 128)`` makes
-#: from them: a committed test vector, not a round trip.
-CODED_SHA256 = "906a325d33e1c6a8f7c96fd6a28618b1f2350461c381099ec59e4b46b87dcf53"
-
-
-def sha256_of(blocks):
-    return hashlib.sha256(b"".join(blocks)).hexdigest()
+ARCHIVE = "archive-0"
 
 
 @pytest.fixture(scope="module")
 def paper_code():
-    return ReedSolomonCode(128, 128)
+    return POLICY_PRESETS.create("paper")
 
 
-@pytest.fixture(scope="module")
-def paper_blocks(paper_code):
-    rng = np.random.default_rng(7)
-    data = [
-        rng.integers(0, 256, 64, dtype=np.uint8).tobytes() for _ in range(128)
-    ]
-    return data, paper_code.encode(data)
+@pytest.fixture
+def paper_stores(paper_code):
+    """Block ``i`` of owner 0's archive on holder ``i``, one per node."""
+    stores = {holder: BlockStore(quota_blocks=1) for holder in range(paper_code.n)}
+    for holder, store in stores.items():
+        store.store(0, ARCHIVE, holder)
+    return stores
+
+
+def held_blocks(stores, holders):
+    """The block indices the given surviving holders still store."""
+    return {
+        holder for holder in holders
+        if holder in stores and stores[holder].holds(0, ARCHIVE, holder)
+    }
 
 
 class TestPaperExample:
     def test_twice_the_storage(self, paper_code):
         assert paper_code.n == 2 * paper_code.k == 256
 
-    def test_survives_128_failures(self, paper_code, paper_blocks):
-        data, coded = paper_blocks
+    def test_survives_128_failures(self, paper_code, paper_stores):
         rng = np.random.default_rng(1)
         failed = set(rng.choice(256, size=128, replace=False).tolist())
-        available = {i: coded[i] for i in range(256) if i not in failed}
+        for holder in failed:
+            del paper_stores[holder]
+        available = held_blocks(paper_stores, range(256))
         assert len(available) == 128
-        assert paper_code.decode(available) == data
+        assert paper_code.can_decode(len(available))
+        assert not paper_code.is_lost(len(available))
 
-    def test_129_failures_lose_data(self, paper_code, paper_blocks):
-        _, coded = paper_blocks
-        available = {i: coded[i] for i in range(127)}
-        with pytest.raises(ErasureCodingError):
-            paper_code.decode(available)
+    def test_129_failures_lose_data(self, paper_code, paper_stores):
+        available = held_blocks(paper_stores, range(127))
+        assert len(available) == 127
+        assert not paper_code.can_decode(len(available))
+        assert paper_code.is_lost(len(available))
 
-    def test_parity_only_decode(self, paper_code, paper_blocks):
-        data, coded = paper_blocks
-        available = {i: coded[i] for i in range(128, 256)}
-        assert paper_code.decode(available) == data
+    def test_parity_only_decode(self, paper_code, paper_stores):
+        # Blocks k..n-1 are the parity blocks: any k of them decode.
+        available = held_blocks(paper_stores, range(128, 256))
+        assert min(available) == paper_code.k
+        assert paper_code.can_decode(len(available))
 
-    def test_single_block_repair_at_paper_width(self, paper_code, paper_blocks):
-        _, coded = paper_blocks
-        available = {i: coded[i] for i in range(256) if i != 200}
-        assert paper_code.reconstruct_block(available, 200) == coded[200]
-
-
-class TestPaperTestVector:
-    def test_seeded_input_is_the_pinned_one(self, paper_blocks):
-        data, _ = paper_blocks
-        assert sha256_of(data) == DATA_SHA256
-
-    def test_encoding_matches_the_pinned_vector(self, paper_blocks):
-        _, coded = paper_blocks
-        assert len(coded) == 256
-        assert sha256_of(coded) == CODED_SHA256
-
-    @pytest.mark.parametrize("backend", CODEC_BACKENDS.names())
-    def test_parity_only_decode_per_backend(self, backend, paper_blocks):
-        # Decoding from parity alone runs the backend's matrix.invert
-        # over GF(256): its output must hash to the pinned input.
-        _, coded = paper_blocks
-        code = ReedSolomonCode(128, 128, backend=backend)
-        available = {i: coded[i] for i in range(128, 256)}
-        assert sha256_of(code.decode(available)) == DATA_SHA256
+    def test_single_block_repair_at_paper_width(self, paper_code, paper_stores):
+        del paper_stores[200]
+        available = held_blocks(paper_stores, range(256))
+        assert 200 not in available
+        assert paper_code.can_decode(len(available))
+        assert paper_code.blocks_to_recruit(len(available)) == 1

@@ -1,198 +1,31 @@
-"""Tests for the systematic Reed-Solomon code."""
+"""The (k, m) dimensions of the systematic Reed-Solomon code.
+
+The paper takes the code as given (section 2.1): an archive becomes
+``k`` data blocks plus ``m`` parity blocks, any ``k`` of the ``n = k + m``
+decode it.  The simulator models only these counts, in
+:class:`~repro.core.policy.RepairPolicy`.
+"""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.erasure.reed_solomon import ErasureCodingError, ReedSolomonCode
+from repro.core.policy import POLICY_PRESETS, RepairPolicy
 
 
-def make_blocks(k: int, width: int, seed: int = 0) -> list:
-    return [
-        bytes((seed + i * 31 + j) % 256 for j in range(width)) for i in range(k)
-    ]
+def make_code(k: int, m: int) -> RepairPolicy:
+    """The code's dimensions, with the repair threshold at its floor ``k``."""
+    return RepairPolicy(k, k + m, k)
 
 
 class TestConstruction:
     def test_parameters_exposed(self):
-        code = ReedSolomonCode(4, 2)
-        assert (code.k, code.m, code.n) == (4, 2, 6)
+        code = make_code(4, 2)
+        assert (code.k, code.parity_blocks, code.n) == (4, 2, 6)
 
     @pytest.mark.parametrize("k,m", [(0, 2), (-1, 2), (2, -1)])
     def test_invalid_parameters(self, k, m):
         with pytest.raises(ValueError):
-            ReedSolomonCode(k, m)
-
-    def test_field_size_bound(self):
-        with pytest.raises(ValueError):
-            ReedSolomonCode(200, 100)
+            make_code(k, m)
 
     def test_paper_dimensions_construct(self):
-        code = ReedSolomonCode(128, 128)
-        assert code.n == 256
-
-    def test_generator_top_is_identity(self):
-        code = ReedSolomonCode(3, 2)
-        generator = code.generator_matrix
-        for i in range(3):
-            for j in range(3):
-                assert generator[i][j] == (1 if i == j else 0)
-
-
-class TestEncode:
-    def test_systematic_property(self):
-        code = ReedSolomonCode(4, 3)
-        data = make_blocks(4, 16)
-        coded = code.encode(data)
-        assert coded[:4] == data
-
-    def test_output_count_and_width(self):
-        code = ReedSolomonCode(4, 3)
-        coded = code.encode(make_blocks(4, 10))
-        assert len(coded) == 7
-        assert all(len(block) == 10 for block in coded)
-
-    def test_zero_parity_blocks(self):
-        code = ReedSolomonCode(3, 0)
-        data = make_blocks(3, 5)
-        assert code.encode(data) == data
-
-    def test_empty_width(self):
-        code = ReedSolomonCode(2, 2)
-        assert code.encode([b"", b""]) == [b"", b"", b"", b""]
-
-    def test_wrong_block_count(self):
-        code = ReedSolomonCode(4, 2)
-        with pytest.raises(ErasureCodingError):
-            code.encode(make_blocks(3, 8))
-
-    def test_uneven_lengths(self):
-        code = ReedSolomonCode(2, 1)
-        with pytest.raises(ErasureCodingError):
-            code.encode([b"abc", b"de"])
-
-
-class TestDecode:
-    def test_roundtrip_with_all_blocks(self):
-        code = ReedSolomonCode(4, 4)
-        data = make_blocks(4, 32)
-        coded = code.encode(data)
-        assert code.decode(dict(enumerate(coded))) == data
-
-    def test_roundtrip_with_only_parity(self):
-        code = ReedSolomonCode(4, 4)
-        data = make_blocks(4, 32, seed=9)
-        coded = code.encode(data)
-        available = {i: coded[i] for i in range(4, 8)}
-        assert code.decode(available) == data
-
-    def test_roundtrip_with_mixed_subset(self):
-        code = ReedSolomonCode(5, 3)
-        data = make_blocks(5, 17, seed=3)
-        coded = code.encode(data)
-        available = {0: coded[0], 2: coded[2], 5: coded[5], 6: coded[6], 7: coded[7]}
-        assert code.decode(available) == data
-
-    def test_every_k_subset_decodes(self):
-        from itertools import combinations
-
-        code = ReedSolomonCode(3, 3)
-        data = make_blocks(3, 8, seed=1)
-        coded = code.encode(data)
-        for subset in combinations(range(6), 3):
-            available = {i: coded[i] for i in subset}
-            assert code.decode(available) == data, subset
-
-    def test_insufficient_blocks(self):
-        code = ReedSolomonCode(4, 4)
-        coded = code.encode(make_blocks(4, 8))
-        with pytest.raises(ErasureCodingError):
-            code.decode({0: coded[0], 1: coded[1], 2: coded[2]})
-
-    def test_out_of_range_index(self):
-        code = ReedSolomonCode(2, 2)
-        coded = code.encode(make_blocks(2, 4))
-        with pytest.raises(ErasureCodingError):
-            code.decode({0: coded[0], 9: coded[1]})
-
-    def test_uneven_block_lengths(self):
-        code = ReedSolomonCode(2, 2)
-        with pytest.raises(ErasureCodingError):
-            code.decode({0: b"abcd", 1: b"ab"})
-
-    def test_zero_width_decode(self):
-        code = ReedSolomonCode(2, 2)
-        assert code.decode({2: b"", 3: b""}) == [b"", b""]
-
-
-class TestReconstructBlock:
-    def test_reconstruct_data_block(self):
-        code = ReedSolomonCode(4, 4)
-        data = make_blocks(4, 12, seed=5)
-        coded = code.encode(data)
-        available = {i: coded[i] for i in (1, 2, 3, 4)}
-        assert code.reconstruct_block(available, 0) == coded[0]
-
-    def test_reconstruct_parity_block(self):
-        code = ReedSolomonCode(4, 4)
-        coded = code.encode(make_blocks(4, 12, seed=5))
-        available = {i: coded[i] for i in (0, 1, 2, 3)}
-        for parity in range(4, 8):
-            assert code.reconstruct_block(available, parity) == coded[parity]
-
-    def test_reconstruct_present_block_is_identity(self):
-        code = ReedSolomonCode(2, 2)
-        coded = code.encode(make_blocks(2, 6))
-        available = dict(enumerate(coded))
-        assert code.reconstruct_block(available, 3) == coded[3]
-
-    def test_reconstruct_out_of_range(self):
-        code = ReedSolomonCode(2, 2)
-        coded = code.encode(make_blocks(2, 6))
-        with pytest.raises(ErasureCodingError):
-            code.reconstruct_block(dict(enumerate(coded)), 4)
-
-
-class TestProperties:
-    @settings(max_examples=30, deadline=None)
-    @given(st.data())
-    def test_random_erasures_roundtrip(self, data):
-        k = data.draw(st.integers(min_value=1, max_value=6))
-        m = data.draw(st.integers(min_value=0, max_value=6))
-        width = data.draw(st.integers(min_value=1, max_value=24))
-        code = ReedSolomonCode(k, m)
-        payload = [
-            bytes(
-                data.draw(
-                    st.lists(
-                        st.integers(min_value=0, max_value=255),
-                        min_size=width,
-                        max_size=width,
-                    )
-                )
-            )
-            for _ in range(k)
-        ]
-        coded = code.encode(payload)
-        survivors = data.draw(
-            st.lists(
-                st.sampled_from(range(code.n)),
-                min_size=k,
-                max_size=code.n,
-                unique=True,
-            )
-        )
-        available = {i: coded[i] for i in survivors}
-        assert code.decode(available) == payload
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.data())
-    def test_reconstructed_blocks_match_original_encoding(self, data):
-        k = data.draw(st.integers(min_value=2, max_value=5))
-        m = data.draw(st.integers(min_value=1, max_value=5))
-        code = ReedSolomonCode(k, m)
-        payload = make_blocks(k, 9, seed=data.draw(st.integers(0, 255)))
-        coded = code.encode(payload)
-        missing = data.draw(st.sampled_from(range(code.n)))
-        available = {i: coded[i] for i in range(code.n) if i != missing}
-        assert code.reconstruct_block(available, missing) == coded[missing]
+        code = POLICY_PRESETS.create("paper")
+        assert (code.k, code.parity_blocks, code.n) == (128, 128, 256)

@@ -35,7 +35,8 @@ class TestPayloadMessages:
         assert request.archive_id == ""
         assert request.block_index == 0
 
-    def test_store_request_is_its_block_address(self):
+    def test_store_request_payload(self):
+        # A request carries no payload: it is exactly its block address.
         request = StoreRequest(
             sender=1, recipient=2, archive_id="a", block_index=3,
         )
@@ -59,7 +60,8 @@ class TestPayloadMessages:
         assert reply.block_index == 7
         assert reply.found
 
-    def test_fetch_reply_defaults_to_a_miss(self):
+    def test_fetch_miss_is_none_payload(self):
+        # A miss carries no block: a reply defaults to found=False.
         reply = FetchReply(sender=2, recipient=1)
         assert reply.found is False
 
