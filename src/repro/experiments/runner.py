@@ -30,6 +30,7 @@ sweep, and a killed run resumes from every cell it finished.
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
 import sys
 from typing import List, Optional, Sequence
@@ -845,10 +846,22 @@ def _run_sweeps(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """CLI entry point; returns a process exit code.
 
+    A reader closing stdout early (``list | head -1``) is a normal end:
+    stdout goes to ``os.devnull``, so no flush fails and no traceback.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        code = _dispatch(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return code
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.experiment == "tables":
         print(tables.render_all(markdown=args.markdown))
         return 0

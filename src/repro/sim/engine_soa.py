@@ -32,8 +32,8 @@ rounds, in about a second):
   :meth:`repro.core.acceptance.AcceptancePolicy.accepts` included, and
   returns ``(ids, ages)`` vectors, the strategy orders them with
   :meth:`repro.core.selection.SelectionStrategy.order`, and the chosen
-  partners are committed with one quota mask and one
-  fancy-index write into the owner matrix
+  partners are committed with one fancy-index write into the owner
+  matrix
   (:meth:`repro.sim.soa_state.StateTables.owners_append_many`);
 * the remaining scalar handlers (checks, deaths, repair bookkeeping)
   touch C-backed list slots instead of attribute-walking per-peer heap
@@ -467,7 +467,7 @@ class SoaSimulation:
     # ------------------------------------------------------------------
     # Session toggles (the most frequent event kind, batched per round)
     # ------------------------------------------------------------------
-    def _process_toggle_batch(self, now: int, peer_ids: np.ndarray) -> None:
+    def _process_toggle_batch(self, now: int, peer_ids: List[int]) -> None:
         """Flip every session toggling this round in one batched pass.
 
         The queue hands over the round's whole toggle bucket (sorted
@@ -493,7 +493,7 @@ class SoaSimulation:
         need_ids: List[int] = []
         need_log: List[float] = []
         ones_ids: List[int] = []
-        for peer_id in peer_ids.tolist():
+        for peer_id in peer_ids:
             if not alive[peer_id]:
                 continue
             p = params[profile[peer_id]]
@@ -741,23 +741,19 @@ class SoaSimulation:
     # ------------------------------------------------------------------
     def _recruit(self, owner_id: int, now: int, needed: int) -> int:
         chosen = self._select_candidates(owner_id, now, needed)
-        state = self.state
-        check_quota = owner_id >= state.n_observers
-        quota_used = state.quota_used
-        # The chosen partners (distinct ids), committed in one pass: a
-        # quota mask (quota could have filled between sampling and
-        # selection), then the links and counters as fancy indexes.
-        # The row takes the id column's shared int objects, not a fresh
-        # int per link.
-        if check_quota:
-            chosen = chosen[quota_used[chosen] < self.config.quota]
         added = len(chosen)
         if not added:
             return 0
+        # The chosen partners (distinct ids), committed in one pass as
+        # fancy indexes.  No quota re-check: the fill admitted only
+        # candidates below their quota, and nothing recruits between
+        # the fill and this commit.  The row takes the id column's
+        # shared int objects, not a fresh int per link.
+        state = self.state
         state.holders[owner_id].extend(state.id_objects[chosen].tolist())
         state.visible[owner_id] += added
-        if check_quota:
-            quota_used[chosen] += 1
+        if owner_id >= state.n_observers:
+            state.quota_used[chosen] += 1
         state.owners_append_many(chosen, owner_id)
         return added
 
@@ -817,12 +813,15 @@ class SoaSimulation:
           whatever order numpy applies the updates in).  Older stamps
           all sit below the next floor: nothing is unmarked afterwards;
         * **continuation windows** — the first chunk is evaluated alone
-          (most fills end there).  A continuing fill peeks a window of
-          up to ``_FILL_WINDOW_CHUNKS`` times the next chunk, filters
-          and accepts it in one pass, then walks the chunk boundaries
-          the one-chunk loop would take (``pool_chunk_size`` of the
-          running ``needed``, bisected against the fresh candidates and
-          the hits) to find where that loop stops and what it counts.
+          (most fills end there), its stop point read straight from the
+          hit vector.  A continuing fill peeks a window of up to
+          ``_FILL_WINDOW_CHUNKS`` times the next chunk, filters and
+          accepts it in one pass, then walks the chunk boundaries the
+          one-chunk loop would take (``pool_chunk_size`` of the running
+          ``needed``, bisected against list copies of the fresh
+          positions and the hits, made only for a window) to find where
+          that loop stops and what it counts.  Both kinds of pass share
+          the one stop-point step.
           Each stream then advances by what those chunks consumed, and
           the samples of the unconsumed tail get their old stamps back;
         * **no early refill** — a window never looks past the current
@@ -856,7 +855,9 @@ class SoaSimulation:
                 grown[: len(stamps)] = stamps
                 stamps = self._pool_stamps = grown
             floor = self._pool_serial
-            stamps[state.holders[owner_id]] = floor
+            row = state.holders[owner_id]
+            if row:
+                stamps[row] = floor
             stamps[owner_id] = floor
             serial = floor + 1
             continuing = False
@@ -894,13 +895,16 @@ class SoaSimulation:
                 if check_quota:
                     keep &= quota_used[cand] < quota
                 fresh_pos = keep.nonzero()[0]
-                positions = fresh_pos.tolist()
-                n_fresh = len(positions)
+                n_fresh = len(fresh_pos)
                 # Acceptance uniforms for the fresh candidates, in order:
                 # the first chunk's are mandatory (refill allowed, as in
                 # the one-chunk loop); the rest only as far as the
                 # current block reaches.
-                first_fresh = bisect_left(positions, chunk) if windowed else n_fresh
+                if windowed:
+                    positions = fresh_pos.tolist()
+                    first_fresh = bisect_left(positions, chunk)
+                else:
+                    first_fresh = n_fresh
                 left = acceptance.available()
                 peeked = windowed and draws * first_fresh <= left
                 if peeked:
@@ -912,27 +916,31 @@ class SoaSimulation:
                 fresh = cand[fresh_pos[:n_eval]]
                 ages = now - join_np[fresh]  # candidates are never observers
                 hits = accepts(owner_age, ages, acc_uniforms).nonzero()[0]
-                hit_list = hits.tolist()
-                # Walk the one-chunk loop's boundaries through the window.
-                # The first chunk always fits; a later one is consumed
-                # only if it lies inside the window and its fresh
-                # candidates were evaluated.
+                if windowed:
+                    hit_list = hits.tolist()
+                # Walk the one-chunk loop's boundaries through the pass:
+                # a plain chunk is one step.  In a window the first chunk
+                # always fits; a later one is consumed only if it lies
+                # inside it and its fresh candidates were evaluated.
                 end = 0
                 fresh_end = 0
                 hit_end = 0
                 while True:
                     stop = end + chunk
-                    chunk_fresh = bisect_left(positions, stop, fresh_end)
-                    if chunk_fresh > n_eval:
-                        break
-                    chunk_hits = bisect_left(hit_list, chunk_fresh, hit_end)
+                    if not windowed:
+                        chunk_fresh, chunk_hits = n_fresh, len(hits)
+                    else:
+                        chunk_fresh = bisect_left(positions, stop, fresh_end)
+                        if chunk_fresh > n_eval:
+                            break
+                        chunk_hits = bisect_left(hit_list, chunk_fresh, hit_end)
                     sample_budget -= chunk
                     end = stop
                     if chunk_hits - hit_end >= needed:
                         # Evaluation stops at the acceptance that fills
                         # the pool, although the draws cover the chunk.
                         hit_end += needed
-                        examined += hit_list[hit_end - 1] - fresh_end + 1
+                        examined += int(hits[hit_end - 1]) - fresh_end + 1
                         n_accepted += needed
                         fresh_end = chunk_fresh
                         break
@@ -940,7 +948,7 @@ class SoaSimulation:
                     n_accepted += chunk_hits - hit_end
                     hit_end = chunk_hits
                     fresh_end = chunk_fresh
-                    if sample_budget <= 0 or examined >= max_examined:
+                    if not windowed or sample_budget <= 0 or examined >= max_examined:
                         break
                     needed = target_size - n_accepted
                     chunk = pool_chunk_size(needed)

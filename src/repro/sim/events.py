@@ -30,8 +30,8 @@ Session toggles — the dominant event kind — get a *dense lane*:
 :meth:`EventQueue.schedule_toggle` / :meth:`EventQueue.schedule_toggle_batch`
 file bare peer ids into per-round buckets (no key, no live count), and
 such a round yields one :data:`TOGGLE_BATCH_KEY` *before* its shuffled
-generic events; the consumer then drains the whole batch as one sorted
-id array with :meth:`EventQueue.pop_round_batch`.  Toggles are
+generic events; the consumer then drains the whole batch as the lane's
+own sorted id list with :meth:`EventQueue.pop_round_batch`.  Toggles are
 order-independent within a round (the engines process the batch as one
 transaction over final state), are never cancelled, and are always
 scheduled at least one round ahead, which makes the dense lane safe.
@@ -78,8 +78,6 @@ _KIND_BITS = {
 
 #: The key :meth:`EventQueue.pop_until` returns for a dense toggle round.
 TOGGLE_BATCH_KEY = EventKind.TOGGLE_BATCH << KIND_SHIFT
-
-_EMPTY_BATCH = np.empty(0, dtype=np.int64)
 
 
 def key_kind(key: int) -> EventKind:
@@ -351,20 +349,21 @@ class EventQueue:
                 return None
             self._activate(upcoming)
 
-    def pop_round_batch(self) -> np.ndarray:
-        """Drain the delivered toggle batch as one sorted id array.
+    def pop_round_batch(self) -> List[int]:
+        """Drain the delivered toggle batch as the lane's sorted id list.
 
         Valid right after :meth:`pop_until` returned the
-        :data:`TOGGLE_BATCH_KEY`; returns an empty array when no batch
+        :data:`TOGGLE_BATCH_KEY`; returns an empty list when no batch
         is pending.  The ids are ascending and unique (at most one
-        pending toggle per peer, an engine invariant).
+        pending toggle per peer, an engine invariant), and the list is
+        the caller's: the queue keeps no reference to it.
         """
         toggles = self._current_toggles
         if toggles is None:
-            return _EMPTY_BATCH
+            return []
         self._current_toggles = None
         self._size -= len(toggles)
-        return np.array(toggles, dtype=np.int64)
+        return toggles
 
     def __len__(self) -> int:
         return self._size

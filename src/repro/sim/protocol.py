@@ -572,15 +572,14 @@ class ProtocolSimulation(SoaSimulation):
         """Recruit partners and place blocks on them, as real exchanges.
 
         Selection and mutual acceptance run through the core engine
-        (:meth:`SoaSimulation._select_candidates`); each chosen
-        candidate then receives a ``StoreRequest`` whose holder-side
-        handler enforces quota and the fairness policy.  Returns
+        (:meth:`SoaSimulation._select_candidates`), which admits only
+        candidates below their quota counter; each chosen candidate
+        then receives a ``StoreRequest`` whose holder-side handler
+        enforces its block store's quota and the fairness policy.  Returns
         ``holder -> block index`` for every accepted block.
         """
         archive_id = self._archive_id(owner_id)
         manifest = self._manifest[owner_id]
-        quota = self.config.quota
-        quota_used = self.state.quota_used
         pending_by_holder = self._pending_by_holder
         # The id column's shared objects: the manifest, the pending
         # tables and, once attached, the holder rows keep these ints.
@@ -589,9 +588,6 @@ class ProtocolSimulation(SoaSimulation):
         ].tolist()
         placed: Dict[int, int] = {}
         for candidate_id in chosen:
-            # Quota could have filled between sampling and selection.
-            if quota_used[candidate_id] >= quota:
-                continue
             index = self._next_index[owner_id]
             reply, delivered = self._send(
                 StoreRequest(owner_id, candidate_id, archive_id, index)

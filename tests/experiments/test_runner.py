@@ -1,6 +1,10 @@
 """Tests for the repro-experiments CLI."""
 
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -136,6 +140,29 @@ class TestListCommand:
         fidelities = output.split("fidelity backends:\n")[1].split("link profiles:")[0]
         assert fidelities.count("(default)") == 1
         assert "  paper-dsl" in output
+
+    def test_closed_stdout_ends_without_traceback(self):
+        """``repro-experiments list | head -1`` where ``head`` wins the
+        race: the reader closes the pipe before the report is written.
+        The command ends normally, with nothing on stderr."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = pathlib.Path(runner.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro.experiments.runner", "list"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in completed.stderr, completed.stderr
+        assert completed.stderr == ""
+        assert completed.returncode == 0
 
 
 class TestRunCommand:

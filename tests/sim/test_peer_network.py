@@ -69,7 +69,7 @@ def ids(*peer_ids):
 
 
 def toggle(simulation, now, *peer_ids):
-    simulation._process_toggle_batch(now, np.array(peer_ids, dtype=np.int64))
+    simulation._process_toggle_batch(now, list(peer_ids))
 
 
 class TestPeer:

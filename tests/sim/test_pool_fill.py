@@ -20,10 +20,19 @@ import pytest
 from repro.scenarios import scenario_by_name
 from repro.sim.config import ObserverSpec
 from repro.sim.engine_soa import SoaSimulation
-from repro.sim.rng import BatchedDraws, pool_chunk_size
+from repro.sim.rng import DEFAULT_BLOCK, BatchedDraws, pool_chunk_size
 
 #: Draw-block size of the selection stream: a few chunks per block.
 BLOCK = 64
+
+#: ``(selection, acceptance)`` draw blocks: small ones that cut windows
+#: at block edges, and the engine's own (the regime the benchmark runs,
+#: where most fills end in one plain chunk).
+BLOCKS = [
+    pytest.param((BLOCK, BLOCK), id=str(BLOCK)),
+    pytest.param((BLOCK, 9), id="9"),
+    pytest.param((DEFAULT_BLOCK, DEFAULT_BLOCK), id=str(DEFAULT_BLOCK)),
+]
 
 
 class _CountedDraws(BatchedDraws):
@@ -86,7 +95,7 @@ def reference_fill(simulation, owner_id, now, target_size, max_examined):
     return np.array(ids, dtype=np.int64), np.array(ages, dtype=np.int64)
 
 
-def _simulation(population, rule, observers, seed, acceptance_block=BLOCK):
+def _simulation(population, rule, observers, seed, blocks=(BLOCK, BLOCK), watch=None):
     scenario = (
         scenario_by_name("paper")
         .with_population(population)
@@ -102,8 +111,13 @@ def _simulation(population, rule, observers, seed, acceptance_block=BLOCK):
             ]
         )
     simulation = SoaSimulation(scenario.build())
+    if watch is not None:
+        watch(simulation)
     simulation.run()
-    simulation._selection_draws = _CountedDraws(simulation.rng.selection, BLOCK)
+    selection_block, acceptance_block = blocks
+    simulation._selection_draws = _CountedDraws(
+        simulation.rng.selection, selection_block
+    )
     simulation._acceptance_draws = BatchedDraws(
         simulation.rng.acceptance, acceptance_block
     )
@@ -125,32 +139,39 @@ def _streams(simulation):
     ]
 
 
+def _tighten(cases, simulations):
+    """Give each simulation the same quota-tight state.
+
+    From a third to most peers at the quota (a few one below), so fills
+    often outlast their first chunk; ages spread past the rule's cap,
+    so acceptance often says no and fills walk many chunks of their
+    windows.
+    """
+    first = simulations[0]
+    count = first.state.count
+    tight = cases.random(count) < cases.uniform(0.3, 0.8)
+    levels = first.config.quota - (cases.random(count) < 0.1)
+    joins = first.round - cases.integers(0, 3 * first.config.age_cap, count)
+    for simulation in simulations:
+        simulation.state.quota_used[:count][tight] = levels[tight]
+        simulation.state.join[:] = joins.tolist()
+        simulation.state._join_np[:count] = joins
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("rule", ["age", "uniform"])
-@pytest.mark.parametrize("acceptance_block", [BLOCK, 9])
-def test_fill_matches_the_chunk_at_a_time_reference(seed, rule, acceptance_block):
+@pytest.mark.parametrize("blocks", BLOCKS)
+def test_fill_matches_the_chunk_at_a_time_reference(seed, rule, blocks):
     """A short, odd acceptance block cuts windows inside a chunk's draws."""
     cases = np.random.default_rng(seed)
     population = int(cases.integers(20, 301))
     observers = bool(seed % 2)
-    engine, engine_pools = _simulation(
-        population, rule, observers, seed, acceptance_block
-    )
+    engine, engine_pools = _simulation(population, rule, observers, seed, blocks)
     reference, reference_pools = _simulation(
-        population, rule, observers, seed, acceptance_block
+        population, rule, observers, seed, blocks
     )
     state = engine.state
-    # Quota-tight rows: from a third to most peers at the quota (a few
-    # one below), so fills often outlast their first chunk.
-    tight = cases.random(state.count) < cases.uniform(0.3, 0.8)
-    levels = engine.config.quota - (cases.random(state.count) < 0.1)
-    # Ages spread past the rule's cap, so acceptance often says no and
-    # fills walk many chunks of their windows.
-    joins = engine.round - cases.integers(0, 3 * engine.config.age_cap, state.count)
-    for simulation in (engine, reference):
-        simulation.state.quota_used[: state.count][tight] = levels[tight]
-        simulation.state.join[:] = joins.tolist()
-        simulation.state._join_np[: state.count] = joins
+    _tighten(cases, (engine, reference))
     now = engine.round
     owners = [p for p in range(state.count) if state.alive[p]]
     for _ in range(40):
@@ -188,3 +209,74 @@ def test_quota_tight_fills_run_windows():
         engine._fill_pool(owner_id, engine.round, 4, 10_000)
     assert engine._selection_draws.peeks > 20
     assert all(accepted == 4 for _, accepted in pools)
+
+
+def _watch_quota(simulation, seen):
+    """Check every selection and commit of ``simulation`` against quota.
+
+    A normal owner's chosen ids must all be below their quota when
+    ``_select_candidates`` returns them, and at most at it once
+    ``_recruit`` has committed them: the commit re-checks nothing.
+    ``seen`` counts the checked ids.
+    """
+    state = simulation.state
+    quota = simulation.config.quota
+    select = simulation._select_candidates
+    recruit = simulation._recruit
+
+    def select_candidates(owner_id, now, needed):
+        chosen = select(owner_id, now, needed)
+        if owner_id >= state.n_observers:
+            assert (state.quota_used[chosen] < quota).all(), (owner_id, now)
+            seen.append(len(chosen))
+        return chosen
+
+    def recruit_partners(owner_id, now, needed):
+        added = recruit(owner_id, now, needed)
+        if added and owner_id >= state.n_observers:
+            committed = state.holders[owner_id][-added:]
+            assert (state.quota_used[committed] <= quota).all(), (owner_id, now)
+        return added
+
+    simulation._select_candidates = select_candidates
+    simulation._recruit = recruit_partners
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+def test_selected_partners_are_below_their_quota(seed, vector, monkeypatch):
+    """The invariant that lets ``_recruit`` commit without a quota mask.
+
+    Every fill of a run on either toggle kernel, then fills on the
+    quota-tight state the reference comparison builds: each id handed
+    to a normal owner is below its quota, and the commit keeps it at
+    most at the quota.
+    """
+    if vector:
+        monkeypatch.setattr(SoaSimulation, "_VECTOR_POPULATION", 0)
+    cases = np.random.default_rng(seed)
+    population = int(cases.integers(20, 301))
+    seen = []
+    engine, _ = _simulation(
+        population,
+        "age",
+        bool(seed % 2),
+        seed,
+        watch=lambda simulation: _watch_quota(simulation, seen),
+    )
+    assert engine._vector_kernel is vector
+    assert engine.audit() == []
+    assert sum(seen) > 0
+    run_checked = sum(seen)
+    state = engine.state
+    # Tighten without lowering a counter below the links a peer holds:
+    # its owner row must keep room for every commit the counter allows.
+    held = state.quota_used[: state.count].copy()
+    _tighten(cases, (engine,))
+    counters = state.quota_used[: state.count]
+    np.maximum(counters, held, out=counters)
+    owners = [p for p in range(state.count) if state.alive[p]]
+    for _ in range(40):
+        owner_id = int(cases.choice(owners))
+        engine._recruit(owner_id, engine.round, int(cases.integers(1, 16)))
+    assert sum(seen) > run_checked

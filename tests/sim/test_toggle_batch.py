@@ -41,7 +41,7 @@ class TestDenseToggleLane:
         queue.schedule_toggle(3, 2)
         now, key = queue.pop_until(FOREVER)
         assert (now, key_kind(key)) == (3, EventKind.TOGGLE_BATCH)
-        assert queue.pop_round_batch().tolist() == [2, 7]
+        assert queue.pop_round_batch() == [2, 7]
         now, key = queue.pop_until(FOREVER)
         assert (now, key_kind(key)) == (3, EventKind.REPAIR_CHECK)
         assert queue.pop_until(FOREVER) is None
@@ -51,13 +51,27 @@ class TestDenseToggleLane:
         for peer_id in (5, 1, 4, 2, 3):
             queue.schedule_toggle(1, peer_id)
         assert queue.pop_until(FOREVER) == (1, TOGGLE_BATCH_KEY)
-        assert queue.pop_round_batch().tolist() == [1, 2, 3, 4, 5]
+        assert queue.pop_round_batch() == [1, 2, 3, 4, 5]
 
     def test_pop_round_batch_without_pending_batch_is_empty(self):
         queue = _queue()
+        assert queue.pop_round_batch() == []
+
+    def test_batch_is_the_lane_list_and_the_callers_own(self):
+        """The kernel iterates the lane's sorted list as it is; draining
+        leaves the queue holding no reference to it."""
+        queue = _queue()
+        queue.schedule_toggle(1, 4)
+        queue.schedule_toggle(1, 3)
+        queue.schedule_toggle(2, 9)
+        assert queue.pop_until(FOREVER) == (1, TOGGLE_BATCH_KEY)
         batch = queue.pop_round_batch()
-        assert isinstance(batch, np.ndarray)
-        assert len(batch) == 0
+        assert type(batch) is list and batch == [3, 4]
+        batch.append(99)
+        assert queue.pop_round_batch() == []
+        assert queue.pop_until(FOREVER) == (2, TOGGLE_BATCH_KEY)
+        assert queue.pop_round_batch() == [9]
+        assert len(queue) == 0
 
     def test_bulk_filing_matches_scalar_filing(self):
         """``schedule_toggle_batch`` takes the argsort path above 32
@@ -76,9 +90,7 @@ class TestDenseToggleLane:
             assert a == b
             if a is None:
                 break
-            assert scalar.pop_round_batch().tolist() == (
-                bulk.pop_round_batch().tolist()
-            )
+            assert scalar.pop_round_batch() == bulk.pop_round_batch()
 
     def test_toggle_into_executing_round_rejected(self):
         queue = _queue()
@@ -97,7 +109,7 @@ class TestDenseToggleLane:
         assert len(queue) == 1 and bool(queue)
         assert queue.pop_until(4) is None
         assert queue.pop_until(5) == (5, TOGGLE_BATCH_KEY)
-        assert queue.pop_round_batch().tolist() == [3]
+        assert queue.pop_round_batch() == [3]
         assert len(queue) == 0 and not queue
         assert queue.pop_until(FOREVER) is None
 
@@ -107,7 +119,7 @@ class TestDenseToggleLane:
         queue.schedule_toggle(4, 6)
         queue.cancel(4, key)
         assert queue.pop_until(4) == (4, TOGGLE_BATCH_KEY)
-        assert queue.pop_round_batch().tolist() == [6]
+        assert queue.pop_round_batch() == [6]
         assert queue.pop_until(FOREVER) is None
 
     def test_pop_until_holds_future_batches(self):
@@ -116,7 +128,7 @@ class TestDenseToggleLane:
         assert queue.pop_until(9) is None
         assert len(queue) == 1
         assert queue.pop_until(10) == (10, TOGGLE_BATCH_KEY)
-        assert queue.pop_round_batch().tolist() == [2]
+        assert queue.pop_round_batch() == [2]
 
 
 knob_strategy = st.fixed_dictionaries(
